@@ -20,9 +20,15 @@ from pathlib import Path
 
 from .dynamics import DriveSpec, NumericalHealthError, evolve, write_trajectory_csv
 from .effective import BracketError, gap_closing_search
-from .model import KPoint, ModelParams
-from .response import RegimeError, phase_diagram, pumped_charge, write_phase_diagram_csv
-from .spectrum import band_surface, band_surface_rows, classify_degeneracies, physical_spectrum
+from .model import KPoint, ModelParams, Spinor
+from .response import (
+    RegimeError,
+    phase_diagram,
+    pumped_charge,
+    sweep_initial_states,
+    write_phase_diagram_csv,
+)
+from .spectrum import band_surface, band_surface_rows, classify_degeneracies
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,27 +40,8 @@ class ConfigError(ValueError):
     pass
 
 
-# option name -> parser; config files may set any of these
-_OPTION_TYPES = {
-    "u": float,
-    "U": float,
-    "grid": int,
-    "F": str,
-    "dt": float,
-    "T": float,
-    "band": str,
-    "out": str,
-    "format": str,
-    "bracket": str,
-    "sample-every": int,
-    "u-min": float,
-    "u-max": float,
-    "U-min": float,
-    "U-max": float,
-}
-
-
-def _read_config(path: str) -> dict:
+def _read_config(path: str, options: dict) -> dict:
+    """Parse a key=value file; ``options`` maps long option names to their actions."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -68,12 +55,18 @@ def _read_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _OPTION_TYPES:
+        if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        action = options[key]
         try:
-            values[key] = _OPTION_TYPES[key](val.strip())
+            value = action.type(val.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} must be one of {', '.join(action.choices)}, got {value!r}"
+            )
+        values[key] = value
     return values
 
 
@@ -90,7 +83,7 @@ def _parse_force(text: str) -> tuple[float, float]:
     raise ConfigError(f"force must be F or Fx,Fy, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--u", type=float, help="topological parameter")
@@ -99,9 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--F", type=str, help="drive rate; Fx,Fy for dynamics")
     common.add_argument("--dt", type=float, help="integration step (1/J)")
     common.add_argument("--T", type=float, help="total evolution time (1/J)")
-    common.add_argument("--band", choices=["ground", "excited"], help="band branch")
+    common.add_argument("--band", type=str, choices=["ground", "excited"], help="band branch")
     common.add_argument("--out", type=str, help="output directory (default .)")
-    common.add_argument("--format", choices=["csv", "json"], help="tabular output format")
+    common.add_argument("--format", type=str, choices=["csv", "json"], help="tabular output format")
 
     parser = argparse.ArgumentParser(prog="nlchern", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,18 +102,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("degeneracies", parents=[common], help="classified degenerate points")
     gap = sub.add_parser("gap", parents=[common], help="gap-closing parameter search")
     gap.add_argument("--bracket", type=str, help="LO,HI bracket on the free parameter")
-    sub.add_parser("dynamics", parents=[common], help="driven trajectory along the diagonal")
+    dyn = sub.add_parser("dynamics", parents=[common], help="driven trajectory along the diagonal")
+    dyn.add_argument("--sample-every", type=int, help="steps between trajectory samples")
     sub.add_parser("response", parents=[common], help="pumped charge over one cycle")
     pd = sub.add_parser("phase-diagram", parents=[common], help="A/nA diagram over (u, U)")
     pd.add_argument("--u-min", type=float)
     pd.add_argument("--u-max", type=float)
     pd.add_argument("--U-min", type=float, dest="U_min")
     pd.add_argument("--U-max", type=float, dest="U_max")
-    return parser
+    # config keys: every long option of every subcommand, as the parser defines it
+    options = {
+        opt[2:]: action
+        for command in sub.choices.values()
+        for action in command._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and action.dest not in ("help", "config")
+    }
+    return parser, options
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    cfg = _read_config(args.config) if args.config else {}
+def _merge(args: argparse.Namespace, options: dict) -> dict:
+    cfg = _read_config(args.config, options) if args.config else {}
     merged = dict(cfg)
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
@@ -247,8 +249,7 @@ def cmd_dynamics(opts: dict) -> int:
     band = opts.get("band", "ground")
     sample = int(opts.get("sample-every", 20))
     drive = DriveSpec(KPoint(0.0, 0.0), force, T, dt)
-    pairs = physical_spectrum(params, drive.k0)
-    initial = pairs[0].state if band == "ground" else pairs[-1].state
+    initial = Spinor.from_array(sweep_initial_states(params, band, [drive.k0.kx], drive.k0.ky)[0])
     records = evolve(params, drive, initial, sample_every=sample)
     write_trajectory_csv(records, _outdir(opts) / "trajectory.csv")
     return EXIT_OK
@@ -289,10 +290,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, options = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _merge(args)
+        opts = _merge(args, options)
         return _COMMANDS[args.command](opts)
     except (ConfigError, BracketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

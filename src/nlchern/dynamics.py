@@ -10,6 +10,11 @@ integrator is classical explicit RK4 with the Hamiltonian rebuilt at
 every stage state and stage time; the exact flow conserves the norm, so
 norm drift is used as the health metric (no renormalization by default).
 
+``_kerr_rhs`` and ``rk4_step`` are the one integrator core: they use only
+arithmetic, ``.real``, ``.imag`` and ``.conjugate()``, so ``evolve`` runs
+them on Python complex scalars and ``response.pumped_charge`` on numpy
+columns holding one k_x row each.
+
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
 Kerr term is on, so the projection probabilities need not sum to one.
@@ -94,16 +99,38 @@ def instantaneous_projections(
     return tuple(out)
 
 
-def _rhs(u, U, kx, ky, p1, p2):
-    dx = math.sin(kx)
-    dy = math.sin(ky)
-    dz = u + math.cos(kx) + math.cos(ky)
+def _kerr_rhs(U, dx, dy, dz, p1, p2):
+    """-i H(d, psi) psi for H = d . sigma + U diag(|p1|^2, |p2|^2), elementwise."""
     n1 = p1.real * p1.real + p1.imag * p1.imag
     n2 = p2.real * p2.real + p2.imag * p2.imag
-    od = complex(dx, -dy)
+    od = dx - 1j * dy
     h1 = (dz + U * n1) * p1 + od * p2
     h2 = od.conjugate() * p1 + (U * n2 - dz) * p2
     return -1j * h1, -1j * h2
+
+
+def rk4_step(U, d_of_t, t, dt, p1, p2):
+    """One classical RK4 step of i psi' = H(d(t), psi) psi from t to t + dt.
+
+    ``d_of_t(t)`` returns the Bloch vector components (dx, dy, dz) at time
+    t; it is evaluated at t, t + dt/2 and t + dt.
+    """
+    half = 0.5 * dt
+    d_a, d_b, d_c = d_of_t(t), d_of_t(t + half), d_of_t(t + dt)
+    a1, a2 = _kerr_rhs(U, *d_a, p1, p2)
+    b1, b2 = _kerr_rhs(U, *d_b, p1 + half * a1, p2 + half * a2)
+    c1, c2 = _kerr_rhs(U, *d_b, p1 + half * b1, p2 + half * b2)
+    d1, d2 = _kerr_rhs(U, *d_c, p1 + dt * c1, p2 + dt * c2)
+    sixth = dt / 6.0
+    return (
+        p1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        p2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+    )
+
+
+def norm_squared(p1, p2):
+    """|p1|^2 + |p2|^2, elementwise."""
+    return p1.real * p1.real + p1.imag * p1.imag + p2.real * p2.real + p2.imag * p2.imag
 
 
 def evolve(
@@ -136,9 +163,7 @@ def evolve(
     def sample(step: int) -> TrajectoryRecord:
         t = step * dt
         k = KPoint(kx0 + fx * t, ky0 + fy * t)
-        norm = math.sqrt(
-            p1.real * p1.real + p1.imag * p1.imag + p2.real * p2.real + p2.imag * p2.imag
-        )
+        norm = math.sqrt(norm_squared(p1, p2))
         if not renormalize and abs(norm - 1.0) > NORM_ABORT:
             raise NumericalHealthError(
                 f"norm drift |{norm} - 1| > {NORM_ABORT} at t={t:.4g}; "
@@ -149,24 +174,15 @@ def evolve(
         proj = instantaneous_projections(params, k, psi, pairs) if with_projections else ()
         return TrajectoryRecord(t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi), proj)
 
+    def d_of_t(t):
+        kx, ky = kx0 + fx * t, ky0 + fy * t
+        return math.sin(kx), math.sin(ky), u + math.cos(kx) + math.cos(ky)
+
     records = [sample(0)]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for n in range(n_steps):
-        t = n * dt
-        kx_a, ky_a = kx0 + fx * t, ky0 + fy * t
-        kx_b, ky_b = kx0 + fx * (t + half), ky0 + fy * (t + half)
-        kx_c, ky_c = kx0 + fx * (t + dt), ky0 + fy * (t + dt)
-        a1, a2 = _rhs(u, U, kx_a, ky_a, p1, p2)
-        b1, b2 = _rhs(u, U, kx_b, ky_b, p1 + half * a1, p2 + half * a2)
-        c1, c2 = _rhs(u, U, kx_b, ky_b, p1 + half * b1, p2 + half * b2)
-        d1, d2 = _rhs(u, U, kx_c, ky_c, p1 + dt * c1, p2 + dt * c2)
-        p1 = p1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        p2 = p2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        p1, p2 = rk4_step(U, d_of_t, n * dt, dt, p1, p2)
         if renormalize:
-            inv = 1.0 / math.sqrt(
-                p1.real * p1.real + p1.imag * p1.imag + p2.real * p2.real + p2.imag * p2.imag
-            )
+            inv = 1.0 / math.sqrt(norm_squared(p1, p2))
             p1 *= inv
             p2 *= inv
         if (n + 1) % sample_every == 0:

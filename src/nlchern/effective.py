@@ -217,39 +217,18 @@ def gap_closing_search(
     )
 
 
-def _tube_contour_present(u: float, n: int = 4001) -> bool:
-    """Whether the effective dz crosses zero along the diagonal.
-
-    pz(p) = u - 2 + p^2 changing sign is the existence condition for the
-    excited-band tube circle p^2 = 2(2 - u); it pinches off as u -> 2.
-    """
-    p = np.linspace(-math.pi, math.pi, n)
-    pz = u - 2.0 + p * p
-    return bool(np.any(np.sign(pz[:-1]) * np.sign(pz[1:]) < 0) or np.any(pz == 0.0))
-
-
 def gap_closed_u_interval(
     U: float,
     lower_bracket: tuple[float, float] = (1.0, 1.2),
-    upper_bracket: tuple[float, float] = (1.5, 2.5),
     tol: float = 1e-4,
 ) -> tuple[float, float]:
     """Endpoints of the u-interval with no gap between the Bloch bands, at fixed U.
 
     The lower endpoint is the fold-merger transition located by
     ``gap_closing_search``.  Beyond the merger the fold count is zero on
-    both sides of the reopening, so the upper endpoint is localized
-    instead by the pinch-off of the excited-band tube contour.
+    both sides of the reopening, so the upper endpoint is instead the
+    pinch-off of the excited-band tube circle p^2 = 2(2 - u), which is
+    u = 2 exactly for every U.
     """
     lower = gap_closing_search(ModelParams(u=0.0, U=U), vary="u", bracket=lower_bracket, tol=tol)
-
-    lo, hi = upper_bracket
-    if not (_tube_contour_present(lo) and not _tube_contour_present(hi)):
-        raise BracketError("upper bracket must straddle the tube pinch-off")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _tube_contour_present(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lower.critical_value, 0.5 * (lo + hi)
+    return lower.critical_value, 2.0

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import norm_squared, rk4_step
 from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
 from .spectrum import physical_spectrum
 
@@ -56,6 +57,13 @@ class ResponseSummary:
         }
 
 
+def _velocity(cos_kx, sin_kx, p1, p2):
+    """cos(kx) <sigma_x> - sin(kx) <sigma_z>, elementwise."""
+    sx = 2.0 * (p1.conjugate() * p2).real
+    sz = (p1.real * p1.real + p1.imag * p1.imag) - (p2.real * p2.real + p2.imag * p2.imag)
+    return cos_kx * sx - sin_kx * sz
+
+
 def velocity_expectation(params: ModelParams, k: KPoint, psi: Spinor) -> float:
     """Expectation of the velocity operator along x at fixed state.
 
@@ -63,10 +71,7 @@ def velocity_expectation(params: ModelParams, k: KPoint, psi: Spinor) -> float:
     dependence; the Kerr diagonal depends on k through the state alone
     and does not enter the derivative.
     """
-    c1, c2 = psi.c1, psi.c2
-    sx = 2.0 * (c1.conjugate() * c2).real
-    sz = (c1.real**2 + c1.imag**2) - (c2.real**2 + c2.imag**2)
-    return math.cos(k.kx) * sx - math.sin(k.kx) * sz
+    return _velocity(math.cos(k.kx), math.sin(k.kx), complex(psi.c1), complex(psi.c2))
 
 
 def _band_index(band: str, n_branches: int) -> int:
@@ -75,25 +80,6 @@ def _band_index(band: str, n_branches: int) -> int:
     if band == "excited":
         return n_branches - 1
     raise ValueError('band must be "ground" or "excited"')
-
-
-def _batched_rhs(u, U, dx_col, dz_base, ky, psi):
-    dy = math.sin(ky)
-    dz = dz_base + math.cos(ky)
-    od = dx_col - 1j * dy
-    p1 = psi[:, 0]
-    p2 = psi[:, 1]
-    h1 = (dz + U * (p1.real**2 + p1.imag**2)) * p1 + od * p2
-    h2 = np.conj(od) * p1 + (U * (p2.real**2 + p2.imag**2) - dz) * p2
-    return -1j * np.stack([h1, h2], axis=1)
-
-
-def _batched_velocity(cx_col, sx_col, psi):
-    p1 = psi[:, 0]
-    p2 = psi[:, 1]
-    sx = 2.0 * (np.conj(p1) * p2).real
-    sz = (p1.real**2 + p1.imag**2) - (p2.real**2 + p2.imag**2)
-    return cx_col * sx - sx_col * sz
 
 
 def sweep_initial_states(
@@ -121,45 +107,46 @@ def pumped_charge(
     n_kx: int = 50,
     dt: float = 0.01,
     ky0: float = 0.0,
-    renormalize: bool = True,
 ) -> ResponseSummary:
     """Transported charge per drive cycle, averaged over k_x columns.
 
-    All columns share the drive k_y(t) = ky0 + F t and integrate in one
-    batched RK4 loop; the velocity integral uses the trapezoid rule on
-    the step grid.  Renormalization per step is on by default: a full
-    cycle takes 2*pi/F time units and the drift bound matters there.
+    All columns share the drive k_y(t) = ky0 + F t and step together
+    through ``dynamics.rk4_step``; the velocity integral uses the
+    trapezoid rule on the step grid.  The step is shrunk from ``dt`` to
+    T / round(T / dt), so the steps add up to exactly one cycle
+    T = 2*pi/F.  The state is renormalized after every step: a full cycle
+    takes 2*pi/F time units and the drift bound matters there.
     """
     if F <= 0.0:
         raise ValueError("drive rate F must be positive")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if n_kx < 1:
+        raise ValueError("n_kx must be at least 1")
     u, U = params.u, params.U
     kxs = 2.0 * math.pi * np.arange(n_kx) / n_kx
-    psi = sweep_initial_states(params, band, kxs, ky0)
+    p1, p2 = sweep_initial_states(params, band, kxs, ky0).T
 
     T = 2.0 * math.pi / F
-    n_steps = int(round(T / dt))
+    n_steps = max(1, round(T / dt))
+    dt = T / n_steps
     sx_col = np.sin(kxs)
     cx_col = np.cos(kxs)
-    dz_base = u + cx_col  # + cos(ky) added per stage
+    dz_base = u + cx_col
+
+    def d_of_t(t):
+        ky = ky0 + F * t
+        return sx_col, math.sin(ky), dz_base + math.cos(ky)
 
     Q = np.zeros(n_kx)
-    v_prev = _batched_velocity(cx_col, sx_col, psi)
-    half = 0.5 * dt
+    v_prev = _velocity(cx_col, sx_col, p1, p2)
     for n in range(n_steps):
-        t = n * dt
-        ky_a = ky0 + F * t
-        ky_b = ky0 + F * (t + half)
-        ky_c = ky0 + F * (t + dt)
-        k1 = _batched_rhs(u, U, sx_col, dz_base, ky_a, psi)
-        k2 = _batched_rhs(u, U, sx_col, dz_base, ky_b, psi + half * k1)
-        k3 = _batched_rhs(u, U, sx_col, dz_base, ky_b, psi + half * k2)
-        k4 = _batched_rhs(u, U, sx_col, dz_base, ky_c, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if renormalize:
-            norms = np.sqrt(np.sum(psi.real**2 + psi.imag**2, axis=1))
-            psi /= norms[:, None]
-        v_new = _batched_velocity(cx_col, sx_col, psi)
-        Q += half * (v_prev + v_new)
+        p1, p2 = rk4_step(U, d_of_t, n * dt, dt, p1, p2)
+        norm = np.sqrt(norm_squared(p1, p2))
+        p1 /= norm
+        p2 /= norm
+        v_new = _velocity(cx_col, sx_col, p1, p2)
+        Q += (0.5 * dt) * (v_prev + v_new)
         v_prev = v_new
 
     # Zone orientation fixed so the linear adiabatic limit returns the
@@ -199,22 +186,19 @@ def ground_critical_strength(u: float) -> float:
     return 2.0 * abs(abs(u) - 2.0)
 
 
-def excited_critical_strength(u: float, n: int = 2001) -> float:
+def excited_critical_strength(u: float) -> float:
     """Minimal Kerr strength opening the excited-band tube, over the dz=0 contour.
 
-    The contour u + cos kx + cos ky = 0 exists only for |u| < 2; returns
-    +inf otherwise (the excited band never develops a tube).
+    The tube opens at U = 2 sqrt(s), s = sin^2 kx + sin^2 ky, minimized
+    over the contour u + cos kx + cos ky = 0.  With c = cos kx the contour
+    gives s = 2 - c^2 - (u + c)^2, concave in c and equal at both ends of
+    the allowed range, where s = |u| (2 - |u|).  The contour exists only
+    for |u| < 2; returns +inf otherwise (the excited band never develops a
+    tube).
     """
     if abs(u) >= 2.0:
         return math.inf
-    kx = np.linspace(0.0, 2.0 * math.pi, n)
-    c = -u - np.cos(kx)
-    valid = np.abs(c) <= 1.0
-    if not np.any(valid):
-        return math.inf
-    sin2ky = 1.0 - c[valid] ** 2
-    s = np.sin(kx[valid]) ** 2 + sin2ky
-    return float(2.0 * np.sqrt(np.min(s)))
+    return 2.0 * math.sqrt(abs(u) * (2.0 - abs(u)))
 
 
 def is_adiabatic(params: ModelParams, band: str) -> bool:

@@ -157,3 +157,14 @@ def ray_distance(a, b):
     b = np.asarray(b, complex)
     ov = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, ov)))
+
+
+def tube_strength_scan(u, n=2001):
+    """min 2 sqrt(sin^2 kx + sin^2 ky) over the dz = 0 contour, by a kx scan."""
+    kx = np.linspace(0.0, 2.0 * math.pi, n)
+    c = -u - np.cos(kx)  # cos ky on the contour
+    valid = np.abs(c) <= 1.0
+    if not np.any(valid):
+        return math.inf
+    s = np.sin(kx[valid]) ** 2 + 1.0 - c[valid] ** 2
+    return float(2.0 * np.sqrt(np.min(s)))

@@ -180,3 +180,41 @@ def test_exit_code_mapping_regime_and_health(tmp_path, monkeypatch):
          "--out", str(tmp_path)]
     )
     assert code == 4
+
+
+def test_dynamics_rejects_missing_band_like_response(tmp_path, monkeypatch):
+    from nlchern import response
+
+    real = response.physical_spectrum
+    monkeypatch.setattr(response, "physical_spectrum", lambda params, k: real(params, k)[:1])
+    common = ["--u", "1", "--U", "4", "--band", "ground", "--out", str(tmp_path)]
+    assert run(["dynamics", *common, "--T", "1"]) == 3
+    assert run(["response", *common, "--grid", "2"]) == 3
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_response_empty_grid_rejected(tmp_path):
+    assert run(["response", "--u", "1", "--grid", "0", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "response.json").exists()
+
+
+def test_bad_config_values_rejected(tmp_path):
+    conf = tmp_path / "band.conf"
+    conf.write_text("u=1\nU=4\nband=bogus\n")
+    assert run(["dynamics", "--config", str(conf), "--T", "1", "--out", str(tmp_path)]) == 2
+    conf = tmp_path / "format.conf"
+    conf.write_text("u=3\nU=0\ngrid=3\nformat=xml\n")
+    assert run(["bands", "--config", str(conf), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "bands.json").exists()
+    assert not (tmp_path / "bands.csv").exists()
+
+
+def test_sample_every_from_config_or_flag(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("u=3\nU=5\nT=1\nsample-every=50\n")
+    assert run(["dynamics", "--config", str(conf), "--out", str(tmp_path / "c")]) == 0
+    assert len((tmp_path / "c" / "trajectory.csv").read_text().splitlines()) == 1 + 3
+    args = ["--u", "3", "--U", "5", "--T", "1", "--sample-every", "25"]
+    assert run(["dynamics", *args, "--out", str(tmp_path / "f")]) == 0
+    assert len((tmp_path / "f" / "trajectory.csv").read_text().splitlines()) == 1 + 5

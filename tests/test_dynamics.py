@@ -10,6 +10,7 @@ from nlchern.dynamics import (
     evolve,
     instantaneous_projections,
     mean_energy,
+    rk4_step,
     write_trajectory_csv,
 )
 from nlchern.model import KPoint, ModelParams, Spinor
@@ -183,3 +184,32 @@ def test_trajectory_csv_blank_padding(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,kx,ky,norm,energy,P1,P2,P3,P4"
     assert lines[1].endswith(",,")  # two branches: P3, P4 blank
+
+
+def test_rk4_step_columns_match_scalars():
+    # evolve steps Python complex scalars, pumped_charge numpy columns,
+    # through the same core; one row at a time must reproduce the batch
+    u, U, F, ky0, dt = 0.7, 2.5, 0.01, 0.2, 0.05
+    kxs = np.array([0.3, 1.9, 4.4])
+    rng = np.random.default_rng(5)
+    psi0 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    psi0 /= np.linalg.norm(psi0, axis=1)[:, None]
+
+    def d_columns(t):
+        ky = ky0 + F * t
+        return np.sin(kxs), math.sin(ky), u + np.cos(kxs) + math.cos(ky)
+
+    p1, p2 = psi0.T
+    for n in range(20):
+        p1, p2 = rk4_step(U, d_columns, n * dt, dt, p1, p2)
+
+    for i, kx in enumerate(map(float, kxs)):
+        def d_scalar(t):
+            ky = ky0 + F * t
+            return math.sin(kx), math.sin(ky), u + math.cos(kx) + math.cos(ky)
+
+        q1, q2 = complex(psi0[i, 0]), complex(psi0[i, 1])
+        for n in range(20):
+            q1, q2 = rk4_step(U, d_scalar, n * dt, dt, q1, q2)
+        assert type(q1) is complex and type(q2) is complex
+        assert abs(q1 - p1[i]) < 1e-12 and abs(q2 - p2[i]) < 1e-12

@@ -129,3 +129,8 @@ def test_gap_closed_interval():
     lo, hi = gap_closed_u_interval(4.0)
     assert lo == pytest.approx(1.066, abs=0.005)
     assert hi == pytest.approx(2.0, abs=0.01)
+
+
+def test_gap_closed_interval_upper_end_exact():
+    # the tube circle p^2 = 2(2 - u) pinches off at u = 2 for every U
+    assert gap_closed_u_interval(4.0)[1] == 2.0

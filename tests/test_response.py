@@ -16,7 +16,7 @@ from nlchern.response import (
 )
 from nlchern.spectrum import physical_spectrum
 
-from oracles import plaquette_chern
+from oracles import plaquette_chern, tube_strength_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,3 +146,25 @@ def test_label_consistency_spot_checks():
             assert onset is None, (u, U, band, onset)
         else:
             assert onset is not None, (u, U, band)
+
+
+def test_excited_critical_strength_closed_form_matches_scan():
+    for u in np.linspace(-2.5, 2.5, 399):
+        assert excited_critical_strength(float(u)) == pytest.approx(
+            tube_strength_scan(float(u)), abs=1e-12
+        )
+
+
+def test_pump_cycle_closes_exactly():
+    # the steps add up to exactly T = 2 pi / F, so the error falls with
+    # the fourth power of dt instead of stalling at the cycle mismatch
+    params = ModelParams(u=1.0, U=0.0)
+    ref = pumped_charge(params, "ground", F=0.01, n_kx=8, dt=0.0125).nu
+    err_coarse = abs(pumped_charge(params, "ground", F=0.01, n_kx=8, dt=0.05).nu - ref)
+    err_fine = abs(pumped_charge(params, "ground", F=0.01, n_kx=8, dt=0.025).nu - ref)
+    assert err_coarse >= 8.0 * err_fine
+
+
+def test_pump_rejects_empty_grid():
+    with pytest.raises(ValueError):
+        pumped_charge(ModelParams(u=1.0, U=0.0), n_kx=0)
