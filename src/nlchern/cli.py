@@ -23,6 +23,7 @@ from .effective import BracketError, gap_closing_search
 from .model import KPoint, ModelParams, Spinor
 from .response import (
     RegimeError,
+    kx_columns,
     phase_diagram,
     pumped_charge,
     sweep_initial_states,
@@ -257,15 +258,23 @@ def cmd_dynamics(opts: dict) -> int:
 
 def cmd_response(opts: dict) -> int:
     params = _params(opts)
-    force = _parse_force(str(opts.get("F", "0.01")))
+    force = str(opts.get("F", "0.01"))
+    if "," in force:
+        raise ConfigError(f"response drives along k_y only; --F takes one rate, got {force!r}")
     summary = pumped_charge(
         params,
         band=opts.get("band", "ground"),
-        F=force[1] if force[1] > 0 else force[0],
+        F=_parse_force(force)[0],
         n_kx=int(opts.get("grid", 50)),
         dt=float(opts.get("dt", 0.01)),
     )
-    _write_json(_outdir(opts) / "response.json", summary.to_dict())
+    out = _outdir(opts)
+    _write_json(out / "response.json", summary.to_dict())
+    with open(out / "response_columns.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kx", "Q"])
+        for kx, q in zip(kx_columns(summary.n_kx), summary.Q):
+            writer.writerow([f"{kx:.17g}", f"{q:.17g}"])
     return EXIT_OK
 
 

@@ -10,10 +10,13 @@ integrator is classical explicit RK4 with the Hamiltonian rebuilt at
 every stage state and stage time; the exact flow conserves the norm, so
 norm drift is used as the health metric (no renormalization by default).
 
-``_kerr_rhs`` and ``rk4_step`` are the one integrator core: they use only
-arithmetic, ``.real``, ``.imag`` and ``.conjugate()``, so ``evolve`` runs
-them on Python complex scalars and ``response.pumped_charge`` on numpy
-columns holding one k_x row each.
+``_kerr_row`` is the one formula for H(psi) psi, written per row of the
+2x2 problem.  ``rk4_step`` calls it twice per stage on Python complex
+scalars (``evolve``); ``rk4_step_columns`` calls it once per stage on a
+stacked (2, n) numpy state whose columns are k points
+(``response.pumped_charge``).  Both fold the -i into the stage weights
+and take the drive coefficients at t + dt/2 and t + dt, reusing the
+t + dt value as the start of the next step.
 
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
@@ -99,33 +102,69 @@ def instantaneous_projections(
     return tuple(out)
 
 
-def _kerr_rhs(U, dx, dy, dz, p1, p2):
-    """-i H(d, psi) psi for H = d . sigma + U diag(|p1|^2, |p2|^2), elementwise."""
-    n1 = p1.real * p1.real + p1.imag * p1.imag
-    n2 = p2.real * p2.real + p2.imag * p2.imag
-    od = dx - 1j * dy
-    h1 = (dz + U * n1) * p1 + od * p2
-    h2 = od.conjugate() * p1 + (U * n2 - dz) * p2
-    return -1j * h1, -1j * h2
+def _kerr_row(D, O, U, p, q):
+    """One row of H(d, psi) psi for H = d . sigma + U diag(|p1|^2, |p2|^2), elementwise.
+
+    Row 1 is ``_kerr_row(dz, dx - i dy, U, p1, p2)``, row 2 is
+    ``_kerr_row(-dz, dx + i dy, U, p2, p1)``.
+    """
+    return (D + U * p * p.conjugate()) * p + O * q
 
 
-def rk4_step(U, d_of_t, t, dt, p1, p2):
+def rk4_weights(dt):
+    """Classical RK4 stage weights dt/2, dt, dt/6 with the -i of i psi' = H psi folded in."""
+    return -0.5j * dt, -1j * dt, -1j * dt / 6.0
+
+
+def rk4_step(U, w, a, b, c, p1, p2):
     """One classical RK4 step of i psi' = H(d(t), psi) psi from t to t + dt.
 
-    ``d_of_t(t)`` returns the Bloch vector components (dx, dy, dz) at time
-    t; it is evaluated at t, t + dt/2 and t + dt.
+    ``w`` is ``rk4_weights(dt)``; ``a``, ``b`` and ``c`` hold the drive
+    coefficients (dz, dx - i dy) at t, t + dt/2 and t + dt.  ``p1`` and
+    ``p2`` are Python complex scalars: a numpy batch of one costs several
+    times the scalar step.
     """
-    half = 0.5 * dt
-    d_a, d_b, d_c = d_of_t(t), d_of_t(t + half), d_of_t(t + dt)
-    a1, a2 = _kerr_rhs(U, *d_a, p1, p2)
-    b1, b2 = _kerr_rhs(U, *d_b, p1 + half * a1, p2 + half * a2)
-    c1, c2 = _kerr_rhs(U, *d_b, p1 + half * b1, p2 + half * b2)
-    d1, d2 = _kerr_rhs(U, *d_c, p1 + dt * c1, p2 + dt * c2)
-    sixth = dt / 6.0
-    return (
-        p1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-        p2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-    )
+    h, f, s = w
+    (za, oa), (zb, ob), (zc, oc) = a, b, c
+    ob_bar = ob.conjugate()
+    a1 = _kerr_row(za, oa, U, p1, p2)
+    a2 = _kerr_row(-za, oa.conjugate(), U, p2, p1)
+    q1, q2 = p1 + h * a1, p2 + h * a2
+    b1 = _kerr_row(zb, ob, U, q1, q2)
+    b2 = _kerr_row(-zb, ob_bar, U, q2, q1)
+    q1, q2 = p1 + h * b1, p2 + h * b2
+    c1 = _kerr_row(zb, ob, U, q1, q2)
+    c2 = _kerr_row(-zb, ob_bar, U, q2, q1)
+    q1, q2 = p1 + f * c1, p2 + f * c2
+    d1 = _kerr_row(zc, oc, U, q1, q2)
+    d2 = _kerr_row(-zc, oc.conjugate(), U, q2, q1)
+    return p1 + s * (a1 + 2.0 * (b1 + c1) + d1), p2 + s * (a2 + 2.0 * (b2 + c2) + d2)
+
+
+def rk4_step_columns(U, w, a, b, c, P):
+    """``rk4_step`` on a stacked complex state P = [p1, p2] of shape (2, n).
+
+    Each column is one k point.  The drive coefficients are stacked the
+    same way, D = [dz, -dz] and O = [dx - i dy, dx + i dy], so one
+    ``_kerr_row`` call gives both rows.  Pass U and the weights as 0-d
+    complex arrays: numpy takes its fast path only when every operand is
+    a complex array, and the loop is bound by that per-call cost.
+    """
+    h, f, s = w
+    (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c
+    k1 = _kerr_row(Da, Oa, U, P, P[::-1])
+    X = P + h * k1
+    k2 = _kerr_row(Db, Ob, U, X, X[::-1])
+    X = P + h * k2
+    k3 = _kerr_row(Db, Ob, U, X, X[::-1])
+    X = P + f * k3
+    k4 = _kerr_row(Dc, Oc, U, X, X[::-1])
+    k2 += k3
+    k2 += k2
+    k2 += k1
+    k2 += k4
+    k2 *= s
+    return P + k2
 
 
 def norm_squared(p1, p2):
@@ -174,13 +213,19 @@ def evolve(
         proj = instantaneous_projections(params, k, psi, pairs) if with_projections else ()
         return TrajectoryRecord(t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi), proj)
 
-    def d_of_t(t):
+    def drive(t):
         kx, ky = kx0 + fx * t, ky0 + fy * t
-        return math.sin(kx), math.sin(ky), u + math.cos(kx) + math.cos(ky)
+        return u + math.cos(kx) + math.cos(ky), complex(math.sin(kx), -math.sin(ky))
 
+    half = 0.5 * dt
+    w = rk4_weights(dt)
+    a = drive(0.0)
     records = [sample(0)]
     for n in range(n_steps):
-        p1, p2 = rk4_step(U, d_of_t, n * dt, dt, p1, p2)
+        t = n * dt
+        b, c = drive(t + half), drive(t + dt)
+        p1, p2 = rk4_step(U, w, a, b, c, p1, p2)
+        a = c
         if renormalize:
             inv = 1.0 / math.sqrt(norm_squared(p1, p2))
             p1 *= inv

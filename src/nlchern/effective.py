@@ -12,13 +12,14 @@ the two-fold degenerate fold points satisfy
 
 generically at four values of p; the merger of the inner pair (4 -> 2
 roots) marks the closing of the gap between the Bloch band structures,
-which is the criterion the parameter bisection below localizes.
+which is the criterion the parameter bisection below localizes.  At fixed
+U the merger also has a closed form (``gap_closed_u_interval``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,15 +64,12 @@ class GapClosingReport:
     roots_after: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "fixed_param": self.fixed_param,
-            "fixed_value": self.fixed_value,
-            "varied_param": self.varied_param,
-            "bracket": list(self.bracket),
-            "critical_value": self.critical_value,
-            "roots_before": list(self.roots_before),
-            "roots_after": list(self.roots_after),
-        }
+        return asdict(self, dict_factory=_tuples_as_lists)
+
+
+def _tuples_as_lists(pairs) -> dict:
+    """``asdict`` factory: tuples become lists, the way they read back from JSON."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
 
 def effective_bloch_vector(params: ModelParams, p: PPoint) -> BlochVector:
@@ -217,18 +215,26 @@ def gap_closing_search(
     )
 
 
-def gap_closed_u_interval(
-    U: float,
-    lower_bracket: tuple[float, float] = (1.0, 1.2),
-    tol: float = 1e-4,
-) -> tuple[float, float]:
+def gap_closed_u_interval(U: float) -> tuple[float, float]:
     """Endpoints of the u-interval with no gap between the Bloch bands, at fixed U.
 
-    The lower endpoint is the fold-merger transition located by
-    ``gap_closing_search``.  Beyond the merger the fold count is zero on
-    both sides of the reopening, so the upper endpoint is instead the
-    pinch-off of the excited-band tube circle p^2 = 2(2 - u), which is
-    u = 2 exactly for every U.
+    The lower endpoint is the fold merger: the residual on the diagonal is
+    u + g(p) with g(p) = p^2 - 2 + (1/2) {U^(2/3) - (8 p^2)^(1/3)}^(3/2),
+    and its inner root pair merges at u* = -g(p*), where p* is the one
+    interior minimum of g.  With w = (8 p*^2)^(1/3), g'(p*) = 0 reads
+    w^4 / 4 + w = U^(2/3) and gives u* = 2 - w^3/8 - w^6/16.  Beyond the
+    merger the fold count is zero on both sides of the reopening, so the
+    upper endpoint is instead the pinch-off of the excited-band tube
+    circle p^2 = 2(2 - u), which is u = 2 exactly for every U.
     """
-    lower = gap_closing_search(ModelParams(u=0.0, U=U), vary="u", bracket=lower_bracket, tol=tol)
-    return lower.critical_value, 2.0
+    if not 0.0 < U < math.inf:
+        raise ValueError("the gap closes only for finite U > 0")
+    c = U ** (2.0 / 3.0)
+    # Newton from above on the convex, increasing w^4/4 + w - c descends
+    # monotonically to the root; rounding ends the descent
+    w = min(c, (4.0 * c) ** 0.25)
+    while (nxt := w - (0.25 * w**4 + w - c) / (w**3 + 1.0)) < w:
+        w = nxt
+    if w**3 / 8.0 > math.pi**2:
+        raise ValueError(f"the fold merger at U={U} lies beyond the zone edge |p| = pi")
+    return 2.0 - w**3 / 8.0 - w**6 / 16.0, 2.0

@@ -6,10 +6,13 @@ velocity expectation
 
     v = <(1/hbar) dH/dk_x> = cos(kx) <sigma_x> - sin(kx) <sigma_z>
 
-is accumulated into the transported charge per cycle Q(k_x).  The
-response number nu averages Q over columns; its sign fixes the Brillouin
-zone orientation so that in the adiabatic linear limit nu reproduces the
-ground-band Chern number of ``model.chern_number``.  Nonlinearity first
+is accumulated into the transported charge per cycle Q(k_x).  All columns
+step together as one stacked (2, n_kx) state through
+``dynamics.rk4_step_columns``, the RK4 and row formula that
+``dynamics.evolve`` runs on scalars.  The response number nu averages Q
+over columns; its sign fixes the Brillouin zone orientation so that in
+the adiabatic linear limit nu reproduces the ground-band Chern number of
+``model.chern_number``.  Nonlinearity first
 shifts nu off the integer and, once the swept band develops cone or tube
 structures, destroys the quantization altogether; the phase diagram below
 labels those regimes from the analytic critical strengths.
@@ -18,11 +21,11 @@ labels those regimes from the analytic critical strengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import norm_squared, rk4_step
+from .dynamics import rk4_step_columns, rk4_weights
 from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
 from .spectrum import physical_spectrum
 
@@ -33,6 +36,8 @@ class RegimeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResponseSummary:
+    """Pumped charge of one drive cycle; ``Q`` holds the charge of each k_x column."""
+
     u: float
     U: float
     F: float
@@ -42,26 +47,20 @@ class ResponseSummary:
     adiabatic: bool
     n_kx: int
     steps: int
+    dt: float
+    Q: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "U": self.U,
-            "F": self.F,
-            "band": self.band,
-            "nu": self.nu,
-            "nu_linear": self.nu_linear,
-            "adiabatic": self.adiabatic,
-            "n_kx": self.n_kx,
-            "steps": self.steps,
-        }
+        return asdict(self)
 
 
-def _velocity(cos_kx, sin_kx, p1, p2):
-    """cos(kx) <sigma_x> - sin(kx) <sigma_z>, elementwise."""
-    sx = 2.0 * (p1.conjugate() * p2).real
-    sz = (p1.real * p1.real + p1.imag * p1.imag) - (p2.real * p2.real + p2.imag * p2.imag)
-    return cos_kx * sx - sin_kx * sz
+def _velocity(cos_kx, sin_kx, cross, imbalance):
+    """cos(kx) <sigma_x> - sin(kx) <sigma_z> from Re(p1* p2) and |p1|^2 - |p2|^2.
+
+    Linear in the two spin components, so it also maps their time
+    integrals to the integral of the velocity.
+    """
+    return cos_kx * (2.0 * cross) - sin_kx * imbalance
 
 
 def velocity_expectation(params: ModelParams, k: KPoint, psi: Spinor) -> float:
@@ -71,7 +70,9 @@ def velocity_expectation(params: ModelParams, k: KPoint, psi: Spinor) -> float:
     dependence; the Kerr diagonal depends on k through the state alone
     and does not enter the derivative.
     """
-    return _velocity(math.cos(k.kx), math.sin(k.kx), complex(psi.c1), complex(psi.c2))
+    c1, c2 = complex(psi.c1), complex(psi.c2)
+    imbalance = (c1.real * c1.real + c1.imag * c1.imag) - (c2.real * c2.real + c2.imag * c2.imag)
+    return _velocity(math.cos(k.kx), math.sin(k.kx), (c1.conjugate() * c2).real, imbalance)
 
 
 def _band_index(band: str, n_branches: int) -> int:
@@ -80,6 +81,11 @@ def _band_index(band: str, n_branches: int) -> int:
     if band == "excited":
         return n_branches - 1
     raise ValueError('band must be "ground" or "excited"')
+
+
+def kx_columns(n_kx: int) -> np.ndarray:
+    """The k_x columns 2 pi j / n_kx, j = 0 .. n_kx - 1, of the pumped charge."""
+    return 2.0 * math.pi * np.arange(n_kx) / n_kx
 
 
 def sweep_initial_states(
@@ -110,12 +116,14 @@ def pumped_charge(
 ) -> ResponseSummary:
     """Transported charge per drive cycle, averaged over k_x columns.
 
-    All columns share the drive k_y(t) = ky0 + F t and step together
-    through ``dynamics.rk4_step``; the velocity integral uses the
-    trapezoid rule on the step grid.  The step is shrunk from ``dt`` to
-    T / round(T / dt), so the steps add up to exactly one cycle
-    T = 2*pi/F.  The state is renormalized after every step: a full cycle
-    takes 2*pi/F time units and the drift bound matters there.
+    All columns share the drive k_y(t) = ky0 + F t and step together as
+    one stacked (2, n_kx) state through ``dynamics.rk4_step_columns``.  The
+    step is shrunk from ``dt`` to T / round(T / dt), so the steps add up to
+    exactly one cycle T = 2*pi/F.  The state is renormalized after every
+    step: a full cycle takes 2*pi/F time units and the drift bound matters
+    there.  The velocity is linear in Re(p1* p2) and |p1|^2 - |p2|^2, so the
+    loop only sums those two per column; the trapezoid end weights and the
+    velocity formula are applied once, after the loop.
     """
     if F <= 0.0:
         raise ValueError("drive rate F must be positive")
@@ -123,45 +131,73 @@ def pumped_charge(
         raise ValueError("dt must be positive")
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
-    u, U = params.u, params.U
-    kxs = 2.0 * math.pi * np.arange(n_kx) / n_kx
-    p1, p2 = sweep_initial_states(params, band, kxs, ky0).T
+    kxs = kx_columns(n_kx)
+    P = np.ascontiguousarray(sweep_initial_states(params, band, kxs, ky0).T)
 
     T = 2.0 * math.pi / F
     n_steps = max(1, round(T / dt))
     dt = T / n_steps
-    sx_col = np.sin(kxs)
-    cx_col = np.cos(kxs)
-    dz_base = u + cx_col
+    sin_kx = np.sin(kxs)
+    cos_kx = np.cos(kxs)
+    dz0 = params.u + cos_kx
+    # drive(t) = base + shift: D = [dz, -dz] and O = [dx - i dy, dx + i dy]
+    base = np.array([[dz0, -dz0], [sin_kx, sin_kx]], dtype=complex)
+    shift = np.zeros((2, 2, 1), dtype=complex)
 
-    def d_of_t(t):
+    def drive(t):
         ky = ky0 + F * t
-        return sx_col, math.sin(ky), dz_base + math.cos(ky)
+        cy, sy = math.cos(ky), math.sin(ky)
+        shift[0, 0, 0], shift[0, 1, 0] = cy, -cy
+        shift[1, 0, 0], shift[1, 1, 0] = -1j * sy, 1j * sy
+        DO = base + shift
+        return DO[0], DO[1]
 
-    Q = np.zeros(n_kx)
-    v_prev = _velocity(cx_col, sx_col, p1, p2)
+    def spin(P):
+        """p1* p2 and |p1|^2 - |p2|^2 of each normalized column, as complex numbers.
+
+        Normalizes P in place; the real parts are the two spin components
+        the velocity needs.
+        """
+        conj = P.conjugate()
+        n = conj * P
+        norm = n + n[::-1]
+        cross = conj[0] * P[1] / norm[0]
+        imbalance = (n[0] - n[1]) / norm[0]
+        P /= np.sqrt(norm)
+        return cross, imbalance
+
+    U = np.array(complex(params.U))
+    w = tuple(map(np.array, rk4_weights(dt)))
+    half = 0.5 * dt
+    x0, z0 = spin(P)
+    X, Z = x0.copy(), z0.copy()
+    a = drive(0.0)
     for n in range(n_steps):
-        p1, p2 = rk4_step(U, d_of_t, n * dt, dt, p1, p2)
-        norm = np.sqrt(norm_squared(p1, p2))
-        p1 /= norm
-        p2 /= norm
-        v_new = _velocity(cx_col, sx_col, p1, p2)
-        Q += (0.5 * dt) * (v_prev + v_new)
-        v_prev = v_new
+        t = n * dt
+        b, c = drive(t + half), drive(t + dt)
+        P = rk4_step_columns(U, w, a, b, c, P)
+        a = c
+        x, z = spin(P)
+        X += x
+        Z += z
+    # trapezoid rule: the end points carry half weight
+    X -= 0.5 * (x0 + x)
+    Z -= 0.5 * (z0 + z)
+    Q = dt * _velocity(cos_kx, sin_kx, X.real, Z.real)
 
     # Zone orientation fixed so the linear adiabatic limit returns the
     # ground-band Chern number (and its negative for the excited band).
     nu = -float(Q.mean())
 
     try:
-        c = chern_number(u)
-        nu_linear = c if band == "ground" else -c
+        chern = chern_number(params.u)
+        nu_linear = chern if band == "ground" else -chern
     except GaplessParameterError:
         nu_linear = None
 
     return ResponseSummary(
-        u=u,
-        U=U,
+        u=params.u,
+        U=params.U,
         F=F,
         band=band,
         nu=nu,
@@ -169,6 +205,8 @@ def pumped_charge(
         adiabatic=is_adiabatic(params, band),
         n_kx=n_kx,
         steps=n_steps,
+        dt=dt,
+        Q=tuple(map(float, Q)),
     )
 
 

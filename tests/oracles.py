@@ -168,3 +168,59 @@ def tube_strength_scan(u, n=2001):
         return math.inf
     s = np.sin(kx[valid]) ** 2 + 1.0 - c[valid] ** 2
     return float(2.0 * np.sqrt(np.min(s)))
+
+
+# ---------------------------------------------------------------------------
+# pumped charge with two separate component columns
+# ---------------------------------------------------------------------------
+
+def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0):
+    """nu from the two-column RK4 loop: p1, p2 held apart, d(t) rebuilt per stage.
+
+    ``psi0`` holds the normalized start state of each k_x column, one row
+    per column, on the grid kx = 2 pi j / n.  Same cycle closure, per-step
+    renormalization and trapezoid rule as the package, written with real
+    operands and the velocity accumulated step by step.
+    """
+    n_kx = len(psi0)
+    kxs = 2.0 * math.pi * np.arange(n_kx) / n_kx
+    p1 = np.array(psi0[:, 0], dtype=complex)
+    p2 = np.array(psi0[:, 1], dtype=complex)
+    T = 2.0 * math.pi / F
+    n_steps = max(1, round(T / dt))
+    dt = T / n_steps
+    sx, cx = np.sin(kxs), np.cos(kxs)
+
+    def rhs(t, q1, q2):
+        ky = ky0 + F * t
+        dy, dz = math.sin(ky), u + cx + math.cos(ky)
+        n1 = q1.real**2 + q1.imag**2
+        n2 = q2.real**2 + q2.imag**2
+        od = sx - 1j * dy
+        h1 = (dz + U * n1) * q1 + od * q2
+        h2 = od.conjugate() * q1 + (U * n2 - dz) * q2
+        return -1j * h1, -1j * h2
+
+    def velocity(q1, q2):
+        sigx = 2.0 * (q1.conjugate() * q2).real
+        sigz = (q1.real**2 + q1.imag**2) - (q2.real**2 + q2.imag**2)
+        return cx * sigx - sx * sigz
+
+    Q = np.zeros(n_kx)
+    v_prev = velocity(p1, p2)
+    half = 0.5 * dt
+    for n in range(n_steps):
+        t = n * dt
+        a1, a2 = rhs(t, p1, p2)
+        b1, b2 = rhs(t + half, p1 + half * a1, p2 + half * a2)
+        c1, c2 = rhs(t + half, p1 + half * b1, p2 + half * b2)
+        d1, d2 = rhs(t + dt, p1 + dt * c1, p2 + dt * c2)
+        p1 = p1 + dt / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        p2 = p2 + dt / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        norm = np.sqrt(p1.real**2 + p1.imag**2 + p2.real**2 + p2.imag**2)
+        p1 /= norm
+        p2 /= norm
+        v_new = velocity(p1, p2)
+        Q += 0.5 * dt * (v_prev + v_new)
+        v_prev = v_new
+    return -float(Q.mean())

@@ -218,3 +218,21 @@ def test_sample_every_from_config_or_flag(tmp_path):
     args = ["--u", "3", "--U", "5", "--T", "1", "--sample-every", "25"]
     assert run(["dynamics", *args, "--out", str(tmp_path / "f")]) == 0
     assert len((tmp_path / "f" / "trajectory.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_response_rejects_two_component_drive(tmp_path, capsys):
+    # the response drive runs along k_y only
+    assert run(["response", "--u", "1", "--F", "0.1,-0.2", "--grid", "2", "--out", str(tmp_path)]) == 2
+    assert "k_y only" in capsys.readouterr().err
+    assert not (tmp_path / "response.json").exists()
+
+
+def test_response_writes_columns_and_step(tmp_path):
+    args = ["response", "--u", "1", "--U", "0.5", "--F", "0.2", "--grid", "4", "--dt", "0.01"]
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "response.json").read_text())
+    assert payload["dt"] == 2.0 * math.pi / 0.2 / payload["steps"]
+    with open(tmp_path / "response_columns.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["kx"]) for r in rows] == pytest.approx([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+    assert [float(r["Q"]) for r in rows] == payload["Q"]

@@ -11,6 +11,8 @@ from nlchern.dynamics import (
     instantaneous_projections,
     mean_energy,
     rk4_step,
+    rk4_step_columns,
+    rk4_weights,
     write_trajectory_csv,
 )
 from nlchern.model import KPoint, ModelParams, Spinor
@@ -187,8 +189,9 @@ def test_trajectory_csv_blank_padding(tmp_path):
 
 
 def test_rk4_step_columns_match_scalars():
-    # evolve steps Python complex scalars, pumped_charge numpy columns,
-    # through the same core; one row at a time must reproduce the batch
+    # evolve steps Python complex scalars through rk4_step, pumped_charge a
+    # stacked (2, n) state through rk4_step_columns, with the same row
+    # formula; one column at a time must reproduce the batch
     u, U, F, ky0, dt = 0.7, 2.5, 0.01, 0.2, 0.05
     kxs = np.array([0.3, 1.9, 4.4])
     rng = np.random.default_rng(5)
@@ -197,19 +200,26 @@ def test_rk4_step_columns_match_scalars():
 
     def d_columns(t):
         ky = ky0 + F * t
-        return np.sin(kxs), math.sin(ky), u + np.cos(kxs) + math.cos(ky)
+        dz = u + np.cos(kxs) + math.cos(ky)
+        od = np.sin(kxs) - 1j * math.sin(ky)
+        return np.array([dz, -dz], dtype=complex), np.array([od, od.conjugate()])
 
-    p1, p2 = psi0.T
+    w = rk4_weights(dt)
+    P = psi0.T.copy()
     for n in range(20):
-        p1, p2 = rk4_step(U, d_columns, n * dt, dt, p1, p2)
+        P = rk4_step_columns(
+            np.array(complex(U)), tuple(map(np.array, w)),
+            d_columns(n * dt), d_columns((n + 0.5) * dt), d_columns((n + 1) * dt), P,
+        )
 
     for i, kx in enumerate(map(float, kxs)):
         def d_scalar(t):
             ky = ky0 + F * t
-            return math.sin(kx), math.sin(ky), u + math.cos(kx) + math.cos(ky)
+            return u + math.cos(kx) + math.cos(ky), complex(math.sin(kx), -math.sin(ky))
 
         q1, q2 = complex(psi0[i, 0]), complex(psi0[i, 1])
         for n in range(20):
-            q1, q2 = rk4_step(U, d_scalar, n * dt, dt, q1, q2)
+            a, b, c = d_scalar(n * dt), d_scalar((n + 0.5) * dt), d_scalar((n + 1) * dt)
+            q1, q2 = rk4_step(U, w, a, b, c, q1, q2)
         assert type(q1) is complex and type(q2) is complex
-        assert abs(q1 - p1[i]) < 1e-12 and abs(q2 - p2[i]) < 1e-12
+        assert abs(q1 - P[0, i]) < 1e-12 and abs(q2 - P[1, i]) < 1e-12

@@ -134,3 +134,20 @@ def test_gap_closed_interval():
 def test_gap_closed_interval_upper_end_exact():
     # the tube circle p^2 = 2(2 - u) pinches off at u = 2 for every U
     assert gap_closed_u_interval(4.0)[1] == 2.0
+
+
+@pytest.mark.parametrize(
+    "U, bracket, expect",
+    [(3.0, (1.3, 1.45), 1.3812), (4.0, (1.0, 1.2), 1.0657), (5.0, (0.65, 0.8), 0.7294)],
+)
+def test_gap_closed_interval_closed_form_matches_bisection(U, bracket, expect):
+    lo, hi = gap_closed_u_interval(U)
+    assert lo == pytest.approx(expect, abs=1e-4)
+    search = gap_closing_search(ModelParams(u=0.0, U=U), "u", bracket)
+    assert lo == pytest.approx(search.critical_value, abs=1e-4)
+    assert hi == 2.0
+
+
+def test_gap_closed_interval_needs_nonlinearity():
+    with pytest.raises(ValueError):
+        gap_closed_u_interval(0.0)

@@ -9,14 +9,16 @@ from nlchern.response import (
     excited_critical_strength,
     ground_critical_strength,
     is_adiabatic,
+    kx_columns,
     phase_diagram,
     pumped_charge,
+    sweep_initial_states,
     velocity_expectation,
     write_phase_diagram_csv,
 )
 from nlchern.spectrum import physical_spectrum
 
-from oracles import plaquette_chern, tube_strength_scan
+from oracles import plaquette_chern, pumped_charge_reference, tube_strength_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,3 +170,16 @@ def test_pump_cycle_closes_exactly():
 def test_pump_rejects_empty_grid():
     with pytest.raises(ValueError):
         pumped_charge(ModelParams(u=1.0, U=0.0), n_kx=0)
+
+
+@pytest.mark.parametrize(
+    "u, U, band", [(1.0, 0.0, "ground"), (1.0, 0.5, "ground"), (1.0, 3.0, "ground"), (-1.0, 0.5, "excited")]
+)
+def test_pump_matches_two_column_reference(u, U, band):
+    # the stacked stepper reorders only the stage sum and the velocity sum
+    params = ModelParams(u=u, U=U)
+    rs = pumped_charge(params, band, F=0.05, n_kx=8, dt=0.01)
+    psi0 = sweep_initial_states(params, band, kx_columns(8))
+    assert abs(rs.nu - pumped_charge_reference(u, U, psi0, F=0.05, dt=0.01)) <= 1e-11
+    assert rs.dt == TWO_PI / 0.05 / rs.steps
+    assert len(rs.Q) == 8 and rs.nu == -float(np.mean(rs.Q))
