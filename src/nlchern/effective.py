@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import BlochVector, ModelParams
-from .spectrum import NonlinearEigenpair, nonlinear_eigenpairs
+from .spectrum import NonlinearEigenpair, _iii_residual, nonlinear_eigenpairs
 
 
 class LocusDomainError(ValueError):
@@ -92,20 +92,20 @@ def effective_spectrum(params: ModelParams, p: PPoint) -> list[float]:
 def iii_locus_residual(params: ModelParams, p: float, sign: int) -> float:
     """Defect (u - 2 + p^2) + sign * {U^(2/3) - (8 p^2)^(1/3)}^(3/2) / 2.
 
-    Defined on the diagonal px = py = p only where the braced quantity is
+    This is the III-locus residual of ``spectrum`` on d_eff at px = py = p,
+    with the sign flipped.  Defined only where the braced quantity is
     nonnegative; an even function of p.  The fold-point condition of the
     lower branch corresponds to sign = +1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    U = params.U
-    t = U ** (2.0 / 3.0) - (8.0 * p * p) ** (1.0 / 3.0)
-    if t < 0.0:
+    r = _iii_residual(effective_bloch_vector(params, PPoint.diagonal(p)), params.U, -sign)
+    if r is None:
         raise LocusDomainError(
             f"|p|={abs(p):.6g} outside the real domain of the fractional power "
-            f"(requires |p| <= {math.sqrt(U * U / 8.0):.6g})"
+            f"(requires |p| <= {math.sqrt(params.U * params.U / 8.0):.6g})"
         )
-    return (params.u - 2.0 + p * p) + sign * 0.5 * t**1.5
+    return r
 
 
 def _p_domain(params: ModelParams) -> float:

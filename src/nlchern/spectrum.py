@@ -3,24 +3,30 @@
 Stationary states of H(k, psi) psi = eps * psi with the Kerr diagonal are
 parametrized by the population imbalance kappa = |c1|^2 - |c2|^2, which
 obeys (eps - U) * kappa = dz.  Eliminating kappa turns the eigenproblem
-into a monic quartic in eps,
+into a monic quartic in eps, with s = dx^2 + dy^2,
 
-    f(eps) = (eps-U)^2 (eps-U/2)^2 - dz^2 (eps-U/2)^2 - (dx^2+dy^2)(eps-U)^2,
+    f(eps) = (eps-U)^2 (eps-U/2)^2 - dz^2 (eps-U/2)^2 - s (eps-U)^2,
 
 whose real roots are kept only when they correspond to a normalizable
-state (|kappa| <= 1, or the explicit two-fold construction on dz = 0).
-Degenerate eigenvalues come in three families:
+state (|kappa| <= 1).  ``nonlinear_eigenpairs`` takes one of three paths:
 
-  I   : eps = U/2 at dx = dy = 0, bifurcating for U > 2|dz|,
-  II  : eps = U   on the dz = 0 contour, bifurcating for U > 2 sqrt(dx^2+dy^2),
-  III : eps = U/2 + [4 U (dx^2+dy^2)]^(1/3) / 2 on a one-dimensional locus
-        dz = +-{U^(2/3) - [4(dx^2+dy^2)]^(1/3)}^(3/2) / 2,
+  polar   (s = 0):  f = (eps-U/2)^2 [(eps-U)^2 - dz^2], so eps = U +- dz, and
+                    for U > 2|dz| the two-fold eps = U/2 (I-type cone onset);
+  contour (dz = 0): f = (eps-U)^2 [(eps-U/2)^2 - s], so eps = U/2 +- sqrt(s),
+                    and for U > 2 sqrt(s) the pair eps = U (II-type tube onset);
+  generic:          the states with kappa = cos(theta) for the real roots
+                    theta of dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta),
+                    which stay apart next to both sets above, where the
+                    roots of f crowd into double roots at U/2 and U.
 
-the III family marking the fold edges of cone/tube structures.
+The III-type degeneracies, eps = U/2 + (4 U s)^(1/3) / 2 on the locus
+dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
+cone/tube structures.  ``solve_quartic`` solves f itself.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -36,18 +42,16 @@ from .model import (
     hamiltonian,
 )
 
-# A quartic root counts as real when its imaginary part is negligible at
-# the scale of its real part; double roots perturb into tiny conjugate
-# pairs under floating point, handled separately in solve_quartic.
-REAL_IM_TOL = 1e-8
+# sqrt(dx^2 + dy^2) or |dz| at most this times max(1, U, |d|) is zero to
+# round-off: sin(pi) leaves 1.2e-16 at the polar momenta, and dz computed
+# on the dz = 0 contour leaves a few 1e-16.
+_ROUNDOFF_REL = 1e-15
 
-# Physicality: |kappa| may exceed 1 by at most this much before a root is
-# discarded (the U=0 spurious double zero root has |kappa| -> inf).
-KAPPA_TOL = 1e-9
-
-_CLUSTER_REL = 1e-7      # roots closer than this (relative) form one eigenvalue
-_SINGULAR_REL = 1e-6     # |eps - U| below this switches to the dz=0 construction
-_PLANAR_SQ_TOL = 1e-12   # dx^2+dy^2 below this counts as a polar (dx=dy=0) point
+# A root z of the generic-path quartic is a real angle when | |z| - 1 | is
+# at most this.  Floating point moves a double root (a fold or a critical
+# strength) off the unit circle by ~1e-8; a state built from a root
+# 1e-6 off the circle has a residual of order 1e-12.
+_ON_CIRCLE_TOL = 1e-6
 
 
 class DegeneracyKind(str, enum.Enum):
@@ -191,111 +195,75 @@ def solve_quartic(coeffs) -> list[complex]:
     return out
 
 
-def _real_roots(roots) -> list[float]:
-    return [
-        r.real for r in roots if abs(r.imag) < REAL_IM_TOL * max(1.0, abs(r.real))
-    ]
+def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
+    """The state with Bloch vector (sin(theta) (dx, dy) / sqrt(s), cos(theta)).
 
-
-def _cluster(values: list[float], tol: float) -> list[tuple[float, int]]:
-    """Group sorted near-equal values into (mean, multiplicity) clusters."""
-    if not values:
-        return []
-    values = sorted(values)
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            group = values[start:i]
-            clusters.append((sum(group) / len(group), len(group)))
-            start = i
-    return clusters
-
-
-def _generic_state(dx: float, dy: float, dznl: float, lam: float) -> Spinor:
-    """Eigenstate ((dx - i dy), lam - dznl) / sqrt(2 lam (lam - dznl)).
-
-    The normalizer equals dx^2 + dy^2 + (lam - dznl)^2 for self-consistent
-    roots, which is the numerically safe form.  Falls back to a polarized
-    state when the whole vector degenerates (dx = dy = 0 with lam = dznl).
+    That is (e^{-i phi} cos(theta/2), sin(theta/2)) with e^{i phi} = (dx + i dy)
+    / sqrt(s), the phase convention of the eigenvector ((dx - i dy), lam - h).
+    At a root theta of ``_generic_pairs`` it is stationary with kappa =
+    cos(theta) and eps = U/2 + sqrt(s) sin(theta) + h kappa, h = dz + U kappa / 2.
     """
-    amp = lam - dznl
-    norm_sq = dx * dx + dy * dy + amp * amp
-    if norm_sq <= 1e-24:
-        return Spinor(1.0 + 0.0j, 0.0j) if abs(lam - dznl) <= abs(lam + dznl) else Spinor(
-            0.0j, 1.0 + 0.0j
-        )
-    n = math.sqrt(norm_sq)
-    return Spinor(complex(dx, -dy) / n, complex(amp) / n)
+    r = math.sqrt(d.planar_sq)
+    kappa = math.cos(theta)
+    eps = 0.5 * U + r * math.sin(theta) + (d.dz + 0.5 * U * kappa) * kappa
+    c1 = complex(d.dx, -d.dy) / r * math.cos(0.5 * theta)
+    return NonlinearEigenpair(eps, kappa, Spinor(c1, complex(math.sin(0.5 * theta))))
 
 
-def _pairs_for_cluster(
-    eps: float, mult: int, d: BlochVector, U: float, scale: float
-) -> list[NonlinearEigenpair]:
-    s = d.planar_sq
-    dz = d.dz
-    sing_tol = _SINGULAR_REL * scale
+def _polar_pairs(dz: float, U: float) -> list[NonlinearEigenpair]:
+    """dx = dy = 0, where f = (eps - U/2)^2 [(eps - U)^2 - dz^2]."""
+    pairs = [
+        NonlinearEigenpair(U + dz, 1.0, Spinor(1.0 + 0.0j, 0.0j)),
+        NonlinearEigenpair(U - dz, -1.0, Spinor(0.0j, 1.0 + 0.0j)),
+    ]
+    if U > 2.0 * abs(dz):
+        # population-split pair at eps = U/2; its free relative phase is
+        # fixed to zero.  At U = 2|dz| it is the polarized state at U - |dz|
+        # and is not emitted twice.
+        kappa = -2.0 * dz / U
+        c1, c2 = math.sqrt(0.5 * (1.0 + kappa)), math.sqrt(0.5 * (1.0 - kappa))
+        pairs.append(NonlinearEigenpair(0.5 * U, kappa, Spinor(complex(c1), complex(c2)), 2))
+    return pairs
 
-    if abs(eps - U) <= sing_tol:
-        # Roots pinned at eps = U exist only on the dz = 0 contour, where
-        # kappa decouples from (eps-U) kappa = dz and follows from the
-        # normalization-compatible two-fold construction.
-        if abs(dz) > sing_tol:
-            return []  # e.g. the spurious U=0 double zero
-        if U <= 1e-12:
-            # fully degenerate d ~ 0 at U = 0: any basis pair
-            return [
-                NonlinearEigenpair(eps, -1.0, Spinor(0.0j, 1.0 + 0.0j), 1),
-                NonlinearEigenpair(eps, 1.0, Spinor(1.0 + 0.0j, 0.0j), 1),
-            ]
-        disc = U * U - 4.0 * s
-        if disc < -1e-12 * scale * scale:
-            return []  # below the II-type critical strength
-        kap = math.sqrt(max(disc, 0.0)) / U
-        if mult == 1 and eps != U and kap > 1e-9:
-            # a lone near-singular root carries the branch sign of its
-            # own offset; emitting both signs would double-count it
-            kappas = [kap if dz / (eps - U) > 0 else -kap]
-        elif kap > 1e-9:
-            kappas = [-kap, kap]
-        else:
-            kappas = [0.0]
-        pairs = []
-        for kappa in kappas:
-            dznl = dz + 0.5 * U * kappa
-            state = _generic_state(d.dx, d.dy, dznl, eps - 0.5 * U)
-            pairs.append(NonlinearEigenpair(eps, kappa, state, 1 if len(kappas) > 1 else mult))
-        return pairs
 
-    kappa = dz / (eps - U)
-    if abs(kappa) > 1.0 + KAPPA_TOL:
-        return []
-    kappa = min(1.0, max(-1.0, kappa))
-    lam = eps - 0.5 * U
+def _contour_pairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
+    """dz = 0, where f = (eps - U)^2 [(eps - U/2)^2 - s].
 
-    if s <= _PLANAR_SQ_TOL * scale * scale:
-        if mult >= 2 and abs(lam) <= _SINGULAR_REL * scale:
-            # population-split degenerate pair at eps = U/2; the free
-            # relative phase is fixed to the +, theta = 0 representative
-            c1 = math.sqrt(0.5 * (1.0 + kappa))
-            c2 = math.sqrt(0.5 * (1.0 - kappa))
-            return [NonlinearEigenpair(eps, kappa, Spinor(complex(c1), complex(c2)), mult)]
-        state = Spinor(1.0 + 0.0j, 0.0j) if kappa > 0 else Spinor(0.0j, 1.0 + 0.0j)
-        return [NonlinearEigenpair(eps, kappa, state, mult)]
+    kappa = 0 (theta = +-pi/2) gives eps = U/2 +- sqrt(s).  For U > 2 sqrt(s)
+    the pair sin theta = 2 sqrt(s) / U, kappa = +-sqrt(U^2 - 4 s) / U gives
+    eps = U; at U = 2 sqrt(s) it is the kappa = 0 state and is not emitted twice.
+    """
+    r = math.sqrt(d.planar_sq)
+    thetas = [-0.5 * math.pi, 0.5 * math.pi]
+    if U > 2.0 * r:
+        kappa_u = math.sqrt((U - 2.0 * r) * (U + 2.0 * r))
+        thetas += [math.atan2(2.0 * r, kappa_u), math.atan2(2.0 * r, -kappa_u)]
+    return [_pair(theta, d, U) for theta in thetas]
 
-    dznl = dz * (2.0 * eps - U) / (2.0 * (eps - U))
-    state = _generic_state(d.dx, d.dy, dznl, lam)
-    return [NonlinearEigenpair(eps, kappa, state.normalized(), mult)]
+
+def _generic_pairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
+    """One pair per real root theta of G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta).
+
+    G = 0 says that the state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).
+    With z = e^{i theta}, 2i z^2 G is the quartic (U/4) z^4 + (dz - i sqrt(s)) z^3
+    - (dz + i sqrt(s)) z - U/4, whose roots on the unit circle are the real
+    theta.  Near the polar momenta and the dz = 0 contour these roots stay
+    apart, where the roots of f crowd into double roots at U/2 or U.
+    """
+    r = math.sqrt(d.planar_sq)
+    roots = np.roots([0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U])
+    return [_pair(cmath.phase(z), d, U) for z in roots if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
 
 
 def nonlinear_eigenpairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     """All physical stationary solutions for a raw Bloch vector and Kerr U."""
-    roots = solve_quartic(_coeffs_from(U, d))
-    scale = max(1.0, abs(U), d.magnitude)
-    clusters = _cluster(_real_roots(roots), _CLUSTER_REL * scale)
-    pairs: list[NonlinearEigenpair] = []
-    for eps, mult in clusters:
-        pairs.extend(_pairs_for_cluster(eps, mult, d, U, scale))
+    zero = _ROUNDOFF_REL * max(1.0, U, d.magnitude)
+    if d.planar_sq <= zero * zero:
+        pairs = _polar_pairs(d.dz, U)
+    elif abs(d.dz) <= zero:
+        pairs = _contour_pairs(d, U)
+    else:
+        pairs = _generic_pairs(d, U)
     if not pairs:
         raise AssertionError(
             "internal error: no physical root survived; the self-consistent "

@@ -236,3 +236,19 @@ def test_response_writes_columns_and_step(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["kx"]) for r in rows] == pytest.approx([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
     assert [float(r["Q"]) for r in rows] == payload["Q"]
+
+
+def test_bands_at_critical_polar_strength(tmp_path):
+    # U = 6 = 2|dz| at k = (0, 0) for u = 1: the cone pair merges into the
+    # polarized ground state there, so the corners keep exactly two branches
+    assert run(["bands", "--u", "1", "--U", "6", "--grid", "3", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "bands_summary.json").read_text())
+    assert summary["branch_count_nodes"] == {"2": 4, "4": 5}
+
+
+def test_response_starts_at_critical_polar_strength(tmp_path):
+    # the column kx = 0 starts at k = (0, 0), where U = 2|dz|
+    args = ["response", "--u", "1", "--U", "6", "--F", "1", "--grid", "2", "--dt", "0.01"]
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "response.json").read_text())
+    assert len(payload["Q"]) == 2 and all(math.isfinite(q) for q in payload["Q"])

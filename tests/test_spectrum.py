@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector, hamiltonian
 from nlchern.spectrum import (
@@ -12,6 +14,7 @@ from nlchern.spectrum import (
     branch_count,
     classify_degeneracies,
     eigenpair_residual,
+    iii_epsilon,
     physical_spectrum,
     quartic_coefficients,
     solve_quartic,
@@ -198,6 +201,89 @@ def test_sorting_and_tie_break():
     assert eps_u[0].kappa < eps_u[1].kappa
     all_eps = [q.epsilon for q in pairs]
     assert all_eps == sorted(all_eps)
+
+
+# ---------------------------------------------------------------------------
+# properties on the degenerate sets
+# ---------------------------------------------------------------------------
+
+# derandomized, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=120, database=None)
+ANGLE = st.floats(0.0, TWO_PI, exclude_max=True)
+
+
+def strength(critical: float):
+    """U exactly at, within 1e-6 (relative) of, or anywhere around a critical strength."""
+    return st.one_of(
+        st.just(critical),
+        st.floats(-1e-6, 1e-6).map(lambda r: critical * (1.0 + r)),
+        st.floats(0.0, 6.0),
+    )
+
+
+def assert_spectrum_invariants(u, U, kx, ky, on_iii_locus=False):
+    """At least two branches, round-off residuals, and the kappa-scan oracle's energies."""
+    params, k = ModelParams(u=u, U=U), KPoint(kx, ky)
+    d = bloch_vector(params, k)
+    pairs = physical_spectrum(params, k)
+    assert branch_count(pairs) >= 2
+    bound = 1e-9 * max(1.0, U, d.magnitude)
+    assert max(eigenpair_residual(params, k, q) for q in pairs) <= bound
+    # Compared as sets: the scan counts a root twice when it falls on a grid
+    # node, and a merged pair at a critical strength as well as the state it
+    # merged into.  On the III locus the scan function only touches zero at
+    # the two-fold energy: the scan may miss that root, or place it anywhere
+    # in a grid cell of 1e-5 in kappa, i.e. within U/2 * 1e-5 in energy.
+    got = [q.epsilon for q in pairs]
+    expected = kappa_scan_spectrum(d.dx, d.dy, d.dz, U)
+    seen = expected + ([iii_epsilon(d, U)] if on_iii_locus else [])
+    tol = max(5e-6, 1e-5 * U)
+    assert all(min(abs(e - g) for g in got) < tol for e in expected), (got, expected)
+    assert all(min(abs(g - e) for e in seen) < tol for g in got), (got, expected)
+
+
+@st.composite
+def polar_points(draw):
+    kx, ky = draw(st.sampled_from([0.0, math.pi])), draw(st.sampled_from([0.0, math.pi]))
+    u = draw(st.floats(-3.0, 3.0))
+    return u, draw(strength(2.0 * abs(u + math.cos(kx) + math.cos(ky)))), kx, ky
+
+
+@st.composite
+def contour_points(draw):
+    # cos ky = c and u = -c - cos kx put k on dz = 0 up to round-off
+    kx, c = draw(ANGLE), draw(st.floats(-1.0, 1.0))
+    ky = math.acos(c) if draw(st.booleans()) else TWO_PI - math.acos(c)
+    return -c - math.cos(kx), draw(strength(2.0 * math.hypot(math.sin(kx), math.sin(ky)))), kx, ky
+
+
+@st.composite
+def iii_points(draw):
+    # U >= 2 sqrt(s) keeps the locus real; dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2
+    kx, ky = draw(ANGLE), draw(ANGLE)
+    s = math.sin(kx) ** 2 + math.sin(ky) ** 2
+    U = 2.0 * math.sqrt(s) + draw(st.floats(0.0, 6.0))
+    t = max(0.0, U ** (2.0 / 3.0) - (4.0 * s) ** (1.0 / 3.0))
+    dz = draw(st.sampled_from([1.0, -1.0])) * 0.5 * t**1.5
+    return dz - math.cos(kx) - math.cos(ky), U, kx, ky
+
+
+@PROPERTY
+@given(polar_points())
+def test_polar_momenta_invariants(point):
+    assert_spectrum_invariants(*point)
+
+
+@PROPERTY
+@given(contour_points())
+def test_dz_zero_contour_invariants(point):
+    assert_spectrum_invariants(*point)
+
+
+@PROPERTY
+@given(iii_points())
+def test_iii_locus_invariants(point):
+    assert_spectrum_invariants(*point, on_iii_locus=True)
 
 
 # ---------------------------------------------------------------------------
