@@ -8,7 +8,7 @@ by a constant force, k(t) = k0 + F t, and obeys
 with the Kerr diagonal re-evaluated from the instantaneous state.  The
 integrator is classical explicit RK4 with the Hamiltonian rebuilt at
 every stage state and stage time; the exact flow conserves the norm, so
-norm drift is used as the health metric (no renormalization by default).
+``evolve`` never renormalizes and uses the norm drift as its health metric.
 
 ``_kerr_row`` is the one formula for H(psi) psi, written per row of the
 2x2 problem.  ``rk4_step`` calls it twice per stage on Python complex
@@ -177,13 +177,12 @@ def evolve(
     drive: DriveSpec,
     initial: Spinor,
     sample_every: int = 10,
-    renormalize: bool = False,
     with_projections: bool = True,
 ) -> list[TrajectoryRecord]:
     """Integrate the driven state and sample it every ``sample_every`` steps.
 
     Raises NumericalHealthError when |norm - 1| exceeds 1e-5 (suggesting a
-    smaller dt), unless per-step renormalization is requested.
+    smaller dt).
     """
     if abs(initial.norm - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
@@ -203,7 +202,7 @@ def evolve(
         t = step * dt
         k = KPoint(kx0 + fx * t, ky0 + fy * t)
         norm = math.sqrt(norm_squared(p1, p2))
-        if not renormalize and abs(norm - 1.0) > NORM_ABORT:
+        if abs(norm - 1.0) > NORM_ABORT:
             raise NumericalHealthError(
                 f"norm drift |{norm} - 1| > {NORM_ABORT} at t={t:.4g}; "
                 f"reduce dt (currently {dt})"
@@ -226,10 +225,6 @@ def evolve(
         b, c = drive(t + half), drive(t + dt)
         p1, p2 = rk4_step(U, w, a, b, c, p1, p2)
         a = c
-        if renormalize:
-            inv = 1.0 / math.sqrt(norm_squared(p1, p2))
-            p1 *= inv
-            p2 *= inv
         if (n + 1) % sample_every == 0:
             records.append(sample(n + 1))
     return records

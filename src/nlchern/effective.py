@@ -1,4 +1,4 @@
-"""Effective model near k = (pi, pi) and the gap-closing parameter search.
+"""Effective model near k = (pi, pi) and the gap-closing parameter in closed form.
 
 Expanding the Bloch vector to second order around (pi, pi) gives
 
@@ -10,10 +10,12 @@ the two-fold degenerate fold points satisfy
 
     (u - 2 + p^2) = -(1/2) * { U^(2/3) - (8 p^2)^(1/3) }^(3/2),
 
-generically at four values of p; the merger of the inner pair (4 -> 2
-roots) marks the closing of the gap between the Bloch band structures,
-which is the criterion the parameter bisection below localizes.  At fixed
-U the merger also has a closed form (``gap_closed_u_interval``).
+generically at four values of p, the roots of a sextic in
+v = {U^(2/3) - (8 p^2)^(1/3)}^(1/2) (``count_iii_points``).  The merger
+of the inner pair (4 -> 2 roots) marks the closing of the gap between
+the Bloch band structures.  It has a closed form at fixed U,
+u* = 2 - w^3/8 - w^6/16 with w^4/4 + w = U^(2/3), and at fixed u,
+U_g = (w^4/4 + w)^(3/2) with w^3 = sqrt(33 - 16 u) - 1 (``_fold_merger``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class LocusDomainError(ValueError):
 
 
 class BracketError(ValueError):
-    """Bisection bracket endpoints do not straddle the root-count transition."""
+    """Bracket endpoints do not straddle the fold merger (4 -> 2 roots)."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class PPoint:
 
 @dataclass(frozen=True)
 class GapClosingReport:
-    """Outcome of the bisection for a gap-closing parameter value."""
+    """A gap-closing parameter value and the fold points at the bracket ends."""
 
     fixed_param: str
     fixed_value: float
@@ -108,75 +110,81 @@ def iii_locus_residual(params: ModelParams, p: float, sign: int) -> float:
     return r
 
 
-def _p_domain(params: ModelParams) -> float:
-    return min(math.pi, math.sqrt(params.U * params.U / 8.0))
+# A root v of the fold-point sextic is real when |Im v| is at most this.
+# np.roots splits a double root (a tangency: the fold merger, or a
+# near-miss of it) into two roots ~1e-8 apart, real or conjugate; roots
+# closer than this are one tangential root.
+_REAL_TOL = 1e-6
 
 
-def count_iii_points(
-    params: ModelParams,
-    n_grid: int = 20001,
-    touch_tol: float = 1e-5,
-) -> tuple[int, list[float]]:
-    """Count and locate diagonal fold points, bisection-refined to 1e-10.
+def count_iii_points(params: ModelParams) -> tuple[int, list[float]]:
+    """Count and locate the diagonal fold points as the real roots of a sextic.
 
-    Sign changes of the residual on a fine grid over the valid part of
-    [-pi, pi] give transversal roots; in addition, a local minimum of |r|
-    that dips below ``touch_tol`` without a sign change is reported as a
-    tangential (just-merged) root pair member.
+    They are the roots p, |p| <= pi, of ``iii_locus_residual(params, p, +1)``,
+    which is ``spectrum._iii_residual`` at sign = -1 on d_eff(p, p), where
+    s = 2 p^2 and dz = u - 2 + p^2:
+
+        r(p) = (u - 2 + p^2) + (1/2) t^(3/2),   t = c - (8 p^2)^(1/3),  c = U^(2/3).
+
+    With v = sqrt(t) in [0, sqrt(c)], p^2 = (c - v^2)^3 / 8 and c^3 = U^2,
+
+        -8 r = v^6 - 3c v^4 - 4 v^3 + 3c^2 v^2 + (16 - 8u - U^2),
+
+    a sextic whose real roots v in [sqrt(max(0, c - (8 pi^2)^(1/3))), sqrt(c)]
+    give the fold points p = +-(c - v^2)^(3/2) / sqrt(8).  A double root (a
+    tangency) is reported once per side, and a root at p = 0 once.
     """
-    if n_grid < 10_000:
-        raise ValueError("locus scan needs at least 10^4 grid nodes")
-    pmax = _p_domain(params)
-    if pmax <= 0.0:
+    U = params.U
+    if not 0.0 < U < math.inf:
         return 0, []
-    grid = np.linspace(-pmax, pmax, n_grid)
-    # vectorized residual (even and smooth inside the domain)
-    t = params.U ** (2.0 / 3.0) - (8.0 * grid * grid) ** (1.0 / 3.0)
-    t = np.maximum(t, 0.0)
-    r = (params.u - 2.0 + grid * grid) + 0.5 * t**1.5
-
-    roots: list[float] = []
-    sign_change = np.where(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]
-    for i in sign_change:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = float(r[i])
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fm = iii_locus_residual(params, mid, +1)
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-
-    # tangential contacts: interior |r| minima below tolerance, away from
-    # any transversal root already found
-    absr = np.abs(r)
-    interior = np.arange(1, n_grid - 1)
-    is_min = (absr[interior] <= absr[interior - 1]) & (absr[interior] <= absr[interior + 1])
-    for i in interior[is_min]:
-        if absr[i] > touch_tol:
-            continue
-        p0 = float(grid[i])
-        if any(abs(p0 - q) < 4.0 * (grid[1] - grid[0]) for q in roots):
-            continue
-        roots.append(p0)
-
-    roots.sort()
+    c = U ** (2.0 / 3.0)
+    v = np.roots([1.0, 0.0, -3.0 * c, -4.0, 3.0 * c * c, 0.0, 16.0 - 8.0 * params.u - U * U])
+    vmin = math.sqrt(max(0.0, c - (8.0 * math.pi**2) ** (1.0 / 3.0)))
+    v = np.sort(v.real[(abs(v.imag) <= _REAL_TOL) & (v.real >= vmin) & (v.real <= math.sqrt(c))])
+    clusters = np.split(v, np.flatnonzero(np.diff(v) > _REAL_TOL) + 1)
+    p = [max(0.0, c - float(x.mean()) ** 2) ** 1.5 / math.sqrt(8.0) for x in clusters if x.size]
+    roots = sorted({q for x in p for q in (-x, x)})
     return len(roots), roots
 
 
-def gap_closing_search(
-    params: ModelParams,
-    vary: str,
-    bracket: tuple[float, float],
-    tol: float = 1e-4,
-) -> GapClosingReport:
-    """Bisect the free parameter to the fold-merger (4 -> 2 roots) transition.
+def _fold_merger(vary: str, fixed: float) -> float:
+    """Value of the varied parameter at which the inner fold pair merges.
 
-    ``vary`` is "u" (U held at params.U) or "U" (u held at params.u); the
+    On the diagonal the residual is u + g(p), g(p) = p^2 - 2 + (1/2)
+    {U^(2/3) - (8 p^2)^(1/3)}^(3/2), and its inner root pair merges at
+    u* = -g(p*), where p* is the one interior minimum of g.  With
+    w = (8 p*^2)^(1/3), g'(p*) = 0 reads w^4 / 4 + w = U^(2/3) and gives
+    u* = 2 - w^3/8 - w^6/16.  At fixed U (vary = "u") Newton solves the
+    first for w; at fixed u (vary = "U") the second is a quadratic in w^3,
+    w^3 = sqrt(33 - 16 u) - 1, and U_g = (w^4/4 + w)^(3/2).
+    """
+    if vary == "u":
+        if not 0.0 < fixed < math.inf:
+            raise ValueError("the gap closes only for finite U > 0")
+        c = fixed ** (2.0 / 3.0)
+        # Newton from above on the convex, increasing w^4/4 + w - c descends
+        # monotonically to the root; rounding ends the descent
+        w = min(c, (4.0 * c) ** 0.25)
+        while (nxt := w - (0.25 * w**4 + w - c) / (w**3 + 1.0)) < w:
+            w = nxt
+        value = 2.0 - w**3 / 8.0 - w**6 / 16.0
+    else:
+        if not fixed < 2.0:
+            raise ValueError("the gap closes only for u < 2")
+        w = (math.sqrt(33.0 - 16.0 * fixed) - 1.0) ** (1.0 / 3.0)
+        value = (0.25 * w**4 + w) ** 1.5
+    if w**3 / 8.0 > math.pi**2:
+        raise ValueError(f"the fold merger at {vary}={value:.6g} lies beyond the zone edge |p| = pi")
+    return value
+
+
+def gap_closing_search(params: ModelParams, vary: str, bracket: tuple[float, float]) -> GapClosingReport:
+    """The free parameter at the fold merger (4 -> 2 roots), in closed form.
+
+    ``vary`` is "u" (U held at params.U) or "U" (u held at params.u).  The
     bracket endpoints must lie on opposite sides of the transition, with
-    four fold points on one side and fewer on the other.
+    four fold points on one side and fewer on the other, and the merger
+    must lie between them.
     """
     if vary not in ("u", "U"):
         raise ValueError('vary must be "u" or "U"')
@@ -192,24 +200,19 @@ def gap_closing_search(
             f"bracket invalid: {vary}={lo} gives {n_lo} fold points, "
             f"{vary}={hi} gives {n_hi}"
         )
-    if n_lo < 4:  # orient so lo is the four-root side
-        lo, hi = hi, lo
+    if n_lo < 4:  # roots_before is the four-root side
         roots_lo, roots_hi = roots_hi, roots_lo
-
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        n_mid, _ = count_iii_points(make(mid))
-        if n_mid >= 4:
-            lo = mid
-        else:
-            hi = mid
+    fixed = params.U if vary == "u" else params.u
+    critical = _fold_merger(vary, fixed)
+    if not min(lo, hi) <= critical <= max(lo, hi):
+        raise BracketError(f"the fold merger {vary}={critical:.6g} lies outside the bracket [{lo}, {hi}]")
 
     return GapClosingReport(
         fixed_param="U" if vary == "u" else "u",
-        fixed_value=params.U if vary == "u" else params.u,
+        fixed_value=fixed,
         varied_param=vary,
-        bracket=(float(bracket[0]), float(bracket[1])),
-        critical_value=0.5 * (lo + hi),
+        bracket=(lo, hi),
+        critical_value=critical,
         roots_before=tuple(roots_lo),
         roots_after=tuple(roots_hi),
     )
@@ -218,23 +221,9 @@ def gap_closing_search(
 def gap_closed_u_interval(U: float) -> tuple[float, float]:
     """Endpoints of the u-interval with no gap between the Bloch bands, at fixed U.
 
-    The lower endpoint is the fold merger: the residual on the diagonal is
-    u + g(p) with g(p) = p^2 - 2 + (1/2) {U^(2/3) - (8 p^2)^(1/3)}^(3/2),
-    and its inner root pair merges at u* = -g(p*), where p* is the one
-    interior minimum of g.  With w = (8 p*^2)^(1/3), g'(p*) = 0 reads
-    w^4 / 4 + w = U^(2/3) and gives u* = 2 - w^3/8 - w^6/16.  Beyond the
+    The lower endpoint is the fold merger (``_fold_merger``).  Beyond the
     merger the fold count is zero on both sides of the reopening, so the
     upper endpoint is instead the pinch-off of the excited-band tube
     circle p^2 = 2(2 - u), which is u = 2 exactly for every U.
     """
-    if not 0.0 < U < math.inf:
-        raise ValueError("the gap closes only for finite U > 0")
-    c = U ** (2.0 / 3.0)
-    # Newton from above on the convex, increasing w^4/4 + w - c descends
-    # monotonically to the root; rounding ends the descent
-    w = min(c, (4.0 * c) ** 0.25)
-    while (nxt := w - (0.25 * w**4 + w - c) / (w**3 + 1.0)) < w:
-        w = nxt
-    if w**3 / 8.0 > math.pi**2:
-        raise ValueError(f"the fold merger at U={U} lies beyond the zone edge |p| = pi")
-    return 2.0 - w**3 / 8.0 - w**6 / 16.0, 2.0
+    return _fold_merger("u", U), 2.0

@@ -1,7 +1,8 @@
 """Independent reference computations used to validate the package.
 
 Deliberately avoids the package's quartic/eigenstate machinery: spectra
-come from a population-imbalance fixed-point scan, Chern numbers from a
+come from a population-imbalance fixed-point scan, fold points from a
+grid scan of the locus residual, Chern numbers from a
 lattice plaquette-link calculation, and time evolution from midpoint
 matrix exponentials of the linear Hamiltonian.
 """
@@ -51,7 +52,10 @@ def kappa_scan_spectrum(dx, dy, dz, U, n=200_001):
     m = np.sqrt(s + heff * heff)
     for branch in (+1.0, -1.0):
         g = branch * heff / m - kap
-        idx = np.where(np.sign(g[:-1]) * np.sign(g[1:]) <= 0)[0]
+        # a root on a node (kappa = 0 at dz = 0) is counted once, by the
+        # interval to its left, and the interval to its right is skipped
+        sg = np.sign(g)
+        idx = np.where((sg[:-1] * sg[1:] < 0) | (sg[1:] == 0))[0]
         for i in idx:
             lo, hi = float(kap[i]), float(kap[i + 1])
 
@@ -71,6 +75,72 @@ def kappa_scan_spectrum(dx, dy, dz, U, n=200_001):
             h = dz + 0.5 * U * kstar
             out.append(0.5 * U + branch * math.sqrt(s + h * h))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# diagonal fold points of the effective model by a grid scan
+# ---------------------------------------------------------------------------
+
+def fold_residual(u, U, p):
+    """(u - 2 + p^2) + {U^(2/3) - (8 p^2)^(1/3)}^(3/2) / 2, with the brace clipped at 0."""
+    t = np.maximum(U ** (2.0 / 3.0) - (8.0 * np.square(p)) ** (1.0 / 3.0), 0.0)
+    return u - 2.0 + np.square(p) + 0.5 * t**1.5
+
+
+def fold_points_scan(u, U, n_grid=20001, touch_tol=1e-5):
+    """Count and locate the roots of ``fold_residual`` on |p| <= min(pi, U/sqrt(8)).
+
+    Sign changes on a grid, each bisected to 1e-10, are the transversal
+    roots.  An interior local minimum of |r| below ``touch_tol`` away from
+    them is reported as a tangential root; just past the fold merger that
+    is a pair of roots the residual does not have.
+    """
+    pmax = min(math.pi, math.sqrt(U * U / 8.0))
+    if pmax <= 0.0:
+        return 0, []
+    grid = np.linspace(-pmax, pmax, n_grid)
+    r = fold_residual(u, U, grid)
+
+    roots = []
+    for i in np.where(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        flo = float(r[i])
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            fm = float(fold_residual(u, U, mid))
+            if (fm < 0) == (flo < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+
+    absr = np.abs(r)
+    interior = np.arange(1, n_grid - 1)
+    is_min = (absr[interior] <= absr[interior - 1]) & (absr[interior] <= absr[interior + 1])
+    for i in interior[is_min]:
+        if absr[i] > touch_tol:
+            continue
+        p0 = float(grid[i])
+        if any(abs(p0 - q) < 4.0 * (grid[1] - grid[0]) for q in roots):
+            continue
+        roots.append(p0)
+
+    roots.sort()
+    return len(roots), roots
+
+
+def fold_merger_bisection(n_folds, four, fewer, tol=1e-9):
+    """Bisect a parameter between a value with four fold points and one with fewer.
+
+    ``n_folds(value)`` counts the fold points at that value of the parameter.
+    """
+    while abs(fewer - four) > tol:
+        mid = 0.5 * (four + fewer)
+        if n_folds(mid) >= 4:
+            four = mid
+        else:
+            fewer = mid
+    return 0.5 * (four + fewer)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_gap_report(tmp_path):
     assert len(payload["roots_before"]) == 4
 
 
+def test_gap_rejects_bracket_without_merger(tmp_path, capsys):
+    # the fold counts straddle 4 at the ends, but the merger is at u = 1.64675
+    out = tmp_path / "g"
+    assert run(["gap", "--U", "2.07", "--bracket", "1.40,1.55", "--out", str(out)]) == 2
+    assert "outside the bracket" in capsys.readouterr().err
+    assert not (out / "gap.json").exists()
+
+
 def test_gap_requires_exactly_one_fixed(tmp_path):
     assert run(["gap", "--u", "1", "--U", "4", "--bracket", "1,2", "--out", str(tmp_path)]) == 2
     assert run(["gap", "--bracket", "1,2", "--out", str(tmp_path)]) == 2

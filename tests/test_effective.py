@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nlchern.effective import (
     BracketError,
@@ -15,6 +17,8 @@ from nlchern.effective import (
 )
 from nlchern.model import KPoint, ModelParams
 from nlchern.spectrum import physical_spectrum
+
+from oracles import fold_merger_bisection, fold_points_scan, fold_residual
 
 
 def test_ppoint_bounds():
@@ -90,10 +94,76 @@ def test_count_zero_roots():
 
 
 def test_count_merged_roots_at_criticality():
-    fine = gap_closing_search(ModelParams(u=0.0, U=4.0), "u", (1.0, 1.2), tol=1e-7)
+    fine = gap_closing_search(ModelParams(u=0.0, U=4.0), "u", (1.0, 1.2))
     n, roots = count_iii_points(ModelParams(u=fine.critical_value, U=4.0))
     assert n == 2
     assert roots[0] == pytest.approx(-roots[1], abs=1e-3)
+
+
+def test_count_past_merger_has_no_phantom_pair():
+    # just past the merger the residual stays positive: no fold points at all
+    u_star = gap_closed_u_interval(4.0)[0]
+    assert count_iii_points(ModelParams(u=u_star + 1e-7, U=4.0)) == (0, [])
+    assert count_iii_points(ModelParams(u=u_star - 1e-7, U=4.0))[0] == 4
+
+
+# derandomized, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=120, database=None)
+
+
+@st.composite
+def fold_params(draw):
+    """(u, U) anywhere, or with a fold point at a drawn |p|, so that many draws have some."""
+    U = draw(st.floats(0.01, 12.0))
+    if draw(st.booleans()):
+        return draw(st.floats(-1.0, 3.0)), U
+    p = draw(st.floats(0.0, 1.0)) * min(math.pi, U / math.sqrt(8.0))
+    return -float(fold_residual(0.0, U, p)), U
+
+
+@PROPERTY
+@given(fold_params())
+def test_count_matches_scan_oracle(point):
+    u, U = point
+    params = ModelParams(u=u, U=U)
+    n, roots = count_iii_points(params)
+    assert n == len(roots)
+    for p in roots:
+        assert abs(p) <= math.pi
+        assert abs(iii_locus_residual(params, p, 1)) <= 1e-10
+    # away from tangency: no local extremum of the residual (the fold merger,
+    # the cusp at p = 0) and neither end of the domain lies near zero
+    pmax = min(math.pi, U / math.sqrt(8.0))
+    r = fold_residual(u, U, np.linspace(0.0, pmax, 2001))
+    extrema = r[1:-1][(r[1:-1] - r[:-2]) * (r[2:] - r[1:-1]) <= 0]
+    assume(np.min(np.abs(np.concatenate([extrema, r[[0, -1]]]))) > 1e-4)
+    n_scan, roots_scan = fold_points_scan(u, U)
+    assert n == n_scan
+    assert roots == pytest.approx(roots_scan, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "u, four, fewer",
+    [(-1.0, 9.5, 9.9), (0.0, 6.9, 7.2), (0.5, 5.5, 5.8), (1.0, 4.0, 4.4), (1.5, 2.5, 2.7),
+     (1.9, 0.9, 1.05)],
+)
+def test_gap_closing_fix_u_matches_scan_bisection(u, four, fewer):
+    # the scan's count drops once the merging pair shares one grid cell,
+    # which puts its transition within 1e-7 of the merger
+    def n_folds(U):
+        return fold_points_scan(u, U)[0]
+
+    assert n_folds(four) == 4 and n_folds(fewer) < 4
+    U_g = fold_merger_bisection(n_folds, four, fewer)
+    report = gap_closing_search(ModelParams(u=u), "U", (U_g - 0.05, U_g + 0.05))
+    assert report.critical_value == pytest.approx(U_g, abs=1e-6)
+
+
+def test_gap_closing_bracket_must_contain_merger():
+    # the counts straddle 4 (an outer fold point leaves the domain |p| <= U/sqrt(8)
+    # at u = 2 - U^2/8 = 1.4644), but the merger is at u = 1.64675
+    with pytest.raises(BracketError, match="outside the bracket"):
+        gap_closing_search(ModelParams(u=0.0, U=2.07), "u", (1.40, 1.55))
 
 
 def test_gap_closing_fix_U():

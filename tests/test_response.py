@@ -135,7 +135,7 @@ def _diagonal_breakdown(u, U, band):
     pairs = physical_spectrum(params, KPoint(0.0, 0.0))
     initial = pairs[0].state if band == "ground" else pairs[-1].state
     drive = DriveSpec(KPoint(0.0, 0.0), (0.01, 0.01), TWO_PI / 0.01, 0.005)
-    recs = evolve(params, drive, initial, sample_every=40, renormalize=True)
+    recs = evolve(params, drive, initial, sample_every=40)
     return detect_breakdown(recs)
 
 

@@ -139,6 +139,13 @@ def test_kappa_scan_oracle_agreement():
             assert got == pytest.approx(expected, abs=5e-6)
 
 
+def test_kappa_scan_counts_node_root_once():
+    # at dz = 0 exactly the kappa = 0 roots sit on a grid node: eps = U/2 +- sqrt(s),
+    # and for U > 2 sqrt(s) the tube pair at eps = U
+    assert kappa_scan_spectrum(0.3, 0.4, 0.0, 0.5) == pytest.approx([-0.25, 0.75], abs=1e-12)
+    assert kappa_scan_spectrum(0.3, 0.4, 0.0, 3.0) == pytest.approx([1.0, 2.0, 3.0, 3.0], abs=1e-9)
+
+
 def test_root_residual_and_self_consistency():
     rng = np.random.default_rng(37)
     for u, U in [(1.0, 4.0), (3.0, 5.0), (1.2, 2.4)]:
