@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .dynamics import DriveSpec, NumericalHealthError, evolve, write_trajectory_csv
 from .effective import BracketError, gap_closing_search
-from .model import KPoint, ModelParams, Spinor
+from .model import KPoint, ModelParams, Spinor, bloch_vector
 from .response import (
     RegimeError,
     kx_columns,
@@ -29,7 +29,7 @@ from .response import (
     sweep_initial_states,
     write_phase_diagram_csv,
 )
-from .spectrum import band_surface, band_surface_rows, classify_degeneracies
+from .spectrum import DegeneracyKind, _iii_residual, band_surface, band_surface_rows, classify_degeneracies
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,10 +202,16 @@ def cmd_degeneracies(opts: dict) -> int:
     points = classify_degeneracies(params, n)
     order = {"I": 0, "II": 1, "III": 2}
     points.sort(key=lambda p: (order[p.kind.value], p.k.kx, p.k.ky))
+    # each III point's residual on its locus branch, sign(dz); None off the locus domain
+    iii = [bloch_vector(params, p.k) for p in points if p.kind is DegeneracyKind.III]
+    residuals = [_iii_residual(d, params.U, math.copysign(1.0, d.dz)) for d in iii]
     payload = {
         "u": params.u,
         "U": params.U,
         "grid": n,
+        "diagnostics": {
+            "max_iii_residual": max((math.inf if r is None else abs(r) for r in residuals), default=0.0)
+        },
         "points": [
             {
                 "kind": p.kind.value,

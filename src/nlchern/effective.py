@@ -23,14 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .model import BlochVector, ModelParams
-from .spectrum import NonlinearEigenpair, _iii_residual, nonlinear_eigenpairs
+from .spectrum import NonlinearEigenpair, _iii_residual, _real_roots, nonlinear_eigenpairs
 
 
 class LocusDomainError(ValueError):
-    """Fractional power evaluated outside its real domain |p| > U^(1/2)/8^(1/6)."""
+    """Fractional power evaluated outside its real domain |p| <= U / sqrt(8)."""
 
 
 class BracketError(ValueError):
@@ -110,13 +108,6 @@ def iii_locus_residual(params: ModelParams, p: float, sign: int) -> float:
     return r
 
 
-# A root v of the fold-point sextic is real when |Im v| is at most this.
-# np.roots splits a double root (a tangency: the fold merger, or a
-# near-miss of it) into two roots ~1e-8 apart, real or conjugate; roots
-# closer than this are one tangential root.
-_REAL_TOL = 1e-6
-
-
 def count_iii_points(params: ModelParams) -> tuple[int, list[float]]:
     """Count and locate the diagonal fold points as the real roots of a sextic.
 
@@ -138,11 +129,9 @@ def count_iii_points(params: ModelParams) -> tuple[int, list[float]]:
     if not 0.0 < U < math.inf:
         return 0, []
     c = U ** (2.0 / 3.0)
-    v = np.roots([1.0, 0.0, -3.0 * c, -4.0, 3.0 * c * c, 0.0, 16.0 - 8.0 * params.u - U * U])
     vmin = math.sqrt(max(0.0, c - (8.0 * math.pi**2) ** (1.0 / 3.0)))
-    v = np.sort(v.real[(abs(v.imag) <= _REAL_TOL) & (v.real >= vmin) & (v.real <= math.sqrt(c))])
-    clusters = np.split(v, np.flatnonzero(np.diff(v) > _REAL_TOL) + 1)
-    p = [max(0.0, c - float(x.mean()) ** 2) ** 1.5 / math.sqrt(8.0) for x in clusters if x.size]
+    sextic = [1.0, 0.0, -3.0 * c, -4.0, 3.0 * c * c, 0.0, 16.0 - 8.0 * params.u - U * U]
+    p = [max(0.0, c - v**2) ** 1.5 / math.sqrt(8.0) for v in _real_roots(sextic, vmin, math.sqrt(c))]
     roots = sorted({q for x in p for q in (-x, x)})
     return len(roots), roots
 

@@ -21,7 +21,8 @@ state (|kappa| <= 1).  ``nonlinear_eigenpairs`` takes one of three paths:
 
 The III-type degeneracies, eps = U/2 + (4 U s)^(1/3) / 2 on the locus
 dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
-cone/tube structures.  ``solve_quartic`` solves f itself.
+cone/tube structures; ``classify_degeneracies`` finds them on each grid
+column as the roots of one quartic.  ``solve_quartic`` solves f itself.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,19 @@ _ROUNDOFF_REL = 1e-15
 # strength) off the unit circle by ~1e-8; a state built from a root
 # 1e-6 off the circle has a residual of order 1e-12.
 _ON_CIRCLE_TOL = 1e-6
+
+# A root of a real polynomial is real when |Im| is at most this, and roots
+# closer than this are one tangential root: np.roots splits a double root
+# into two ~1e-8 apart, real or conjugate.  So are III points in k.
+_ROOT_TOL = 1e-6
+
+
+def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
+    """Real roots in [lo, hi] of the polynomial ``coeffs``, a near-double root once."""
+    r = np.roots(coeffs)
+    r = np.sort(r.real[(abs(r.imag) <= _ROOT_TOL) & (r.real >= lo) & (r.real <= hi)])
+    clusters = np.split(r, np.flatnonzero(np.diff(r) > _ROOT_TOL) + 1)
+    return [float(x.mean()) for x in clusters if x.size]
 
 
 class DegeneracyKind(str, enum.Enum):
@@ -296,10 +311,11 @@ def eigenpair_residual(params: ModelParams, k: KPoint, pair: NonlinearEigenpair)
 
 def _iii_residual(d: BlochVector, U: float, sign: float) -> float | None:
     """Signed defect of the III-type locus equation; None outside its domain."""
-    t = U ** (2.0 / 3.0) - (4.0 * d.planar_sq) ** (1.0 / 3.0)
-    if t < 0.0:
+    c = U ** (2.0 / 3.0)
+    t = c - (4.0 * d.planar_sq) ** (1.0 / 3.0)
+    if t < -_ROUNDOFF_REL * c:  # below zero only by round-off where the branches meet
         return None
-    return d.dz - sign * 0.5 * t**1.5
+    return d.dz - sign * 0.5 * max(t, 0.0) ** 1.5
 
 
 def iii_epsilon(d: BlochVector, U: float) -> float:
@@ -307,27 +323,27 @@ def iii_epsilon(d: BlochVector, U: float) -> float:
     return 0.5 * U + 0.5 * (4.0 * U * d.planar_sq) ** (1.0 / 3.0)
 
 
-def _bisect_edge(params, ka, kb, sign, tol=1e-10, max_iter=200):
-    """Root of the III residual along the segment ka -> kb (raw angles)."""
-    def res(t):
-        kx = ka[0] + t * (kb[0] - ka[0])
-        ky = ka[1] + t * (kb[1] - ka[1])
-        return _iii_residual(bloch_vector(params, KPoint(kx, ky)), params.U, sign)
+def _iii_column_points(u: float, U: float, grid) -> Iterator[tuple[float, float]]:
+    """Crossings (kx, ky) of the III locus with the columns kx in ``grid``.
 
-    lo, hi = 0.0, 1.0
-    rlo = res(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        rm = res(mid)
-        if rm is None:  # fell off the fractional-power domain; give up
-            return None
-        if abs(rm) < tol:
-            return mid
-        if (rlo < 0) == (rm < 0):
-            lo, rlo = mid, rm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    On a column, a = u + cos(kx) and v = +-{U^(2/3) - (4 s)^(1/3)}^(1/2)
+    turn dz = v^3 / 2 into cos(ky) = v^3 / 2 - a, and 4 s = (U^(2/3) - v^2)^3
+    into the quartic 3c v^4 - 4a v^3 - 3c^2 v^2 + (U^2 + 4a^2 - 4 - 4 sin^2 kx),
+    c = U^(2/3).  Its real roots with |v| <= U^(1/3) and |v^3 / 2 - a| <= 1
+    are the crossings, at ky = +-acos(v^3 / 2 - a), on the branch sign(v).
+    """
+    c, w = U ** (2.0 / 3.0), U ** (1.0 / 3.0)
+    for kx in grid:
+        a = u + math.cos(kx)
+        quartic = [3.0 * c, -4.0 * a, -3.0 * c * c, 0.0, U * U + 4.0 * (a * a - 1.0 - math.sin(kx) ** 2)]
+        for v in _real_roots(quartic, max(-w, np.cbrt(2.0 * a - 2.0)), min(w, np.cbrt(2.0 * a + 2.0))):
+            ky = math.acos(max(-1.0, min(1.0, 0.5 * v**3 - a)))
+            if min(ky, math.pi - ky) > _ROOT_TOL:
+                yield from ((kx, ky), (kx, 2.0 * math.pi - ky))
+            elif abs(math.sin(kx)) > _ROOT_TOL:
+                # cos(ky) = +-1 to round-off, which acos splits into ky ~ +-3e-8; at a
+                # polar momentum this is the I-type point at U = 2|dz|, not a III point
+                yield kx, math.pi * round(ky / math.pi)
 
 
 def classify_degeneracies(params: ModelParams, resolution: int = 64) -> list[DegeneratePoint]:
@@ -336,8 +352,10 @@ def classify_degeneracies(params: ModelParams, resolution: int = 64) -> list[Deg
     I-type points sit at the four polar momenta {0, pi}^2 and are reported
     with their critical strength 2|dz|; II-type points are sampled along
     the dz = 0 contour (present only for |u| < 2) with critical strength
-    2 sqrt(dx^2 + dy^2); III-type points are grid-edge crossings of the
-    signed locus equation, bisection-refined to |residual| < 1e-10.
+    2 sqrt(dx^2 + dy^2); III-type points are the exact crossings of the
+    locus with the grid lines, each reported once: the roots of one quartic
+    per k_x column (``_iii_column_points``) and, as d is symmetric under
+    kx <-> ky, their transposes on the k_y rows.
     """
     if resolution < 16:
         raise ValueError("grid resolution must be at least 16 per axis")
@@ -351,8 +369,9 @@ def classify_degeneracies(params: ModelParams, resolution: int = 64) -> list[Deg
                 DegeneratePoint(DegeneracyKind.I, KPoint(kx, ky), 0.5 * U, 2.0 * abs(dz))
             )
 
+    grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
     if abs(u) < 2.0:
-        for kx in np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False):
+        for kx in grid:
             c = -u - math.cos(kx)
             if abs(c) > 1.0:
                 continue
@@ -365,33 +384,19 @@ def classify_degeneracies(params: ModelParams, resolution: int = 64) -> list[Deg
                 )
 
     if U > 0.0:
-        grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        step = grid[1] - grid[0]
-        for sign in (1.0, -1.0):
-            rvals = np.full((resolution, resolution), np.nan)
-            for i, kx in enumerate(grid):
-                for j, ky in enumerate(grid):
-                    r = _iii_residual(bloch_vector(params, KPoint(float(kx), float(ky))), U, sign)
-                    rvals[i, j] = np.nan if r is None else r
-            for i in range(resolution):
-                for j in range(resolution):
-                    a = rvals[i, j]
-                    if not np.isfinite(a):
-                        continue
-                    for di, dj in ((1, 0), (0, 1)):
-                        b = rvals[(i + di) % resolution, (j + dj) % resolution]
-                        if not np.isfinite(b) or (a < 0) == (b < 0):
-                            continue
-                        ka = (grid[i], grid[j])
-                        kb = (grid[i] + di * step, grid[j] + dj * step)
-                        t = _bisect_edge(params, ka, kb, sign)
-                        if t is None:
-                            continue
-                        kstar = KPoint(ka[0] + t * (kb[0] - ka[0]), ka[1] + t * (kb[1] - ka[1]))
-                        d = bloch_vector(params, kstar)
-                        points.append(
-                            DegeneratePoint(DegeneracyKind.III, kstar, iii_epsilon(d, U), None)
-                        )
+        step = 2.0 * math.pi / resolution
+
+        def line(x: float) -> int | None:
+            """Index of the grid line within _ROOT_TOL of x, if there is one."""
+            j = round(x / step)
+            return j % resolution if abs(x - j * step) <= _ROOT_TOL else None
+
+        columns = list(_iii_column_points(u, U, grid.tolist()))
+        # the row crossings are the transposes; one on a node is a column crossing too
+        nodes = {(line(kx), line(ky)) for kx, ky in columns}
+        rows = [(ky, kx) for kx, ky in columns if (line(ky), line(kx)) not in nodes]
+        for k in (KPoint(kx, ky) for kx, ky in columns + rows):
+            points.append(DegeneratePoint(DegeneracyKind.III, k, iii_epsilon(bloch_vector(params, k), U), None))
     return points
 
 

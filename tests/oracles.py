@@ -2,11 +2,14 @@
 
 Deliberately avoids the package's quartic/eigenstate machinery: spectra
 come from a population-imbalance fixed-point scan, fold points from a
-grid scan of the locus residual, Chern numbers from a
-lattice plaquette-link calculation, and time evolution from midpoint
-matrix exponentials of the linear Hamiltonian.
+grid scan of the locus residual, III-type degenerate points from sign
+changes of the locus residual on the edges of an n x n zone grid, each
+bisected, Chern numbers from a lattice plaquette-link calculation, and
+time evolution from midpoint matrix exponentials of the linear
+Hamiltonian.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -22,7 +25,10 @@ def kappa_scan_spectrum(dx, dy, dz, U, n=200_001):
     For fixed kappa the Hamiltonian is a known 2x2 matrix
     M(kappa) = U/2 + (dz + U kappa/2) sigma_z + dx sigma_x + dy sigma_y;
     a stationary state is a fixed point where an eigenvector of M
-    reproduces the imbalance kappa it was built from.  At dx = dy = 0 the
+    reproduces the imbalance kappa it was built from, a root of
+    g = +-h / sqrt(s + h^2) - kappa with h = dz + U kappa / 2.  Two roots in
+    one grid cell (a near-tangency, as on the III locus) are found at the
+    interior minima of |g| with no sign change.  At dx = dy = 0 the
     eigenvectors are polarized for any kappa, so the mixed branch is
     found from the diagonal-balance condition instead.
     """
@@ -51,30 +57,73 @@ def kappa_scan_spectrum(dx, dy, dz, U, n=200_001):
     heff = dz + 0.5 * U * kap
     m = np.sqrt(s + heff * heff)
     for branch in (+1.0, -1.0):
+
+        def gval(x):
+            h = dz + 0.5 * U * x
+            return branch * h / math.sqrt(s + h * h) - x
+
         g = branch * heff / m - kap
-        # a root on a node (kappa = 0 at dz = 0) is counted once, by the
-        # interval to its left, and the interval to its right is skipped
         sg = np.sign(g)
-        idx = np.where((sg[:-1] * sg[1:] < 0) | (sg[1:] == 0))[0]
-        for i in idx:
-            lo, hi = float(kap[i]), float(kap[i + 1])
+        cross = np.where(sg[:-1] * sg[1:] < 0)[0]
+        roots = [_bisect(gval, float(kap[i]), float(kap[i + 1])) for i in cross]
+        # a root on a node (kappa = 0 at dz = 0) is counted once; a zero
+        # between two values of one sign is a touch point, refined below
+        j = np.arange(1, n - 1)
+        on_node = list(j[(sg[j] == 0) & (sg[j - 1] * sg[j + 1] <= 0)]) + ([n - 1] if sg[-1] == 0 else [])
+        roots += [float(kap[i]) for i in on_node]
+        # Touch points: |g| has an interior minimum with no sign change around
+        # it, where two roots can share one grid cell.  The minimum of
+        # side * g is refined on g', and g there is evaluated to 50 digits,
+        # because two roots 1e-8 apart in kappa leave a dip of only ~1e-16.
+        absg, gexact = np.abs(g), _exact_g(branch, dx, dy, dz, U)
+        touch = j[
+            (sg[j - 1] * sg[j + 1] > 0)
+            & (sg[j] * sg[j - 1] >= 0)
+            & (absg[j] < absg[j - 1])
+            & (absg[j] <= absg[j + 1])
+        ]
+        for i in touch:
+            side = float(sg[i - 1])
+            lo, hi = float(kap[i - 1]), float(kap[i + 1])
 
-            def gval(x):
+            def slope(x):  # side * g'(x)
                 h = dz + 0.5 * U * x
-                return branch * h / math.sqrt(s + h * h) - x
+                return side * (branch * 0.5 * U * s / (s + h * h) ** 1.5 - 1.0)
 
-            glo = gval(lo)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                gm = gval(mid)
-                if (glo < 0) == (gm < 0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            kstar = 0.5 * (lo + hi)
+            kmin = _bisect(slope, lo, hi)
+            if side * gexact(kmin) <= 0:
+                roots += [_bisect(gexact, lo, kmin), _bisect(gexact, kmin, hi)]
+        for kstar in roots:
             h = dz + 0.5 * U * kstar
             out.append(0.5 * U + branch * math.sqrt(s + h * h))
     return sorted(out)
+
+
+def _bisect(f, lo, hi):
+    """A sign change of f in [lo, hi], after 80 halvings."""
+    flo = f(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if (flo < 0) == (fm < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _exact_g(branch, dx, dy, dz, U):
+    """g(kappa) = branch * h / sqrt(s + h^2) - kappa, h = dz + U kappa / 2, to 50 digits."""
+    D = decimal.Decimal
+    ctx = decimal.Context(prec=50)
+    s = ctx.add(ctx.multiply(D(dx), D(dx)), ctx.multiply(D(dy), D(dy)))
+
+    def g(x):
+        h = ctx.add(D(dz), ctx.multiply(ctx.multiply(D(U), D(x)), D("0.5")))
+        r = ctx.divide(h, ctx.sqrt(ctx.add(s, ctx.multiply(h, h))))
+        return float(ctx.subtract(ctx.multiply(D(branch), r), D(x)))
+
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +190,74 @@ def fold_merger_bisection(n_folds, four, fewer, tol=1e-9):
         else:
             fewer = mid
     return 0.5 * (four + fewer)
+
+
+# ---------------------------------------------------------------------------
+# III-type degenerate points by a grid scan of the locus residual
+# ---------------------------------------------------------------------------
+
+def _iii_scan_residual(u, U, kx, ky, sign):
+    """dz - sign * {U^(2/3) - (4 s)^(1/3)}^(3/2) / 2 at k; None where the brace is negative."""
+    kx, ky = kx % (2.0 * math.pi), ky % (2.0 * math.pi)
+    dx, dy, dz = math.sin(kx), math.sin(ky), u + math.cos(kx) + math.cos(ky)
+    t = U ** (2.0 / 3.0) - (4.0 * (dx * dx + dy * dy)) ** (1.0 / 3.0)
+    return None if t < 0.0 else dz - sign * 0.5 * t**1.5
+
+
+def _bisect_edge(u, U, ka, kb, sign, tol=1e-10, max_iter=200):
+    """Root of the III residual along the segment ka -> kb, as a fraction of it."""
+    def res(t):
+        return _iii_scan_residual(u, U, ka[0] + t * (kb[0] - ka[0]), ka[1] + t * (kb[1] - ka[1]), sign)
+
+    lo, hi = 0.0, 1.0
+    rlo = res(lo)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        rm = res(mid)
+        if rm is None:  # fell off the fractional-power domain; give up
+            return None
+        if abs(rm) < tol:
+            return mid
+        if (rlo < 0) == (rm < 0):
+            lo, rlo = mid, rm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def iii_points_scan(u, U, n):
+    """III points (kx, ky) in [0, 2 pi)^2 as sign changes of the locus residual on an n x n grid.
+
+    Each grid edge, along kx or along ky, whose end residuals differ in sign
+    is bisected to |residual| < 1e-10, for each locus branch.  A root on a
+    grid node, or one where the locus is tangent to a grid line, can be
+    reported twice or missed.
+    """
+    grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    step = grid[1] - grid[0]
+    points = []
+    for sign in (1.0, -1.0):
+        rvals = np.full((n, n), np.nan)
+        for i, kx in enumerate(grid):
+            for j, ky in enumerate(grid):
+                r = _iii_scan_residual(u, U, float(kx), float(ky), sign)
+                rvals[i, j] = np.nan if r is None else r
+        for i in range(n):
+            for j in range(n):
+                a = rvals[i, j]
+                if not np.isfinite(a):
+                    continue
+                for di, dj in ((1, 0), (0, 1)):
+                    b = rvals[(i + di) % n, (j + dj) % n]
+                    if not np.isfinite(b) or (a < 0) == (b < 0):
+                        continue
+                    ka = (grid[i], grid[j])
+                    kb = (grid[i] + di * step, grid[j] + dj * step)
+                    t = _bisect_edge(u, U, ka, kb, sign)
+                    if t is not None:
+                        k = (ka[0] + t * (kb[0] - ka[0]), ka[1] + t * (kb[1] - ka[1]))
+                        points.append(tuple(float(x % (2.0 * math.pi)) for x in k))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,15 @@ def test_degeneracies_report(tmp_path):
     assert not [p for p in payload["points"] if p["kind"] == "II"]
 
 
+def test_degeneracies_reports_iii_residual(tmp_path):
+    out = tmp_path / "d"
+    assert run(["degeneracies", "--u", "1.2", "--U", "3", "--grid", "32", "--out", str(out)]) == 0
+    payload = json.loads((out / "degeneracies.json").read_text())
+    assert [p for p in payload["points"] if p["kind"] == "III"]
+    # |d| <= sqrt(2 + 3.2^2) < 4 on this model
+    assert 0.0 <= payload["diagnostics"]["max_iii_residual"] <= 1e-12 * 4.0
+
+
 def test_gap_report(tmp_path):
     out = tmp_path / "g"
     assert run(["gap", "--u", "1", "--bracket", "4.0,4.4", "--out", str(out)]) == 0

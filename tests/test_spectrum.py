@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector, hamiltonian
 from nlchern.spectrum import (
+    _iii_residual,
     AtCriticalityError,
     DegeneracyKind,
     band_surface,
@@ -20,7 +21,7 @@ from nlchern.spectrum import (
     solve_quartic,
 )
 
-from oracles import kappa_scan_spectrum
+from oracles import iii_points_scan, kappa_scan_spectrum
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,6 +147,18 @@ def test_kappa_scan_counts_node_root_once():
     assert kappa_scan_spectrum(0.3, 0.4, 0.0, 3.0) == pytest.approx([1.0, 2.0, 3.0, 3.0], abs=1e-9)
 
 
+def test_kappa_scan_resolves_two_roots_in_one_cell():
+    # two III-locus roots 1.5e-8 apart in kappa, straddling one grid node; the
+    # spectrum places a near-double root to ~1e-8
+    params = ModelParams(u=0.8212298662254276, U=7.430985380392755)
+    k = KPoint(4.926683493255107, 4.926683493255107)
+    d = bloch_vector(params, k)
+    expected = kappa_scan_spectrum(d.dx, d.dy, d.dz, params.U)
+    got = [q.epsilon for q in physical_spectrum(params, k)]
+    assert len(expected) == len(got) == 4
+    assert expected == pytest.approx(got, abs=5e-8)
+
+
 def test_root_residual_and_self_consistency():
     rng = np.random.default_rng(37)
     for u, U in [(1.0, 4.0), (3.0, 5.0), (1.2, 2.4)]:
@@ -236,11 +249,13 @@ def assert_spectrum_invariants(u, U, kx, ky, on_iii_locus=False):
     assert branch_count(pairs) >= 2
     bound = 1e-9 * max(1.0, U, d.magnitude)
     assert max(eigenpair_residual(params, k, q) for q in pairs) <= bound
-    # Compared as sets: the scan counts a root twice when it falls on a grid
-    # node, and a merged pair at a critical strength as well as the state it
-    # merged into.  On the III locus the scan function only touches zero at
-    # the two-fold energy: the scan may miss that root, or place it anywhere
-    # in a grid cell of 1e-5 in kappa, i.e. within U/2 * 1e-5 in energy.
+    # Compared as sets, because the two count a state at a critical strength
+    # differently.  At U = 2|dz| the scan lists the merged polar pair as well
+    # as the state it merged into.  At U = 2 sqrt(s) to round-off the
+    # spectrum keeps the tube pair ~1e-8 from kappa = 0, inside the one grid
+    # cell that the scan counts as one root.  On the III locus the scan
+    # function only touches zero at the two-fold energy, and round-off can
+    # leave its minimum above zero, where the scan reports no root.
     got = [q.epsilon for q in pairs]
     expected = kappa_scan_spectrum(d.dx, d.dy, d.dz, U)
     seen = expected + ([iii_epsilon(d, U)] if on_iii_locus else [])
@@ -336,6 +351,43 @@ def test_classify_iii_points_on_locus():
         coeffs = quartic_coefficients(params, d)
         assert abs(np.polyval(coeffs, p.epsilon)) < 1e-8
         assert abs(np.polyval(np.polyder(coeffs), p.epsilon)) < 1e-4
+
+
+def _zone_distance(a, b):
+    """Largest componentwise distance between two k points, modulo 2 pi."""
+    return max(min(abs(x - y) % TWO_PI, TWO_PI - abs(x - y) % TWO_PI) for x, y in zip(a, b))
+
+
+def _iii_points(u, U, n):
+    params = ModelParams(u=u, U=U)
+    return params, [p for p in classify_degeneracies(params, n) if p.kind == DegeneracyKind.III]
+
+
+@pytest.mark.parametrize(
+    "u, U, n", [(1.2, 3.0, 64), (1.2, 3.0, 32), (3.0, 5.0, 32), (0.5, 2.5, 64), (2.5, 6.0, 64)]
+)
+def test_classify_iii_matches_grid_scan(u, U, n):
+    params, pts = _iii_points(u, U, n)
+    scan = iii_points_scan(u, U, n)
+    assert len(pts) == len(scan)
+    for p in pts:
+        assert min(_zone_distance((p.k.kx, p.k.ky), q) for q in scan) <= 1e-8
+        d = bloch_vector(params, p.k)  # on the locus branch sign(dz)
+        assert abs(_iii_residual(d, U, math.copysign(1.0, d.dz))) <= 1e-12 * max(1.0, U, d.magnitude)
+
+
+@pytest.mark.parametrize("u", [-1.0, 0.0])
+def test_classify_iii_points_once_where_locus_touches_grid(u):
+    # At u = -1 the locus passes through grid nodes, tangent to a grid line
+    # there; at (0, pi/4) the grid scan reported a pair of points at
+    # kx = +-1.2e-5.  At u = 0 it touches the polar momenta (0, 0) and
+    # (pi, pi), where acos splits one point into ky ~ +-1e-7.
+    _, pts = _iii_points(u, 4.0, 64)
+    ks = [(p.k.kx, p.k.ky) for p in pts]
+    assert all(_zone_distance(a, b) >= 1e-6 for i, a in enumerate(ks) for b in ks[:i])
+    if u == -1.0:
+        near = [k for k in ks if _zone_distance(k, (0.0, math.pi / 4)) < 1e-3]
+        assert len(near) == 1 and near[0][0] == 0.0
 
 
 def test_classify_no_iii_when_U_below_onset():
