@@ -20,12 +20,14 @@ from .spectrum import (
     DegeneracyKind,
     DegeneratePoint,
     NonlinearEigenpair,
+    SpectrumHealth,
     band_surface,
     bifurcation_correction,
     branch_count,
     classify_degeneracies,
     eigenpair_residual,
     nonlinear_eigenpairs,
+    nonlinear_spectra,
     physical_spectrum,
     quartic_coefficients,
     solve_quartic,

@@ -29,7 +29,14 @@ from .response import (
     sweep_initial_states,
     write_phase_diagram_csv,
 )
-from .spectrum import DegeneracyKind, _iii_residual, band_surface, band_surface_rows, classify_degeneracies
+from .spectrum import (
+    DegeneracyKind,
+    SpectrumHealth,
+    _iii_residual,
+    band_surface,
+    band_surface_rows,
+    classify_degeneracies,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,19 +165,19 @@ def _write_json(path: Path, payload) -> None:
 def cmd_bands(opts: dict) -> int:
     params = _params(opts)
     n = int(opts.get("grid", 41))
-    nodes = band_surface(params, n)
+    health = SpectrumHealth()
+    nodes = band_surface(params, n, health)
     out = _outdir(opts)
     fmt = opts.get("format", "csv")
     header = ["kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2"]
-    rows = list(band_surface_rows(nodes))
     if fmt == "csv":
         with open(out / "bands.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+            csv.writer(fh).writerow(header)
+            # the rows csv.writer would write: 17 digits per float, no quoting, CRLF
+            line = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+            fh.writelines(line % row for row in band_surface_rows(nodes))
     else:
-        _write_json(out / "bands.json", [dict(zip(header, row)) for row in rows])
+        _write_json(out / "bands.json", [dict(zip(header, row)) for row in band_surface_rows(nodes)])
 
     counts: dict[int, int] = {}
     multi = []
@@ -184,6 +191,7 @@ def cmd_bands(opts: dict) -> int:
         "U": params.U,
         "grid": n,
         "branch_count_nodes": {str(k): v for k, v in sorted(counts.items())},
+        "diagnostics": health.to_dict(),
     }
     if multi:
         summary["multi_branch_region"] = {

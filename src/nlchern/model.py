@@ -152,6 +152,15 @@ def hamiltonian(params: ModelParams, k: KPoint, psi: Spinor) -> np.ndarray:
     )
 
 
+def _kerr_row(D, O, U, p, q):
+    """One row of H(d, psi) psi for H = d . sigma + U diag(|p1|^2, |p2|^2), elementwise.
+
+    Row 1 is ``_kerr_row(dz, dx - i dy, U, p1, p2)``, row 2 is
+    ``_kerr_row(-dz, dx + i dy, U, p2, p1)``.
+    """
+    return (D + U * p * p.conjugate()) * p + O * q
+
+
 def linear_eigenvalues(params: ModelParams, k: KPoint) -> tuple[float, float]:
     """Eigenvalues (-|d|, +|d|) of the linear Bloch Hamiltonian."""
     u = params.u

@@ -8,7 +8,8 @@ into a monic quartic in eps, with s = dx^2 + dy^2,
     f(eps) = (eps-U)^2 (eps-U/2)^2 - dz^2 (eps-U/2)^2 - s (eps-U)^2,
 
 whose real roots are kept only when they correspond to a normalizable
-state (|kappa| <= 1).  ``nonlinear_eigenpairs`` takes one of three paths:
+state (|kappa| <= 1).  ``nonlinear_spectra`` solves a list of Bloch
+vectors at one U, each by one of three paths:
 
   polar   (s = 0):  f = (eps-U/2)^2 [(eps-U)^2 - dz^2], so eps = U +- dz, and
                     for U > 2|dz| the two-fold eps = U/2 (I-type cone onset);
@@ -17,7 +18,12 @@ state (|kappa| <= 1).  ``nonlinear_eigenpairs`` takes one of three paths:
   generic:          the states with kappa = cos(theta) for the real roots
                     theta of dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta),
                     which stay apart next to both sets above, where the
-                    roots of f crowd into double roots at U/2 and U.
+                    roots of f crowd into double roots at U/2 and U.  The
+                    quartics in e^{i theta} of all generic d in the list are
+                    solved in one stacked eigenvalue call.
+
+``nonlinear_eigenpairs`` and ``physical_spectrum`` are its batch of one;
+``band_surface`` calls it once per k_x column.
 
 The III-type degeneracies, eps = U/2 + (4 U s)^(1/3) / 2 on the locus
 dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
@@ -31,7 +37,7 @@ import cmath
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from .model import (
     KPoint,
     ModelParams,
     Spinor,
+    _kerr_row,
     bloch_vector,
     hamiltonian,
 )
@@ -215,7 +222,7 @@ def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
 
     That is (e^{-i phi} cos(theta/2), sin(theta/2)) with e^{i phi} = (dx + i dy)
     / sqrt(s), the phase convention of the eigenvector ((dx - i dy), lam - h).
-    At a root theta of ``_generic_pairs`` it is stationary with kappa =
+    At a root theta of ``_theta_roots`` it is stationary with kappa =
     cos(theta) and eps = U/2 + sqrt(s) sin(theta) + h kappa, h = dz + U kappa / 2.
     """
     r = math.sqrt(d.planar_sq)
@@ -256,36 +263,141 @@ def _contour_pairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     return [_pair(theta, d, U) for theta in thetas]
 
 
-def _generic_pairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
-    """One pair per real root theta of G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta).
+def _path(d: BlochVector, U: float) -> str:
+    """"polar" (dx = dy = 0), "contour" (dz = 0) or "generic", each to round-off."""
+    zero = _ROUNDOFF_REL * max(1.0, U, d.magnitude)
+    if d.planar_sq <= zero * zero:
+        return "polar"
+    if abs(d.dz) <= zero:
+        return "contour"
+    return "generic"
 
-    G = 0 says that the state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).
-    With z = e^{i theta}, 2i z^2 G is the quartic (U/4) z^4 + (dz - i sqrt(s)) z^3
-    - (dz + i sqrt(s)) z - U/4, whose roots on the unit circle are the real
-    theta.  Near the polar momenta and the dz = 0 contour these roots stay
-    apart, where the roots of f crowd into double roots at U/2 or U.
+
+# rows 1 .. n-1 of an n x n companion matrix, the shifted identity of np.roots
+_SHIFT = {n: np.eye(n - 1, n, dtype=complex) for n in (2, 4)}
+
+
+def _theta_roots(ds: list[BlochVector], U: float) -> np.ndarray:
+    """Roots z = e^{i theta} of the generic-path quartic of each d, one row per d.
+
+    G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta) = 0 says that the
+    state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).  With z = e^{i theta},
+    2i z^2 G is the quartic (U/4) z^4 + (dz - i sqrt(s)) z^3 - (dz + i sqrt(s)) z - U/4,
+    whose roots on the unit circle are the real theta.  Near the polar momenta and
+    the dz = 0 contour these roots stay apart, where the roots of f crowd into double
+    roots at U/2 or U.
+
+    One stacked eigenvalue solve of companions built as ``np.roots`` builds them
+    (first row -c[1:] / c[0] on complex coefficients), so each row is bit for bit
+    ``np.roots`` of its quartic.  Where U/4 is zero ``np.roots`` trims the end
+    coefficients, and so does this: the 2 x 2 companion of
+    (dz - i sqrt(s)) z^2 - (dz + i sqrt(s)), without the root z = 0 that
+    ``np.roots`` appends.
     """
-    r = math.sqrt(d.planar_sq)
-    roots = np.roots([0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U])
-    return [_pair(cmath.phase(z), d, U) for z in roots if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
+    rows = []
+    for d in ds:
+        r = math.sqrt(d.planar_sq)
+        rows.append([0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U])
+    c = np.array(rows)
+    if 0.25 * U == 0.0:
+        c = c[:, 1:4]
+    n = c.shape[1] - 1
+    companion = np.empty((len(ds), n, n), dtype=complex)
+    companion[:, 1:] = _SHIFT[n]
+    np.divide(-c[:, 1:], c[:, :1], out=companion[:, 0])
+    return np.linalg.eigvals(companion)
+
+
+@dataclass
+class SpectrumHealth:
+    """Numerical health of the spectra ``nonlinear_spectra`` solved, summed over calls.
+
+    ``paths`` counts the Bloch vectors taken by each path.  A generic-path root z
+    is kept as a state when its margin | |z| - 1 | is at most ``_ON_CIRCLE_TOL``
+    and discarded otherwise; the largest kept and the smallest discarded margin
+    are None while there is no such root.  ``max_residual`` is the largest
+    || H(state) state - epsilon state || of any pair.
+    """
+
+    paths: dict[str, int] = field(default_factory=lambda: {"polar": 0, "contour": 0, "generic": 0})
+    roots_discarded: int = 0
+    max_kept_root_margin: float | None = None
+    min_discarded_root_margin: float | None = None
+    max_residual: float = 0.0
+
+    def _record(self, ds, U, paths, margins, spectra) -> None:
+        for path in paths:
+            self.paths[path] += 1
+        kept = [m for m in margins if m <= _ON_CIRCLE_TOL]
+        discarded = [m for m in margins if m > _ON_CIRCLE_TOL]
+        self.roots_discarded += len(discarded)
+        if kept:
+            self.max_kept_root_margin = max(self.max_kept_root_margin or 0.0, *kept)
+        if discarded:
+            self.min_discarded_root_margin = min(self.min_discarded_root_margin or math.inf, *discarded)
+        # on Python scalars: numpy arrays per column were a few ms faster on
+        # ``bands --grid 81`` but raised its peak memory by 0.4 MB
+        worst = self.max_residual
+        for d, pairs in zip(ds, spectra):
+            o = complex(d.dx, -d.dy)
+            o_bar = o.conjugate()
+            for p in pairs:
+                c1, c2, eps = p.state.c1, p.state.c2, p.epsilon
+                r1 = _kerr_row(d.dz, o, U, c1, c2) - eps * c1
+                r2 = _kerr_row(-d.dz, o_bar, U, c2, c1) - eps * c2
+                worst = max(worst, math.hypot(abs(r1), abs(r2)))
+        self.max_residual = worst
+
+    def to_dict(self) -> dict:
+        return {
+            "paths": dict(self.paths),
+            "roots_discarded": self.roots_discarded,
+            "max_kept_root_margin": self.max_kept_root_margin,
+            "min_discarded_root_margin": self.min_discarded_root_margin,
+            "max_residual": self.max_residual,
+        }
+
+
+def nonlinear_spectra(
+    ds: list[BlochVector], U: float, health: SpectrumHealth | None = None
+) -> list[list[NonlinearEigenpair]]:
+    """All physical stationary solutions for each raw Bloch vector in ``ds`` at Kerr U.
+
+    Each d takes the polar, the contour or the generic path (``_path``); the
+    theta-roots of all generic rows come from one stacked solve (``_theta_roots``),
+    skipped when there is none.  Each spectrum is sorted by (epsilon, kappa).
+    ``health``, when given, accumulates the paths taken, the root margins and
+    the largest residual.
+    """
+    paths = [_path(d, U) for d in ds]
+    generic = [d for d, path in zip(ds, paths) if path == "generic"]
+    solved = iter(_theta_roots(generic, U).tolist()) if generic else None
+    spectra, margins = [], []
+    for d, path in zip(ds, paths):
+        if path == "polar":
+            pairs = _polar_pairs(d.dz, U)
+        elif path == "contour":
+            pairs = _contour_pairs(d, U)
+        else:
+            zs = next(solved)
+            row = [abs(abs(z) - 1.0) for z in zs]
+            margins += row
+            pairs = [_pair(cmath.phase(z), d, U) for z, m in zip(zs, row) if m <= _ON_CIRCLE_TOL]
+        if not pairs:
+            raise AssertionError(
+                "internal error: no physical root survived; the self-consistent "
+                "Hermitian problem always admits at least two stationary states"
+            )
+        pairs.sort(key=lambda p: (p.epsilon, p.kappa))
+        spectra.append(pairs)
+    if health is not None:
+        health._record(ds, U, paths, margins, spectra)
+    return spectra
 
 
 def nonlinear_eigenpairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     """All physical stationary solutions for a raw Bloch vector and Kerr U."""
-    zero = _ROUNDOFF_REL * max(1.0, U, d.magnitude)
-    if d.planar_sq <= zero * zero:
-        pairs = _polar_pairs(d.dz, U)
-    elif abs(d.dz) <= zero:
-        pairs = _contour_pairs(d, U)
-    else:
-        pairs = _generic_pairs(d, U)
-    if not pairs:
-        raise AssertionError(
-            "internal error: no physical root survived; the self-consistent "
-            "Hermitian problem always admits at least two stationary states"
-        )
-    pairs.sort(key=lambda p: (p.epsilon, p.kappa))
-    return pairs
+    return nonlinear_spectra([d], U)[0]
 
 
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:
@@ -414,10 +526,13 @@ def _d_first_order(params: ModelParams, k0: KPoint, dk) -> tuple[float, float, f
 
 
 def _degenerate_kind_and_eps(params: ModelParams, d: BlochVector) -> tuple[DegeneracyKind, float]:
+    """I on the polar set and II on the contour, as the spectrum decides them (``_path``);
+    III within 1e-7 of the locus equation."""
     U = params.U
-    if d.planar_sq <= 1e-18:
+    path = _path(d, U)
+    if path == "polar":
         return DegeneracyKind.I, 0.5 * U
-    if abs(d.dz) <= 1e-9:
+    if path == "contour":
         return DegeneracyKind.II, U
     for sign in (1.0, -1.0):
         r = _iii_residual(d, U, sign)
@@ -488,20 +603,21 @@ class BandNode:
         return sum(p.multiplicity for p in self.pairs)
 
 
-def band_surface(params: ModelParams, n: int) -> list[BandNode]:
+def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = None) -> list[BandNode]:
     """Physical spectrum on an inclusive n x n grid over [0, 2*pi]^2.
 
-    Pure per-node computation, deterministically ordered by (kx, ky);
-    nodes are independent and may be distributed across workers freely.
+    One ``nonlinear_spectra`` call per k_x column, with d taken at the reduced
+    ``KPoint``, so every node equals ``physical_spectrum`` there.  Ordered by
+    (kx, ky); nodes are independent and may be distributed across workers
+    freely.  ``health`` is passed on to ``nonlinear_spectra``.
     """
     if n < 2:
         raise ValueError("band surface needs at least a 2 x 2 grid")
-    axis = np.linspace(0.0, 2.0 * math.pi, n)
+    axis = np.linspace(0.0, 2.0 * math.pi, n).tolist()
     nodes = []
     for kx in axis:
-        for ky in axis:
-            pairs = physical_spectrum(params, KPoint(float(kx), float(ky)))
-            nodes.append(BandNode(float(kx), float(ky), tuple(pairs)))
+        column = nonlinear_spectra([bloch_vector(params, KPoint(kx, ky)) for ky in axis], params.U, health)
+        nodes.extend(BandNode(kx, ky, tuple(pairs)) for ky, pairs in zip(axis, column))
     return nodes
 
 

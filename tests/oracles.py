@@ -6,9 +6,12 @@ grid scan of the locus residual, III-type degenerate points from sign
 changes of the locus residual on the edges of an n x n zone grid, each
 bisected, Chern numbers from a lattice plaquette-link calculation, and
 time evolution from midpoint matrix exponentials of the linear
-Hamiltonian.
+Hamiltonian.  Two loop versions of batched package code are kept as
+references: the per-sample spectra of a trajectory and the csv.writer
+loop of ``bands.csv``.
 """
 
+import csv
 import decimal
 import math
 
@@ -411,3 +414,30 @@ def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0):
         Q += 0.5 * dt * (v_prev + v_new)
         v_prev = v_new
     return -float(Q.mean())
+
+
+# ---------------------------------------------------------------------------
+# loop versions of batched package code
+# ---------------------------------------------------------------------------
+
+def evolve_per_sample(params, drive, initial, sample_every):
+    """``evolve`` records with projections from one ``physical_spectrum`` call per sample."""
+    from nlchern.dynamics import TrajectoryRecord, evolve, instantaneous_projections
+    from nlchern.model import Spinor
+
+    out = []
+    for rec in evolve(params, drive, initial, sample_every=sample_every, with_projections=False):
+        psi = Spinor(rec.psi.c1 / rec.norm, rec.psi.c2 / rec.norm)
+        proj = instantaneous_projections(params, rec.k, psi)  # physical_spectrum at rec.k
+        out.append(TrajectoryRecord(rec.t, rec.k, rec.psi, rec.norm, rec.energy, proj))
+    return out
+
+
+def write_bands_csv(rows, path):
+    """``bands.csv`` written row by row through csv.writer, 17 significant digits per float."""
+    header = ["kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])

@@ -5,6 +5,10 @@ import math
 import pytest
 
 from nlchern import cli
+from nlchern.model import ModelParams
+from nlchern.spectrum import band_surface, band_surface_rows
+
+from oracles import write_bands_csv
 
 
 def run(args):
@@ -30,6 +34,27 @@ def test_bands_writes_table_and_summary(tmp_path):
     assert summary["branch_count_nodes"]["4"] > 0
     box = summary["multi_branch_region"]
     assert box["kx_min"] <= math.pi <= box["kx_max"]
+
+
+@pytest.mark.parametrize("u, U, n", [(3.0, 5.0, 21), (1.2, 3.0, 41), (3.0, 0.0, 15)])
+def test_bands_csv_matches_csv_writer_loop(tmp_path, u, U, n):
+    out = tmp_path / "b"
+    assert run(["bands", "--u", str(u), "--U", str(U), "--grid", str(n), "--out", str(out)]) == 0
+    write_bands_csv(band_surface_rows(band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
+    assert (out / "bands.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_bands_summary_diagnostics(tmp_path):
+    out = tmp_path / "b"
+    assert run(["bands", "--u", "1", "--U", "4", "--grid", "41", "--out", str(out)]) == 0
+    diag = json.loads((out / "bands_summary.json").read_text())["diagnostics"]
+    assert set(diag) == {
+        "paths", "roots_discarded", "max_kept_root_margin", "min_discarded_root_margin", "max_residual"
+    }
+    assert sum(diag["paths"].values()) == 41 * 41 and diag["paths"]["polar"] == 9
+    assert diag["roots_discarded"] > 0
+    assert diag["max_kept_root_margin"] <= 1e-6 < diag["min_discarded_root_margin"]
+    assert 0.0 < diag["max_residual"] <= 1e-12
 
 
 def test_bands_linear_two_branches_everywhere(tmp_path):

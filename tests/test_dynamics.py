@@ -18,7 +18,7 @@ from nlchern.dynamics import (
 from nlchern.model import KPoint, ModelParams, Spinor
 from nlchern.spectrum import physical_spectrum
 
-from oracles import linear_propagate, ray_distance
+from oracles import evolve_per_sample, linear_propagate, ray_distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,6 +149,17 @@ def test_projections_pick_out_branch():
     # need not vanish and their sum exceeds one somewhere
     sums = [sum(instantaneous_projections(p, k, pair.state)) for pair in pairs]
     assert any(abs(s - 1.0) > 1e-3 for s in sums)
+
+
+@pytest.mark.parametrize("u, U, sample_every", [(1.0, 4.0, 2), (3.0, 5.0, 3), (1.0, 0.0, 700)])
+def test_evolve_projections_match_per_sample_spectra(u, U, sample_every):
+    # 301 samples at sample_every = 2 span three blocks of stacked spectra, the last one partial
+    p = ModelParams(u=u, U=U)
+    drive = DriveSpec(KPoint(0.0, 0.0), (0.05, 0.02), 6.0, 0.01)
+    psi0 = physical_spectrum(p, drive.k0)[0].state
+    records = evolve(p, drive, psi0, sample_every=sample_every)
+    assert records == evolve_per_sample(p, drive, psi0, sample_every)
+    assert all(rec.projections for rec in records)
 
 
 def test_norm_abort_on_coarse_step():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,19 @@ from hypothesis import strategies as st
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector, hamiltonian
 from nlchern.spectrum import (
     _iii_residual,
+    _path,
+    _theta_roots,
     AtCriticalityError,
     DegeneracyKind,
+    SpectrumHealth,
     band_surface,
     bifurcation_correction,
     branch_count,
     classify_degeneracies,
     eigenpair_residual,
     iii_epsilon,
+    nonlinear_eigenpairs,
+    nonlinear_spectra,
     physical_spectrum,
     quartic_coefficients,
     solve_quartic,
@@ -308,6 +314,54 @@ def test_iii_locus_invariants(point):
     assert_spectrum_invariants(*point, on_iii_locus=True)
 
 
+def mixed_bloch_vectors(U: float):
+    """Polar, dz = 0, III-locus and generic d at one U, critical ones included."""
+    angle = st.floats(0.0, TWO_PI)
+    polar = st.one_of(st.just(0.5 * U), st.just(-0.5 * U), st.floats(-4.0, 4.0)).map(
+        lambda dz: BlochVector(0.0, 0.0, dz)
+    )
+    # radius U/2 puts U = 2 sqrt(s) up to round-off
+    contour = st.tuples(angle, st.one_of(st.just(0.5 * U), st.floats(0.0, 3.0))).map(
+        lambda a: BlochVector(a[1] * math.cos(a[0]), a[1] * math.sin(a[0]), 0.0)
+    )
+    iii = st.tuples(angle, st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0])).map(
+        lambda a: _on_iii_locus(U, *a)
+    )
+    generic = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-4.0, 4.0)).map(
+        lambda a: BlochVector(*a)
+    )
+    return st.lists(st.one_of(polar, contour, iii, generic), min_size=1, max_size=12)
+
+
+def _on_iii_locus(U, phi, frac, sign):
+    """d with sqrt(s) = frac U / 2 and dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2."""
+    r = 0.5 * frac * U
+    t = max(0.0, U ** (2.0 / 3.0) - (4.0 * r * r) ** (1.0 / 3.0))
+    return BlochVector(r * math.cos(phi), r * math.sin(phi), sign * 0.5 * t**1.5)
+
+
+@st.composite
+def spectrum_batches(draw):
+    U = draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0)))
+    return draw(mixed_bloch_vectors(U)), U
+
+
+@PROPERTY
+@given(spectrum_batches())
+def test_list_form_equals_batch_of_one(batch):
+    ds, U = batch
+    spectra = nonlinear_spectra(ds, U)
+    assert spectra == [nonlinear_spectra([d], U)[0] for d in ds]
+    assert spectra == [nonlinear_eigenpairs(d, U) for d in ds]
+    # the stacked companions give np.roots bit for bit (less its appended z = 0 at U = 0)
+    generic = [d for d in ds if _path(d, U) == "generic"]
+    if generic:
+        for d, row in zip(generic, _theta_roots(generic, U).tolist()):
+            r = math.sqrt(d.planar_sq)
+            ref = np.roots([0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U])
+            assert row == ref.tolist()[: len(row)]
+
+
 # ---------------------------------------------------------------------------
 # degeneracy classification
 # ---------------------------------------------------------------------------
@@ -442,6 +496,19 @@ def test_bifurcation_rejects_large_displacement():
         bifurcation_correction(ModelParams(u=3.0, U=5.0), KPoint(math.pi, math.pi), (0.3, 0.0))
 
 
+@pytest.mark.parametrize("u, U, n", [(1.2, 3.0, 64), (0.5, 2.5, 64), (3.0, 5.0, 32)])
+def test_bifurcation_kind_agrees_with_classifier(u, U, n):
+    # the classifier's I and II points lie on the spectrum's polar set and contour
+    params = ModelParams(u=u, U=U)
+    points = [p for p in classify_degeneracies(params, n) if p.kind is not DegeneracyKind.III]
+    assert points
+    for p in points:
+        try:
+            assert bifurcation_correction(params, p.k, (0.01, 0.0)).kind is p.kind
+        except AtCriticalityError:
+            pass
+
+
 def test_bifurcation_rejects_nondegenerate_point():
     with pytest.raises(ValueError):
         bifurcation_correction(ModelParams(u=3.0, U=5.0), KPoint(1.0, 1.7), (0.01, 0.0))
@@ -488,3 +555,62 @@ def test_band_surface_tube_region():
         if abs(params.u + math.cos(n.kx) + math.cos(n.ky)) < 0.35
     ]
     assert near_polar and on_contour
+
+
+@pytest.mark.parametrize("u, U, n", [(3.0, 5.0, 81), (1.2, 3.0, 41), (1.0, 4.0, 41), (3.0, 0.0, 15)])
+def test_band_surface_nodes_equal_physical_spectrum(u, U, n):
+    params = ModelParams(u=u, U=U)
+    nodes = band_surface(params, n)
+    assert len(nodes) == n * n
+    for node in nodes:
+        assert list(node.pairs) == physical_spectrum(params, KPoint(node.kx, node.ky))
+
+
+def test_band_surface_invariants_on_every_node():
+    # the README bands grid: at least two branches, residuals at round-off
+    params = ModelParams(u=3.0, U=5.0)
+    for node in band_surface(params, 81):
+        assert node.branch_count >= 2
+        k = KPoint(node.kx, node.ky)
+        bound = 1e-9 * max(1.0, params.U, bloch_vector(params, k).magnitude)
+        assert max(eigenpair_residual(params, k, q) for q in node.pairs) <= bound
+
+
+def test_spectrum_health_counts_and_margins():
+    params, n = ModelParams(u=1.0, U=4.0), 41
+    health = SpectrumHealth()
+    nodes = band_surface(params, n, health)
+    assert nodes == band_surface(params, n)
+    assert sum(health.paths.values()) == n * n
+    assert health.paths["polar"] == 9 and health.paths["contour"] > 0
+    # four theta-roots per generic node, one state from each root kept
+    generic = [
+        node for node in nodes if _path(bloch_vector(params, KPoint(node.kx, node.ky)), params.U) == "generic"
+    ]
+    kept = sum(len(node.pairs) for node in generic)
+    assert health.paths["generic"] == len(generic)
+    assert health.roots_discarded == 4 * len(generic) - kept
+    assert 0.0 <= health.max_kept_root_margin <= 1e-6 < health.min_discarded_root_margin
+    assert 0.0 < health.max_residual <= 1e-12
+
+
+def test_spectrum_health_residual_matches_eigenpair_residual():
+    # states shifted off their energies by 0.1 have residual 0.1: the health
+    # residual must read what eigenpair_residual reads
+    params = ModelParams(u=1.0, U=4.0)
+    ks = [KPoint(0.3, 0.7), KPoint(0.0, math.pi), KPoint(math.pi / 2, 0.3)]
+    ds = [bloch_vector(params, k) for k in ks]
+    spectra = [[dataclasses.replace(q, epsilon=q.epsilon + 0.1 * (i + 1)) for i, q in enumerate(pairs)]
+               for pairs in nonlinear_spectra(ds, params.U)]
+    health = SpectrumHealth()
+    health._record(ds, params.U, [], [], spectra)
+    expect = max(eigenpair_residual(params, k, q) for k, pairs in zip(ks, spectra) for q in pairs)
+    assert health.max_residual == pytest.approx(expect, abs=1e-12)
+
+
+def test_spectrum_health_linear_limit_has_no_discarded_roots():
+    # at U = 0 the theta-quartic is a quadratic in z^2 with both roots on the unit circle
+    health = SpectrumHealth()
+    band_surface(ModelParams(u=3.0, U=0.0), 15, health)
+    assert health.roots_discarded == 0 and health.min_discarded_root_margin is None
+    assert health.paths == {"polar": 9, "contour": 0, "generic": 216}
