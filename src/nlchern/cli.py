@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: bands, degeneracies, gap, dynamics, response, phase-diagram.
-A flat key=value config file may supply any long-option value; explicit
-command-line flags override it.  All computations are deterministic, so
-identical configurations produce byte-identical output files.
+Each subcommand takes only the options it reads; ``nlchern <command>
+--help`` lists them with their defaults.  A flat key=value config file
+(--config) may supply any of those options under its long name; explicit
+command-line flags override it, and a key the subcommand does not read is
+an error like a flag it does not read.  All computations are
+deterministic, so identical configurations produce byte-identical output
+files.
 
 Exit codes: 0 success, 2 configuration error, 3 regime error (missing
 band branch), 4 numerical-health abort.
@@ -12,23 +16,15 @@ band branch), 4 numerical-health abort.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
-from .dynamics import DriveSpec, NumericalHealthError, evolve, write_trajectory_csv
+from .dynamics import DriveSpec, NumericalHealthError, evolve
 from .effective import BracketError, gap_closing_search
 from .model import KPoint, ModelParams, Spinor, bloch_vector
-from .response import (
-    RegimeError,
-    kx_columns,
-    phase_diagram,
-    pumped_charge,
-    sweep_initial_states,
-    write_phase_diagram_csv,
-)
+from .response import RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
 from .spectrum import (
     DegeneracyKind,
     SpectrumHealth,
@@ -48,8 +44,55 @@ class ConfigError(ValueError):
     pass
 
 
-def _read_config(path: str, options: dict) -> dict:
-    """Parse a key=value file; ``options`` maps long option names to their actions."""
+def _numbers(text: str, counts: tuple[int, ...], form: str) -> tuple[float, ...]:
+    try:
+        values = tuple(map(float, text.split(",")))
+    except ValueError:
+        values = ()
+    if len(values) not in counts:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return values
+
+
+def _force(text: str) -> tuple[float, ...]:
+    return _numbers(text, (1, 2), "F or Fx,Fy")
+
+
+def _bracket(text: str) -> tuple[float, ...]:
+    return _numbers(text, (2,), "LO,HI")
+
+
+# Every option, written once: long name -> add_argument keywords.  A
+# subcommand whose default differs (grid) or must stay unset (gap's U) sets
+# its own in _SUBCOMMANDS.
+_OPTIONS = {
+    "u": dict(type=float, help="topological parameter"),
+    "U": dict(type=float, default=0.0, help="Kerr nonlinear strength"),
+    "grid": dict(type=int, help="grid points per axis; k_x columns for response"),
+    "format": dict(choices=("csv", "json"), default="csv", help="format of the band table"),
+    "bracket": dict(type=_bracket, help="LO,HI bracket on the free parameter (required)"),
+    "F": dict(type=_force, default="0.01", help="drive rate; dynamics also takes Fx,Fy"),
+    "T": dict(type=float, help="total evolution time (1/J); unset: 2 pi / max|F|, or 100 at F = 0"),
+    "dt": dict(type=float, default=0.01, help="integration step (1/J)"),
+    "band": dict(choices=("ground", "excited"), default="ground", help="band branch"),
+    "sample-every": dict(type=int, default=20, help="steps between trajectory samples"),
+    "u-min": dict(type=float, default=-3.0, help="lowest u"),
+    "u-max": dict(type=float, default=3.0, help="highest u"),
+    "U-min": dict(type=float, default=0.0, help="lowest U"),
+    "U-max": dict(type=float, default=6.0, help="highest U"),
+    "out": dict(default=".", help="output directory"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad command line is a configuration error like a bad config file:
+        # main reports it and returns 2 instead of exiting
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _read_config(path: str, actions: dict) -> dict:
+    """Parse a key=value file into {dest: value}; ``actions`` maps long option names to actions."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -63,97 +106,34 @@ def _read_config(path: str, options: dict) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in options:
+        if key not in actions:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        action = options[key]
+        action = actions[key]
         try:
-            value = action.type(val.strip())
-        except ValueError as exc:
+            value = (action.type or str)(val.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             raise ConfigError(
                 f"{path}:{lineno}: {key} must be one of {', '.join(action.choices)}, got {value!r}"
             )
-        values[key] = value
+        values[action.dest] = value
     return values
 
 
-def _parse_force(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            f = float(parts[0])
-            return (f, f)
-        if len(parts) == 2:
-            return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"force must be F or Fx,Fy, got {text!r}")
+def _require(args: argparse.Namespace, dest: str):
+    value = getattr(args, dest)
+    if value is None:
+        raise ConfigError(f"missing required option --{dest}")
+    return value
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--u", type=float, help="topological parameter")
-    common.add_argument("--U", type=float, help="Kerr nonlinear strength")
-    common.add_argument("--grid", type=int, help="grid resolution / number of k_x columns")
-    common.add_argument("--F", type=str, help="drive rate; Fx,Fy for dynamics")
-    common.add_argument("--dt", type=float, help="integration step (1/J)")
-    common.add_argument("--T", type=float, help="total evolution time (1/J)")
-    common.add_argument("--band", type=str, choices=["ground", "excited"], help="band branch")
-    common.add_argument("--out", type=str, help="output directory (default .)")
-    common.add_argument("--format", type=str, choices=["csv", "json"], help="tabular output format")
-
-    parser = argparse.ArgumentParser(prog="nlchern", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bands", parents=[common], help="band surface over the zone")
-    sub.add_parser("degeneracies", parents=[common], help="classified degenerate points")
-    gap = sub.add_parser("gap", parents=[common], help="gap-closing parameter search")
-    gap.add_argument("--bracket", type=str, help="LO,HI bracket on the free parameter")
-    dyn = sub.add_parser("dynamics", parents=[common], help="driven trajectory along the diagonal")
-    dyn.add_argument("--sample-every", type=int, help="steps between trajectory samples")
-    sub.add_parser("response", parents=[common], help="pumped charge over one cycle")
-    pd = sub.add_parser("phase-diagram", parents=[common], help="A/nA diagram over (u, U)")
-    pd.add_argument("--u-min", type=float)
-    pd.add_argument("--u-max", type=float)
-    pd.add_argument("--U-min", type=float, dest="U_min")
-    pd.add_argument("--U-max", type=float, dest="U_max")
-    # config keys: every long option of every subcommand, as the parser defines it
-    options = {
-        opt[2:]: action
-        for command in sub.choices.values()
-        for action in command._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and action.dest not in ("help", "config")
-    }
-    return parser, options
+def _params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(u=_require(args, "u"), U=args.U)
 
 
-def _merge(args: argparse.Namespace, options: dict) -> dict:
-    cfg = _read_config(args.config, options) if args.config else {}
-    merged = dict(cfg)
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        merged[key.replace("_", "-")] = val
-    return merged
-
-
-def _require(opts: dict, key: str):
-    if key not in opts:
-        raise ConfigError(f"missing required option --{key}")
-    return opts[key]
-
-
-def _params(opts: dict) -> ModelParams:
-    try:
-        return ModelParams(u=float(_require(opts, "u")), U=float(opts.get("U", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _outdir(opts: dict) -> Path:
-    out = Path(opts.get("out", "."))
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -162,20 +142,24 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_bands(opts: dict) -> int:
-    params = _params(opts)
-    n = int(opts.get("grid", 41))
+def _write_csv(path: Path, header, row_format: str, rows) -> None:
+    """The header, then ``row_format % row`` per row, CRLF-terminated: the lines
+    csv.writer would write for rows with floats as %.17g and nothing to quote."""
+    line = row_format + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
+
+
+def cmd_bands(args: argparse.Namespace) -> int:
+    params = _params(args)
     health = SpectrumHealth()
-    nodes = band_surface(params, n, health)
-    out = _outdir(opts)
-    fmt = opts.get("format", "csv")
-    header = ["kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2"]
-    if fmt == "csv":
-        with open(out / "bands.csv", "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            # the rows csv.writer would write: 17 digits per float, no quoting, CRLF
-            line = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
-            fh.writelines(line % row for row in band_surface_rows(nodes))
+    nodes = band_surface(params, args.grid, health)
+    out = _outdir(args)
+    header = ("kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2")
+    if args.format == "csv":
+        row_format = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+        _write_csv(out / "bands.csv", header, row_format, band_surface_rows(nodes))
     else:
         _write_json(out / "bands.json", [dict(zip(header, row)) for row in band_surface_rows(nodes)])
 
@@ -189,7 +173,7 @@ def cmd_bands(opts: dict) -> int:
     summary = {
         "u": params.u,
         "U": params.U,
-        "grid": n,
+        "grid": args.grid,
         "branch_count_nodes": {str(k): v for k, v in sorted(counts.items())},
         "diagnostics": health.to_dict(),
     }
@@ -204,10 +188,9 @@ def cmd_bands(opts: dict) -> int:
     return EXIT_OK
 
 
-def cmd_degeneracies(opts: dict) -> int:
-    params = _params(opts)
-    n = int(opts.get("grid", 64))
-    points = classify_degeneracies(params, n)
+def cmd_degeneracies(args: argparse.Namespace) -> int:
+    params = _params(args)
+    points = classify_degeneracies(params, args.grid)
     order = {"I": 0, "II": 1, "III": 2}
     points.sort(key=lambda p: (order[p.kind.value], p.k.kx, p.k.ky))
     # each III point's residual on its locus branch, sign(dz); None off the locus domain
@@ -216,7 +199,7 @@ def cmd_degeneracies(opts: dict) -> int:
     payload = {
         "u": params.u,
         "U": params.U,
-        "grid": n,
+        "grid": args.grid,
         "diagnostics": {
             "max_iii_residual": max((math.inf if r is None else abs(r) for r in residuals), default=0.0)
         },
@@ -231,93 +214,121 @@ def cmd_degeneracies(opts: dict) -> int:
             for p in points
         ],
     }
-    _write_json(_outdir(opts) / "degeneracies.json", payload)
+    _write_json(_outdir(args) / "degeneracies.json", payload)
     return EXIT_OK
 
 
-def cmd_gap(opts: dict) -> int:
-    has_u = "u" in opts
-    has_U = "U" in opts
-    if has_u == has_U:
+def cmd_gap(args: argparse.Namespace) -> int:
+    if (args.u is None) == (args.U is None):
         raise ConfigError("gap search fixes exactly one of --u / --U and brackets the other")
-    bracket_text = _require(opts, "bracket")
-    parts = str(bracket_text).split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"bracket must be LO,HI, got {bracket_text!r}")
-    bracket = (float(parts[0]), float(parts[1]))
-    if has_u:
-        params = ModelParams(u=float(opts["u"]), U=0.0)
-        report = gap_closing_search(params, vary="U", bracket=bracket)
+    bracket = _require(args, "bracket")
+    if args.U is None:
+        report = gap_closing_search(ModelParams(u=args.u, U=0.0), vary="U", bracket=bracket)
     else:
-        params = ModelParams(u=0.0, U=float(opts["U"]))
-        report = gap_closing_search(params, vary="u", bracket=bracket)
-    _write_json(_outdir(opts) / "gap.json", report.to_dict())
+        report = gap_closing_search(ModelParams(u=0.0, U=args.U), vary="u", bracket=bracket)
+    _write_json(_outdir(args) / "gap.json", report.to_dict())
     return EXIT_OK
 
 
-def cmd_dynamics(opts: dict) -> int:
-    params = _params(opts)
-    force = _parse_force(str(opts.get("F", "0.01")))
+def cmd_dynamics(args: argparse.Namespace) -> int:
+    params = _params(args)
+    force = (args.F[0], args.F[-1])  # a single rate drives both components
     fmax = max(abs(force[0]), abs(force[1]))
-    T = float(opts.get("T", 2.0 * math.pi / fmax if fmax > 0 else 100.0))
-    dt = float(opts.get("dt", 0.01))
-    band = opts.get("band", "ground")
-    sample = int(opts.get("sample-every", 20))
-    drive = DriveSpec(KPoint(0.0, 0.0), force, T, dt)
-    initial = Spinor.from_array(sweep_initial_states(params, band, [drive.k0.kx], drive.k0.ky)[0])
-    records = evolve(params, drive, initial, sample_every=sample)
-    write_trajectory_csv(records, _outdir(opts) / "trajectory.csv")
+    T = args.T if args.T is not None else 2.0 * math.pi / fmax if fmax > 0 else 100.0
+    drive = DriveSpec(KPoint(0.0, 0.0), force, T, args.dt)
+    start = sweep_initial_states(params, args.band, [drive.k0.kx], drive.k0.ky)[0]
+    records = evolve(params, drive, Spinor.from_array(start), sample_every=args.sample_every)
+
+    def rows():
+        for r in records:
+            # a k point has two to four states; the columns of absent ones stay blank
+            projections = (["%.17g" % p for p in r.projections] + ["", "", "", ""])[:4]
+            yield (r.t, r.k.kx, r.k.ky, r.norm, r.energy, *projections)
+
+    header = ("t", "kx", "ky", "norm", "energy", "P1", "P2", "P3", "P4")
+    row_format = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s"
+    _write_csv(_outdir(args) / "trajectory.csv", header, row_format, rows())
     return EXIT_OK
 
 
-def cmd_response(opts: dict) -> int:
-    params = _params(opts)
-    force = str(opts.get("F", "0.01"))
-    if "," in force:
-        raise ConfigError(f"response drives along k_y only; --F takes one rate, got {force!r}")
-    summary = pumped_charge(
-        params,
-        band=opts.get("band", "ground"),
-        F=_parse_force(force)[0],
-        n_kx=int(opts.get("grid", 50)),
-        dt=float(opts.get("dt", 0.01)),
-    )
-    out = _outdir(opts)
+def cmd_response(args: argparse.Namespace) -> int:
+    params = _params(args)
+    if len(args.F) != 1:
+        raise ConfigError(f"response drives along k_y only; --F takes one rate, got {args.F}")
+    summary = pumped_charge(params, band=args.band, F=args.F[0], n_kx=args.grid, dt=args.dt)
+    out = _outdir(args)
     _write_json(out / "response.json", summary.to_dict())
-    with open(out / "response_columns.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kx", "Q"])
-        for kx, q in zip(kx_columns(summary.n_kx), summary.Q):
-            writer.writerow([f"{kx:.17g}", f"{q:.17g}"])
+    rows = zip(kx_columns(summary.n_kx), summary.Q)
+    _write_csv(out / "response_columns.csv", ("kx", "Q"), "%.17g,%.17g", rows)
     return EXIT_OK
 
 
-def cmd_phase_diagram(opts: dict) -> int:
-    u_range = (float(opts.get("u-min", -3.0)), float(opts.get("u-max", 3.0)))
-    U_range = (float(opts.get("U-min", 0.0)), float(opts.get("U-max", 6.0)))
+def cmd_phase_diagram(args: argparse.Namespace) -> int:
     diagram = phase_diagram(
-        u_range, U_range, band=opts.get("band", "ground"), resolution=int(opts.get("grid", 50))
+        (args.u_min, args.u_max), (args.U_min, args.U_max), band=args.band, resolution=args.grid
     )
-    write_phase_diagram_csv(diagram, _outdir(opts) / "phase_diagram.csv")
+    rows = (
+        (u, U, label)
+        for u, labels in zip(diagram.u_values, diagram.labels)
+        for U, label in zip(diagram.U_values, labels)
+    )
+    _write_csv(_outdir(args) / "phase_diagram.csv", ("u", "U", "label"), "%.17g,%.17g,%s", rows)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "bands": cmd_bands,
-    "degeneracies": cmd_degeneracies,
-    "gap": cmd_gap,
-    "dynamics": cmd_dynamics,
-    "response": cmd_response,
-    "phase-diagram": cmd_phase_diagram,
+# subcommand -> (function, help, the options it reads besides --config and
+# --out, its own defaults)
+_SUBCOMMANDS = {
+    "bands": (cmd_bands, "band surface over the zone", ("u", "U", "grid", "format"), {"grid": 41}),
+    "degeneracies": (
+        cmd_degeneracies, "classified degenerate points", ("u", "U", "grid"), {"grid": 64}
+    ),
+    "gap": (cmd_gap, "gap-closing parameter search", ("u", "U", "bracket"), {"U": None}),
+    "dynamics": (
+        cmd_dynamics,
+        "driven trajectory along the diagonal",
+        ("u", "U", "F", "T", "dt", "band", "sample-every"),
+        {},
+    ),
+    "response": (
+        cmd_response,
+        "pumped charge over one cycle",
+        ("u", "U", "F", "grid", "dt", "band"),
+        {"grid": 50},
+    ),
+    "phase-diagram": (
+        cmd_phase_diagram,
+        "A/nA diagram over (u, U)",
+        ("u-min", "u-max", "U-min", "U-max", "grid", "band"),
+        {"grid": 50},
+    ),
 }
 
 
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and per subcommand its parser and {long option name: action}."""
+    parser = _Parser(prog="nlchern", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (_, text, options, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="flat key=value file of this subcommand's options")
+        actions = {key: p.add_argument(f"--{key}", **_OPTIONS[key]) for key in (*options, "out")}
+        p.set_defaults(**defaults)
+        commands[name] = (p, actions)
+    return parser, commands
+
+
 def main(argv=None) -> int:
-    parser, options = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
     try:
-        opts = _merge(args, options)
-        return _COMMANDS[args.command](opts)
+        args = parser.parse_args(argv)
+        if args.config:
+            # config values become the subcommand's defaults, so flags still override them
+            subparser, actions = commands[args.command]
+            subparser.set_defaults(**_read_config(args.config, actions))
+            args = parser.parse_args(argv)
+        return _SUBCOMMANDS[args.command][0](args)
     except (ConfigError, BracketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -86,10 +86,8 @@ def mean_energy(params: ModelParams, k: KPoint, psi: Spinor) -> float:
     sx = 2.0 * cross.real
     sy = 2.0 * cross.imag
     sz = n1 - n2
-    dx = math.sin(k.kx)
-    dy = math.sin(k.ky)
-    dz = params.u + math.cos(k.kx) + math.cos(k.ky)
-    return dx * sx + dy * sy + dz * sz + params.U * (n1 * n1 + n2 * n2)
+    d = bloch_vector(params, k)
+    return d.dx * sx + d.dy * sy + d.dz * sz + params.U * (n1 * n1 + n2 * n2)
 
 
 def instantaneous_projections(
@@ -272,24 +270,3 @@ def detect_breakdown(
             return records[i].t
     return None
 
-
-def write_trajectory_csv(records: list[TrajectoryRecord], path) -> None:
-    """CSV export: t, kx, ky, norm, energy, P1..P4 (blank where absent)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "kx", "ky", "norm", "energy", "P1", "P2", "P3", "P4"])
-        for rec in records:
-            proj = [f"{p:.17g}" for p in rec.projections[:4]]
-            proj += [""] * (4 - len(proj))
-            writer.writerow(
-                [
-                    f"{rec.t:.17g}",
-                    f"{rec.k.kx:.17g}",
-                    f"{rec.k.ky:.17g}",
-                    f"{rec.norm:.17g}",
-                    f"{rec.energy:.17g}",
-                    *proj,
-                ]
-            )

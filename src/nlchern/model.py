@@ -20,11 +20,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_0 = np.eye(2, dtype=complex)
-
 #: gapless values of the topological parameter (linear band touchings)
 GAPLESS_U = (0.0, 2.0, -2.0)
 

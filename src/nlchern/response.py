@@ -1,7 +1,7 @@
 """Hall-type linear response of the driven nonlinear Chern insulator.
 
-Each k_x column is initialized in a band eigenstate at (k_x, ky0) and
-dragged through one full cycle k_y(t) = ky0 + F t, T = 2*pi/F, while the
+Each k_x column is initialized in a band eigenstate at (k_x, 0) and
+dragged through one full cycle k_y(t) = F t, T = 2*pi/F, while the
 velocity expectation
 
     v = <(1/hbar) dH/dk_x> = cos(kx) <sigma_x> - sin(kx) <sigma_z>
@@ -112,11 +112,10 @@ def pumped_charge(
     F: float = 0.01,
     n_kx: int = 50,
     dt: float = 0.01,
-    ky0: float = 0.0,
 ) -> ResponseSummary:
     """Transported charge per drive cycle, averaged over k_x columns.
 
-    All columns share the drive k_y(t) = ky0 + F t and step together as
+    All columns share the drive k_y(t) = F t and step together as
     one stacked (2, n_kx) state through ``dynamics.rk4_step_columns``.  The
     step is shrunk from ``dt`` to T / round(T / dt), so the steps add up to
     exactly one cycle T = 2*pi/F.  The state is renormalized after every
@@ -132,7 +131,7 @@ def pumped_charge(
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
     kxs = kx_columns(n_kx)
-    P = np.ascontiguousarray(sweep_initial_states(params, band, kxs, ky0).T)
+    P = np.ascontiguousarray(sweep_initial_states(params, band, kxs).T)
 
     T = 2.0 * math.pi / F
     n_steps = max(1, round(T / dt))
@@ -145,7 +144,7 @@ def pumped_charge(
     shift = np.zeros((2, 2, 1), dtype=complex)
 
     def drive(t):
-        ky = ky0 + F * t
+        ky = F * t
         cy, sy = math.cos(ky), math.sin(ky)
         shift[0, 0, 0], shift[0, 1, 0] = cy, -cy
         shift[1, 0, 0], shift[1, 1, 0] = -1j * sy, 1j * sy
@@ -239,13 +238,17 @@ def excited_critical_strength(u: float) -> float:
     return 2.0 * math.sqrt(abs(u) * (2.0 - abs(u)))
 
 
+def band_critical_strength(band: str):
+    """The critical-strength function of u for the swept band."""
+    try:
+        return {"ground": ground_critical_strength, "excited": excited_critical_strength}[band]
+    except KeyError:
+        raise ValueError('band must be "ground" or "excited"') from None
+
+
 def is_adiabatic(params: ModelParams, band: str) -> bool:
     """Whether the swept band stays free of nonlinearity-induced structure."""
-    if band == "ground":
-        return not params.U > ground_critical_strength(params.u)
-    if band == "excited":
-        return not params.U > excited_critical_strength(params.u)
-    raise ValueError('band must be "ground" or "excited"')
+    return not params.U > band_critical_strength(band)(params.u)
 
 
 @dataclass(frozen=True)
@@ -263,25 +266,12 @@ def phase_diagram(
     resolution: int = 50,
 ) -> PhaseDiagram:
     """Label each (u, U) cell A (adiabatic) or nA over the given ranges."""
+    critical_strength = band_critical_strength(band)
     us = np.linspace(u_range[0], u_range[1], resolution)
     Us = np.linspace(U_range[0], U_range[1], resolution)
     labels = []
     for u in us:
-        crit = (
-            ground_critical_strength(float(u))
-            if band == "ground"
-            else excited_critical_strength(float(u))
-        )
+        crit = critical_strength(float(u))
         labels.append(tuple("nA" if U > crit else "A" for U in Us))
     return PhaseDiagram(band, tuple(map(float, us)), tuple(map(float, Us)), tuple(labels))
 
-
-def write_phase_diagram_csv(diagram: PhaseDiagram, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "U", "label"])
-        for i, u in enumerate(diagram.u_values):
-            for j, U in enumerate(diagram.U_values):
-                writer.writerow([f"{u:.17g}", f"{U:.17g}", diagram.labels[i][j]])

@@ -600,7 +600,7 @@ class BandNode:
 
     @property
     def branch_count(self) -> int:
-        return sum(p.multiplicity for p in self.pairs)
+        return branch_count(self.pairs)
 
 
 def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = None) -> list[BandNode]:

@@ -6,9 +6,9 @@ grid scan of the locus residual, III-type degenerate points from sign
 changes of the locus residual on the edges of an n x n zone grid, each
 bisected, Chern numbers from a lattice plaquette-link calculation, and
 time evolution from midpoint matrix exponentials of the linear
-Hamiltonian.  Two loop versions of batched package code are kept as
+Hamiltonian.  Loop versions of batched package code are kept as
 references: the per-sample spectra of a trajectory and the csv.writer
-loop of ``bands.csv``.
+loops of ``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
 """
 
 import csv
@@ -441,3 +441,33 @@ def write_bands_csv(rows, path):
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def write_trajectory_csv(records, path):
+    """``trajectory.csv`` through csv.writer: t, kx, ky, norm, energy, P1..P4 (blank where absent)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "kx", "ky", "norm", "energy", "P1", "P2", "P3", "P4"])
+        for rec in records:
+            proj = [f"{p:.17g}" for p in rec.projections[:4]]
+            proj += [""] * (4 - len(proj))
+            writer.writerow(
+                [
+                    f"{rec.t:.17g}",
+                    f"{rec.k.kx:.17g}",
+                    f"{rec.k.ky:.17g}",
+                    f"{rec.norm:.17g}",
+                    f"{rec.energy:.17g}",
+                    *proj,
+                ]
+            )
+
+
+def write_phase_diagram_csv(diagram, path):
+    """``phase_diagram.csv`` through csv.writer, one u, U, label row per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["u", "U", "label"])
+        for i, u in enumerate(diagram.u_values):
+            for j, U in enumerate(diagram.U_values):
+                writer.writerow([f"{u:.17g}", f"{U:.17g}", diagram.labels[i][j]])

@@ -1,14 +1,36 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nlchern import cli
-from nlchern.model import ModelParams
+from nlchern.dynamics import DriveSpec, evolve
+from nlchern.model import KPoint, ModelParams, Spinor
+from nlchern.response import phase_diagram, sweep_initial_states
 from nlchern.spectrum import band_surface, band_surface_rows
 
-from oracles import write_bands_csv
+from oracles import write_bands_csv, write_phase_diagram_csv, write_trajectory_csv
+
+# the options each subcommand reads, besides --config, with their defaults
+OPTIONS = {
+    "bands": {"u": None, "U": 0.0, "grid": 41, "format": "csv", "out": "."},
+    "degeneracies": {"u": None, "U": 0.0, "grid": 64, "out": "."},
+    "gap": {"u": None, "U": None, "bracket": None, "out": "."},
+    "dynamics": {
+        "u": None, "U": 0.0, "F": 0.01, "T": None, "dt": 0.01, "band": "ground", "sample-every": 20,
+        "out": ".",
+    },
+    "response": {"u": None, "U": 0.0, "F": 0.01, "grid": 50, "dt": 0.01, "band": "ground", "out": "."},
+    "phase-diagram": {
+        "u-min": -3.0, "u-max": 3.0, "U-min": 0.0, "U-max": 6.0, "grid": 50, "band": "ground", "out": ".",
+    },
+}
+ALL_OPTIONS = sorted({key for options in OPTIONS.values() for key in options})
 
 
 def run(args):
@@ -42,6 +64,27 @@ def test_bands_csv_matches_csv_writer_loop(tmp_path, u, U, n):
     assert run(["bands", "--u", str(u), "--U", str(U), "--grid", str(n), "--out", str(out)]) == 0
     write_bands_csv(band_surface_rows(band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
     assert (out / "bands.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trajectory_csv_matches_csv_writer_loop(tmp_path):
+    # a full cycle at F = 0.05 passes (pi, pi), where the state count goes from two to four
+    out = tmp_path / "t"
+    assert run(["dynamics", "--u", "1", "--U", "4", "--F", "0.05", "--out", str(out)]) == 0
+    params = ModelParams(u=1.0, U=4.0)
+    drive = DriveSpec(KPoint(0.0, 0.0), (0.05, 0.05), 2.0 * math.pi / 0.05, 0.01)
+    start = Spinor.from_array(sweep_initial_states(params, "ground", [0.0])[0])
+    records = evolve(params, drive, start, sample_every=20)
+    assert {len(r.projections) for r in records} == {2, 4}
+    write_trajectory_csv(records, tmp_path / "ref.csv")
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_phase_diagram_csv_matches_csv_writer_loop(tmp_path):
+    out = tmp_path / "p"
+    args = ["--u-min", "0", "--u-max", "4", "--U-min", "0", "--U-max", "6", "--grid", "60"]
+    assert run(["phase-diagram", *args, "--band", "excited", "--out", str(out)]) == 0
+    write_phase_diagram_csv(phase_diagram((0.0, 4.0), (0.0, 6.0), "excited", 60), tmp_path / "ref.csv")
+    assert (out / "phase_diagram.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_bands_summary_diagnostics(tmp_path):
@@ -294,3 +337,67 @@ def test_response_starts_at_critical_polar_strength(tmp_path):
     assert run([*args, "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "response.json").read_text())
     assert len(payload["Q"]) == 2 and all(math.isfinite(q) for q in payload["Q"])
+
+
+def _option_blocks(help_text: str) -> dict:
+    """{long option: its help entry on one line} from an argparse help text."""
+    blocks, current = {}, None
+    for line in help_text.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):  # wrapped lines are indented further
+            current = next(word.rstrip(",") for word in line.split() if word.startswith("--"))
+            blocks[current] = ""
+        blocks[current] += " " + line
+    return {key: " ".join(text.split()) for key, text in blocks.items()}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_subcommand_takes_exactly_its_options(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    blocks = _option_blocks(capsys.readouterr().out)
+    assert set(blocks) == {"--help", "--config", *(f"--{key}" for key in OPTIONS[command])}
+    for key, default in OPTIONS[command].items():
+        if default is not None:
+            assert blocks[f"--{key}"].endswith(f"(default: {default})")
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c in sorted(OPTIONS) for k in ALL_OPTIONS if k not in OPTIONS[c]]
+)
+def test_option_of_another_subcommand_rejected(tmp_path, capsys, command, key):
+    out = tmp_path / "o"
+    assert run([command, f"--{key}", "1", "--out", str(out)]) == 2
+    assert f"--{key}" in capsys.readouterr().err
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key}=1\n")
+    assert run([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["bands", "--u", "1", "--format", "xml"], "--format"),
+        (["degeneracies", "--u", "1", "--grid", "many"], "--grid"),
+        (["dynamics", "--u", "1", "--F", "1,2,3"], "--F"),
+        (["gap", "--u", "1", "--bracket", "4.0"], "--bracket"),
+        (["phase-diagram", "--band", "middle"], "--band"),
+    ],
+)
+def test_bad_flag_value_returns_config_error(tmp_path, capsys, args, option):
+    assert run([*args, "--out", str(tmp_path / "o")]) == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_module_entry_point_exits_with_config_error(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlchern.cli", "bands", "--format", "xml"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "--format" in proc.stderr

@@ -13,12 +13,11 @@ from nlchern.dynamics import (
     rk4_step,
     rk4_step_columns,
     rk4_weights,
-    write_trajectory_csv,
 )
 from nlchern.model import KPoint, ModelParams, Spinor
 from nlchern.spectrum import physical_spectrum
 
-from oracles import evolve_per_sample, linear_propagate, ray_distance
+from oracles import evolve_per_sample, linear_propagate, ray_distance, write_trajectory_csv
 
 TWO_PI = 2.0 * math.pi
 

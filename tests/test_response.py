@@ -14,11 +14,15 @@ from nlchern.response import (
     pumped_charge,
     sweep_initial_states,
     velocity_expectation,
-    write_phase_diagram_csv,
 )
 from nlchern.spectrum import physical_spectrum
 
-from oracles import plaquette_chern, pumped_charge_reference, tube_strength_scan
+from oracles import (
+    plaquette_chern,
+    pumped_charge_reference,
+    tube_strength_scan,
+    write_phase_diagram_csv,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,6 +87,15 @@ def test_phase_diagram_examples():
     assert is_adiabatic(ModelParams(u=3.0, U=1.0), "ground")
     assert is_adiabatic(ModelParams(u=3.0, U=12.0), "excited")
     assert not is_adiabatic(ModelParams(u=1.0, U=4.0), "ground")
+
+
+@pytest.mark.parametrize("resolution", [3, 0])
+def test_unknown_band_rejected(resolution):
+    # an unknown band used to get the excited labels in phase_diagram
+    with pytest.raises(ValueError, match="band must be"):
+        phase_diagram((0.0, 3.0), (0.0, 5.0), band="bogus", resolution=resolution)
+    with pytest.raises(ValueError, match="band must be"):
+        is_adiabatic(ModelParams(u=1.0, U=1.0), "bogus")
 
 
 def test_phase_diagram_grid_and_csv(tmp_path):
