@@ -5,7 +5,8 @@ Each subcommand takes only the options it reads; ``nlchern <command>
 --help`` lists them with their defaults.  A flat key=value config file
 (--config) may supply any of those options under its long name; explicit
 command-line flags override it, and a key the subcommand does not read is
-an error like a flag it does not read.  All computations are
+an error like a flag it does not read.  Flags are not abbreviated, so a
+flag and a config key name an option the same way.  All computations are
 deterministic, so identical configurations produce byte-identical output
 files.
 
@@ -85,6 +86,10 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # a flag is spelled out like its config key; no prefix matching
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         # a bad command line is a configuration error like a bad config file:
         # main reports it and returns 2 instead of exiting

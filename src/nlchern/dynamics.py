@@ -13,10 +13,11 @@ every stage state and stage time; the exact flow conserves the norm, so
 ``model._kerr_row`` is the one formula for H(psi) psi, written per row of
 the 2x2 problem.  ``rk4_step`` calls it twice per stage on Python complex
 scalars (``evolve``); ``rk4_step_columns`` calls it once per stage on a
-stacked (2, n) numpy state whose columns are k points
-(``response.pumped_charge``).  Both fold the -i into the stage weights
-and take the drive coefficients at t + dt/2 and t + dt, reusing the
-t + dt value as the start of the next step.
+numpy state of many k points whose reversal pairs each entry with its
+partner component: a stacked (2, n) state, or the flat [p1, p2 reversed]
+vector of ``response.pumped_charge``.  Both fold the -i into the stage
+weights and take the drive coefficients at t + dt/2 and t + dt, reusing
+the t + dt value as the start of the next step.
 
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
@@ -138,13 +139,15 @@ def rk4_step(U, w, a, b, c, p1, p2):
 
 
 def rk4_step_columns(U, w, a, b, c, P):
-    """``rk4_step`` on a stacked complex state P = [p1, p2] of shape (2, n).
+    """``rk4_step`` on a complex state P of n k points, P[::-1] being the partner of P.
 
-    Each column is one k point.  The drive coefficients are stacked the
-    same way, D = [dz, -dz] and O = [dx - i dy, dx + i dy], so one
-    ``_kerr_row`` call gives both rows.  Pass U and the weights as 0-d
-    complex arrays: numpy takes its fast path only when every operand is
-    a complex array, and the loop is bound by that per-call cost.
+    P is a stacked [p1, p2] of shape (2, n), one k point per column, or the
+    flat vector [p1, p2 reversed] of length 2 n.  The drive coefficients
+    are laid out the same way, D = [dz, -dz] and O = [dx - i dy,
+    dx + i dy], so one ``_kerr_row`` call gives both components.  Pass U
+    and the weights as 0-d complex arrays: numpy takes its fast path only
+    when every operand is a complex array, and the loop is bound by that
+    per-call cost.
     """
     h, f, s = w
     (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c

@@ -7,9 +7,12 @@ velocity expectation
     v = <(1/hbar) dH/dk_x> = cos(kx) <sigma_x> - sin(kx) <sigma_z>
 
 is accumulated into the transported charge per cycle Q(k_x).  All columns
-step together as one stacked (2, n_kx) state through
-``dynamics.rk4_step_columns``, the RK4 and row formula that
-``dynamics.evolve`` runs on scalars.  The response number nu averages Q
+step together as one flat state [p1 by column, p2 by reversed column]
+through ``dynamics.rk4_step_columns``, the RK4 and row formula that
+``dynamics.evolve`` runs on scalars; reversing the vector pairs every
+entry with its partner component, so each numpy call of the loop runs on
+whole 1-D vectors.  The column-independent drive shift (cos k_y, sin k_y)
+is tabulated a block of steps at a time.  The response number nu averages Q
 over columns; its sign fixes the Brillouin zone orientation so that in
 the adiabatic linear limit nu reproduces the ground-band Chern number of
 ``model.chern_number``.  Nonlinearity first
@@ -28,6 +31,12 @@ import numpy as np
 from .dynamics import rk4_step_columns, rk4_weights
 from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
 from .spectrum import physical_spectrum
+
+# drive steps tabulated at a time in ``pumped_charge``; the start drive of a
+# block's first step is a row of the block before, so two tables are alive
+# at the block change: 256 steps raised the peak resident memory of the
+# README response command by 3.5 MB over 32
+_DRIVE_BLOCK = 32
 
 
 class RegimeError(RuntimeError):
@@ -49,6 +58,7 @@ class ResponseSummary:
     steps: int
     dt: float
     Q: tuple[float, ...]
+    max_norm_drift: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,14 +125,21 @@ def pumped_charge(
 ) -> ResponseSummary:
     """Transported charge per drive cycle, averaged over k_x columns.
 
-    All columns share the drive k_y(t) = F t and step together as
-    one stacked (2, n_kx) state through ``dynamics.rk4_step_columns``.  The
-    step is shrunk from ``dt`` to T / round(T / dt), so the steps add up to
-    exactly one cycle T = 2*pi/F.  The state is renormalized after every
-    step: a full cycle takes 2*pi/F time units and the drift bound matters
-    there.  The velocity is linear in Re(p1* p2) and |p1|^2 - |p2|^2, so the
-    loop only sums those two per column; the trapezoid end weights and the
-    velocity formula are applied once, after the loop.
+    All columns share the drive k_y(t) = F t and step together through
+    ``dynamics.rk4_step_columns`` as one flat state P = [p1, p2 reversed],
+    so ``P[::-1]`` is the partner component of every entry; D = [dz, -dz
+    reversed] and O = [dx - i dy, (dx + i dy) reversed] are laid out the
+    same way.  The drive shift (cos k_y, sin k_y) is the same for every
+    column, so the loop takes D and O as rows of a table built for
+    ``_DRIVE_BLOCK`` steps at a time.  The step is shrunk from ``dt`` to
+    T / round(T / dt), so the steps add up to exactly one cycle T = 2*pi/F.
+    The state is renormalized after every step: a full cycle takes 2*pi/F
+    time units and the drift bound matters there; ``max_norm_drift`` is the
+    largest |norm^2 - 1| met before a renormalization.  The velocity is
+    linear in Re(p1* p2) and |p1|^2 - |p2|^2, so the loop only sums those
+    two per entry (the first half of each sum is the columns'); the
+    trapezoid end weights and the velocity formula are applied once, after
+    the loop.
     """
     if F <= 0.0:
         raise ValueError("drive rate F must be positive")
@@ -131,7 +148,8 @@ def pumped_charge(
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
     kxs = kx_columns(n_kx)
-    P = np.ascontiguousarray(sweep_initial_states(params, band, kxs).T)
+    psi0 = sweep_initial_states(params, band, kxs)
+    P = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
 
     T = 2.0 * math.pi / F
     n_steps = max(1, round(T / dt))
@@ -139,50 +157,64 @@ def pumped_charge(
     sin_kx = np.sin(kxs)
     cos_kx = np.cos(kxs)
     dz0 = params.u + cos_kx
-    # drive(t) = base + shift: D = [dz, -dz] and O = [dx - i dy, dx + i dy]
-    base = np.array([[dz0, -dz0], [sin_kx, sin_kx]], dtype=complex)
-    shift = np.zeros((2, 2, 1), dtype=complex)
+    sin_flat = np.concatenate([sin_kx, sin_kx[::-1]])
 
-    def drive(t):
-        ky = F * t
-        cy, sy = math.cos(ky), math.sin(ky)
-        shift[0, 0, 0], shift[0, 1, 0] = cy, -cy
-        shift[1, 0, 0], shift[1, 1, 0] = -1j * sy, 1j * sy
-        DO = base + shift
-        return DO[0], DO[1]
+    def drive_rows(times):
+        """(D, O) on the flat layout at each time, one row per time."""
+        ky = [F * t for t in times]
+        cy = np.array([math.cos(k) for k in ky])[:, None]
+        sy = np.array([math.sin(k) for k in ky])[:, None]
+        D = np.zeros((len(ky), 2 * n_kx), dtype=complex)
+        O = np.empty_like(D)
+        np.add(dz0, cy, out=D.real[:, :n_kx])
+        np.add(-dz0[::-1], -cy, out=D.real[:, n_kx:])
+        O.real = sin_flat
+        O.imag[:, :n_kx] = 0.0 - sy  # +0.0, not -0.0, where sin ky = 0
+        O.imag[:, n_kx:] = sy
+        return zip(D, O)
 
-    def spin(P):
-        """p1* p2 and |p1|^2 - |p2|^2 of each normalized column, as complex numbers.
+    def spin(P, norm):
+        """p1* p2 and |p1|^2 - |p2|^2 of each entry, as complex numbers.
 
-        Normalizes P in place; the real parts are the two spin components
-        the velocity needs.
+        Writes the norm^2 of each entry into ``norm`` and normalizes P in
+        place.  The first halves belong to the columns; their real parts
+        are the two spin components the velocity needs.
         """
         conj = P.conjugate()
         n = conj * P
-        norm = n + n[::-1]
-        cross = conj[0] * P[1] / norm[0]
-        imbalance = (n[0] - n[1]) / norm[0]
+        np.add(n, n[::-1], out=norm)
+        cross = conj * P[::-1] / norm
+        imbalance = (n - n[::-1]) / norm
         P /= np.sqrt(norm)
         return cross, imbalance
 
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
     half = 0.5 * dt
-    x0, z0 = spin(P)
+    # norm^2 before each renormalization of a block's steps, for the drift
+    norms = np.empty((_DRIVE_BLOCK, 2 * n_kx), dtype=complex)
+    x0, z0 = spin(P, norms[0])
     X, Z = x0.copy(), z0.copy()
-    a = drive(0.0)
-    for n in range(n_steps):
-        t = n * dt
-        b, c = drive(t + half), drive(t + dt)
-        P = rk4_step_columns(U, w, a, b, c, P)
-        a = c
-        x, z = spin(P)
-        X += x
-        Z += z
+    drifts = []
+    (a,) = drive_rows([0.0])
+    for n0 in range(0, n_steps, _DRIVE_BLOCK):
+        times = []
+        for n in range(n0, min(n0 + _DRIVE_BLOCK, n_steps)):
+            t = n * dt
+            times += (t + half, t + dt)
+        rows = drive_rows(times)
+        # one iterator twice: each step takes its t + dt/2 and t + dt rows
+        for b, c, norm in zip(rows, rows, norms):
+            P = rk4_step_columns(U, w, a, b, c, P)
+            a = c
+            x, z = spin(P, norm)
+            X += x
+            Z += z
+        drifts.append(np.abs(norms[: len(times) // 2].real - 1.0).max())
     # trapezoid rule: the end points carry half weight
     X -= 0.5 * (x0 + x)
     Z -= 0.5 * (z0 + z)
-    Q = dt * _velocity(cos_kx, sin_kx, X.real, Z.real)
+    Q = dt * _velocity(cos_kx, sin_kx, X[:n_kx].real, Z[:n_kx].real)
 
     # Zone orientation fixed so the linear adiabatic limit returns the
     # ground-band Chern number (and its negative for the excited band).
@@ -206,6 +238,7 @@ def pumped_charge(
         steps=n_steps,
         dt=dt,
         Q=tuple(map(float, Q)),
+        max_norm_drift=float(np.max(drifts)),
     )
 
 

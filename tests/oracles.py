@@ -7,8 +7,9 @@ changes of the locus residual on the edges of an n x n zone grid, each
 bisected, Chern numbers from a lattice plaquette-link calculation, and
 time evolution from midpoint matrix exponentials of the linear
 Hamiltonian.  Loop versions of batched package code are kept as
-references: the per-sample spectra of a trajectory and the csv.writer
-loops of ``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
+references: the pumped-charge loop on a stacked (2, n) state, the
+per-sample spectra of a trajectory and the csv.writer loops of
+``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
 """
 
 import csv
@@ -419,6 +420,68 @@ def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0):
 # ---------------------------------------------------------------------------
 # loop versions of batched package code
 # ---------------------------------------------------------------------------
+
+def pumped_charge_stacked(params, band, F, n_kx, dt):
+    """(nu, Q, dt, steps) from a stacked (2, n_kx) state and a drive rebuilt per half-step.
+
+    The time loop of ``response.pumped_charge`` before its state became one
+    flat vector: each column's [p1, p2] is a column of P, the drive
+    coefficients come from a ``drive(t)`` closure at t + dt/2 and t + dt,
+    and the spin sums index the two rows.  The stepper, the cycle closure,
+    the per-step renormalization and the trapezoid rule are the package's.
+    """
+    from nlchern.dynamics import rk4_step_columns, rk4_weights
+    from nlchern.response import _velocity, kx_columns, sweep_initial_states
+
+    kxs = kx_columns(n_kx)
+    P = np.ascontiguousarray(sweep_initial_states(params, band, kxs).T)
+
+    T = 2.0 * math.pi / F
+    n_steps = max(1, round(T / dt))
+    dt = T / n_steps
+    sin_kx = np.sin(kxs)
+    cos_kx = np.cos(kxs)
+    dz0 = params.u + cos_kx
+    # drive(t) = base + shift: D = [dz, -dz] and O = [dx - i dy, dx + i dy]
+    base = np.array([[dz0, -dz0], [sin_kx, sin_kx]], dtype=complex)
+    shift = np.zeros((2, 2, 1), dtype=complex)
+
+    def drive(t):
+        ky = F * t
+        cy, sy = math.cos(ky), math.sin(ky)
+        shift[0, 0, 0], shift[0, 1, 0] = cy, -cy
+        shift[1, 0, 0], shift[1, 1, 0] = -1j * sy, 1j * sy
+        DO = base + shift
+        return DO[0], DO[1]
+
+    def spin(P):
+        conj = P.conjugate()
+        n = conj * P
+        norm = n + n[::-1]
+        cross = conj[0] * P[1] / norm[0]
+        imbalance = (n[0] - n[1]) / norm[0]
+        P /= np.sqrt(norm)
+        return cross, imbalance
+
+    U = np.array(complex(params.U))
+    w = tuple(map(np.array, rk4_weights(dt)))
+    half = 0.5 * dt
+    x0, z0 = spin(P)
+    X, Z = x0.copy(), z0.copy()
+    a = drive(0.0)
+    for n in range(n_steps):
+        t = n * dt
+        b, c = drive(t + half), drive(t + dt)
+        P = rk4_step_columns(U, w, a, b, c, P)
+        a = c
+        x, z = spin(P)
+        X += x
+        Z += z
+    X -= 0.5 * (x0 + x)
+    Z -= 0.5 * (z0 + z)
+    Q = dt * _velocity(cos_kx, sin_kx, X.real, Z.real)
+    return -float(Q.mean()), tuple(map(float, Q)), dt, n_steps
+
 
 def evolve_per_sample(params, drive, initial, sample_every):
     """``evolve`` records with projections from one ``physical_spectrum`` call per sample."""

@@ -378,6 +378,18 @@ def test_option_of_another_subcommand_rejected(tmp_path, capsys, command, key):
 
 @pytest.mark.parametrize(
     "args, option",
+    [(["bands", "--u", "3", "--g", "5"], "--g"), (["phase-diagram", "--u", "7"], "--u")],
+)
+def test_abbreviated_flag_rejected(tmp_path, capsys, args, option):
+    # config keys are never abbreviated, and flags match them: --g is not --grid
+    # and --u is not a prefix of --u-min or --u-max
+    assert run([*args, "--out", str(tmp_path / "o")]) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
     [
         (["bands", "--u", "1", "--format", "xml"], "--format"),
         (["degeneracies", "--u", "1", "--grid", "many"], "--grid"),

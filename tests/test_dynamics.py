@@ -233,3 +233,32 @@ def test_rk4_step_columns_match_scalars():
             q1, q2 = rk4_step(U, w, a, b, c, q1, q2)
         assert type(q1) is complex and type(q2) is complex
         assert abs(q1 - P[0, i]) < 1e-12 and abs(q2 - P[1, i]) < 1e-12
+
+
+def test_rk4_step_columns_flat_layout_matches_stacked():
+    # pumped_charge holds [p1, p2 reversed] in one vector, so X[::-1] is
+    # the partner entry there as it is the partner row of a (2, n) state
+    u, U, F, dt = 0.7, 2.5, 0.05, 0.05
+    kxs = np.array([0.3, 1.9, 4.4, 5.0])
+    rng = np.random.default_rng(11)
+    psi0 = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    psi0 /= np.linalg.norm(psi0, axis=1)[:, None]
+
+    def d_stacked(t):
+        ky = F * t
+        dz = u + np.cos(kxs) + math.cos(ky)
+        od = np.sin(kxs) - 1j * math.sin(ky)
+        return np.array([dz, -dz], dtype=complex), np.array([od, od.conjugate()])
+
+    def d_flat(t):
+        D, O = d_stacked(t)
+        return np.concatenate([D[0], D[1][::-1]]), np.concatenate([O[0], O[1][::-1]])
+
+    U_, w = np.array(complex(U)), tuple(map(np.array, rk4_weights(dt)))
+    P = np.ascontiguousarray(psi0.T)
+    flat = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
+    for n in range(20):
+        t = (n * dt, (n + 0.5) * dt, (n + 1) * dt)
+        P = rk4_step_columns(U_, w, *map(d_stacked, t), P)
+        flat = rk4_step_columns(U_, w, *map(d_flat, t), flat)
+    assert np.array_equal(flat, np.concatenate([P[0], P[1][::-1]]))
