@@ -7,8 +7,9 @@ by a constant force, k(t) = k0 + F t, and obeys
 
 with the Kerr diagonal re-evaluated from the instantaneous state.  The
 integrator is classical explicit RK4 with the Hamiltonian rebuilt at
-every stage state and stage time; the exact flow conserves the norm, so
-``evolve`` never renormalizes and uses the norm drift as its health metric.
+every stage state and stage time.  The exact flow conserves the norm, so
+``evolve`` never renormalizes; it and ``response.pumped_charge`` abort on
+norm drift through one rule, ``check_norm_drift``.
 
 ``model._kerr_row`` is the one formula for H(psi) psi, written per row of
 the 2x2 problem.  ``rk4_step`` calls it twice per stage on Python complex
@@ -22,8 +23,9 @@ the t + dt value as the start of the next step.
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
 Kerr term is on, so the projection probabilities need not sum to one.
-``evolve`` solves the spectra of its samples in blocks, one stacked
-``spectrum.nonlinear_spectra`` call per block.
+The time loop of ``evolve`` only steps and keeps its samples; the records
+are built after it, one stacked ``spectrum.nonlinear_spectra`` call per
+block of samples.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ class NumericalHealthError(RuntimeError):
     """Integration produced an unhealthy state (norm drift beyond tolerance)."""
 
 
+def check_norm_drift(drift: float, t: float, dt: float) -> None:
+    """Raise NumericalHealthError unless drift <= NORM_ABORT; a NaN drift fails too."""
+    if not drift <= NORM_ABORT:
+        raise NumericalHealthError(
+            f"norm drift {drift:.3g} > {NORM_ABORT} by t={t:.4g}; reduce dt (currently {dt})"
+        )
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """Sweep protocol k(t) = k0 + F t over total time T with step dt."""
@@ -57,6 +67,8 @@ class DriveSpec:
     dt: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.T, self.dt, *self.F))):
+            raise ValueError("T, dt and F must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.T < self.dt:
@@ -180,8 +192,8 @@ def evolve(
 ) -> list[TrajectoryRecord]:
     """Integrate the driven state and sample it every ``sample_every`` steps.
 
-    Raises NumericalHealthError when |norm - 1| exceeds 1e-5 (suggesting a
-    smaller dt).
+    Raises NumericalHealthError when |norm - 1| at a sample exceeds
+    ``NORM_ABORT`` or is NaN (suggesting a smaller dt).
     """
     if abs(initial.norm - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
@@ -194,36 +206,8 @@ def evolve(
     dt = drive.dt
     n_steps = int(round(drive.T / dt))
 
-    p1 = complex(initial.c1)
-    p2 = complex(initial.c2)
-
-    records: list[TrajectoryRecord] = []
-    pending = []  # (record fields, normalized state) of samples awaiting their spectra
-
-    def sample(step: int) -> None:
-        t = step * dt
-        k = KPoint(kx0 + fx * t, ky0 + fy * t)
-        norm = math.sqrt(norm_squared(p1, p2))
-        if abs(norm - 1.0) > NORM_ABORT:
-            raise NumericalHealthError(
-                f"norm drift |{norm} - 1| > {NORM_ABORT} at t={t:.4g}; "
-                f"reduce dt (currently {dt})"
-            )
-        psi = Spinor(p1 / norm, p2 / norm)
-        fields = (t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi))
-        if not with_projections:
-            records.append(TrajectoryRecord(*fields, ()))
-            return
-        pending.append((fields, psi))
-        if len(pending) == _SPECTRUM_BLOCK:
-            flush()
-
-    def flush() -> None:
-        ks = [fields[1] for fields, _ in pending]
-        spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
-        for (fields, psi), k, pairs in zip(pending, ks, spectra):
-            records.append(TrajectoryRecord(*fields, instantaneous_projections(params, k, psi, pairs)))
-        pending.clear()
+    p1, p2 = complex(initial.c1), complex(initial.c2)
+    samples = [(0.0, p1, p2, math.sqrt(norm_squared(p1, p2)))]
 
     def drive(t):
         kx, ky = kx0 + fx * t, ky0 + fy * t
@@ -232,16 +216,31 @@ def evolve(
     half = 0.5 * dt
     w = rk4_weights(dt)
     a = drive(0.0)
-    sample(0)
     for n in range(n_steps):
         t = n * dt
         b, c = drive(t + half), drive(t + dt)
         p1, p2 = rk4_step(U, w, a, b, c, p1, p2)
         a = c
         if (n + 1) % sample_every == 0:
-            sample(n + 1)
-    if pending:
-        flush()
+            t = (n + 1) * dt
+            norm = math.sqrt(norm_squared(p1, p2))
+            check_norm_drift(abs(norm - 1.0), t, dt)
+            samples.append((t, p1, p2, norm))
+
+    records = []
+    for i in range(0, len(samples), _SPECTRUM_BLOCK):
+        block = samples[i : i + _SPECTRUM_BLOCK]
+        ks = [KPoint(kx0 + fx * t, ky0 + fy * t) for t, _, _, _ in block]
+        # without projections every sample gets an empty list of eigenpairs
+        spectra = [[]] * len(block)
+        if with_projections:
+            spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
+        for (t, p1, p2, norm), k, pairs in zip(block, ks, spectra):
+            psi = Spinor(p1 / norm, p2 / norm)
+            projections = instantaneous_projections(params, k, psi, pairs)
+            records.append(
+                TrajectoryRecord(t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi), projections)
+            )
     return records
 
 

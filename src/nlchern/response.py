@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import rk4_step_columns, rk4_weights
+from .dynamics import check_norm_drift, rk4_step_columns, rk4_weights
 from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
 from .spectrum import physical_spectrum
 
@@ -85,14 +85,6 @@ def velocity_expectation(params: ModelParams, k: KPoint, psi: Spinor) -> float:
     return _velocity(math.cos(k.kx), math.sin(k.kx), (c1.conjugate() * c2).real, imbalance)
 
 
-def _band_index(band: str, n_branches: int) -> int:
-    if band == "ground":
-        return 0
-    if band == "excited":
-        return n_branches - 1
-    raise ValueError('band must be "ground" or "excited"')
-
-
 def kx_columns(n_kx: int) -> np.ndarray:
     """The k_x columns 2 pi j / n_kx, j = 0 .. n_kx - 1, of the pumped charge."""
     return 2.0 * math.pi * np.arange(n_kx) / n_kx
@@ -102,6 +94,7 @@ def sweep_initial_states(
     params: ModelParams, band: str, kxs, ky0: float = 0.0
 ) -> np.ndarray:
     """Band eigenstates at the sweep start points (kx, ky0), one per column."""
+    index = _band(band)[0]
     psi = np.empty((len(kxs), 2), dtype=complex)
     for i, kx in enumerate(kxs):
         pairs = physical_spectrum(params, KPoint(float(kx), ky0))
@@ -110,9 +103,7 @@ def sweep_initial_states(
                 f"band structure at kx={kx:.6g}, ky={ky0:.6g} has fewer than two "
                 f"branches; no {band} branch to start from"
             )
-        st = pairs[_band_index(band, len(pairs))].state
-        psi[i, 0] = st.c1
-        psi[i, 1] = st.c2
+        psi[i] = pairs[index].state.as_array()
     return psi
 
 
@@ -135,16 +126,17 @@ def pumped_charge(
     T / round(T / dt), so the steps add up to exactly one cycle T = 2*pi/F.
     The state is renormalized after every step: a full cycle takes 2*pi/F
     time units and the drift bound matters there; ``max_norm_drift`` is the
-    largest |norm^2 - 1| met before a renormalization.  The velocity is
+    largest |norm^2 - 1| met before a renormalization, and a block of steps
+    whose drift fails ``dynamics.check_norm_drift`` aborts.  The velocity is
     linear in Re(p1* p2) and |p1|^2 - |p2|^2, so the loop only sums those
     two per entry (the first half of each sum is the columns'); the
     trapezoid end weights and the velocity formula are applied once, after
     the loop.
     """
-    if F <= 0.0:
-        raise ValueError("drive rate F must be positive")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(F) and F > 0.0):
+        raise ValueError("drive rate F must be positive and finite")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
     kxs = kx_columns(n_kx)
@@ -211,6 +203,7 @@ def pumped_charge(
             X += x
             Z += z
         drifts.append(np.abs(norms[: len(times) // 2].real - 1.0).max())
+        check_norm_drift(drifts[-1], t + dt, dt)
     # trapezoid rule: the end points carry half weight
     X -= 0.5 * (x0 + x)
     Z -= 0.5 * (z0 + z)
@@ -221,8 +214,7 @@ def pumped_charge(
     nu = -float(Q.mean())
 
     try:
-        chern = chern_number(params.u)
-        nu_linear = chern if band == "ground" else -chern
+        nu_linear = _band(band)[2] * chern_number(params.u)
     except GaplessParameterError:
         nu_linear = None
 
@@ -271,17 +263,24 @@ def excited_critical_strength(u: float) -> float:
     return 2.0 * math.sqrt(abs(u) * (2.0 - abs(u)))
 
 
-def band_critical_strength(band: str):
-    """The critical-strength function of u for the swept band."""
-    try:
-        return {"ground": ground_critical_strength, "excited": excited_critical_strength}[band]
-    except KeyError:
-        raise ValueError('band must be "ground" or "excited"') from None
+# band -> (index among the energy-sorted stationary states at a sweep start,
+# critical strength as a function of u, sign of its linear Chern number)
+_BANDS = {
+    "ground": (0, ground_critical_strength, 1),
+    "excited": (-1, excited_critical_strength, -1),
+}
+
+
+def _band(band: str):
+    """The ``_BANDS`` entry of the swept band."""
+    if band not in _BANDS:
+        raise ValueError('band must be "ground" or "excited"')
+    return _BANDS[band]
 
 
 def is_adiabatic(params: ModelParams, band: str) -> bool:
     """Whether the swept band stays free of nonlinearity-induced structure."""
-    return not params.U > band_critical_strength(band)(params.u)
+    return not params.U > _band(band)[1](params.u)
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,7 @@ def phase_diagram(
     resolution: int = 50,
 ) -> PhaseDiagram:
     """Label each (u, U) cell A (adiabatic) or nA over the given ranges."""
-    critical_strength = band_critical_strength(band)
+    critical_strength = _band(band)[1]
     us = np.linspace(u_range[0], u_range[1], resolution)
     Us = np.linspace(U_range[0], U_range[1], resolution)
     labels = []

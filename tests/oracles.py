@@ -8,7 +8,8 @@ bisected, Chern numbers from a lattice plaquette-link calculation, and
 time evolution from midpoint matrix exponentials of the linear
 Hamiltonian.  Loop versions of batched package code are kept as
 references: the pumped-charge loop on a stacked (2, n) state, the
-per-sample spectra of a trajectory and the csv.writer loops of
+trajectory loop that builds each record as it samples, the per-sample
+spectra of a trajectory and the csv.writer loops of
 ``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
 """
 
@@ -481,6 +482,82 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     Z -= 0.5 * (z0 + z)
     Q = dt * _velocity(cos_kx, sin_kx, X.real, Z.real)
     return -float(Q.mean()), tuple(map(float, Q)), dt, n_steps
+
+
+def evolve_interleaved(params, drive, initial, sample_every=10, with_projections=True):
+    """``evolve`` records from a loop that builds each record as it samples.
+
+    The body of ``dynamics.evolve`` before its time loop only stepped and
+    kept its samples: ``sample`` checks the norm and builds the record
+    fields in the loop, and ``flush`` solves the spectra of each full block
+    of pending samples, and of the last partial one after the loop.
+    """
+    from nlchern.dynamics import (
+        _SPECTRUM_BLOCK,
+        NORM_ABORT,
+        NumericalHealthError,
+        TrajectoryRecord,
+        instantaneous_projections,
+        mean_energy,
+        norm_squared,
+        rk4_step,
+        rk4_weights,
+    )
+    from nlchern.model import KPoint, Spinor, bloch_vector
+    from nlchern.spectrum import nonlinear_spectra
+
+    u, U = params.u, params.U
+    kx0, ky0 = drive.k0.kx, drive.k0.ky
+    fx, fy = drive.F
+    dt = drive.dt
+    n_steps = int(round(drive.T / dt))
+
+    p1 = complex(initial.c1)
+    p2 = complex(initial.c2)
+
+    records = []
+    pending = []  # (record fields, normalized state) of samples awaiting their spectra
+
+    def sample(step):
+        t = step * dt
+        k = KPoint(kx0 + fx * t, ky0 + fy * t)
+        norm = math.sqrt(norm_squared(p1, p2))
+        if abs(norm - 1.0) > NORM_ABORT:
+            raise NumericalHealthError(f"norm drift |{norm} - 1| > {NORM_ABORT} at t={t:.4g}")
+        psi = Spinor(p1 / norm, p2 / norm)
+        fields = (t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi))
+        if not with_projections:
+            records.append(TrajectoryRecord(*fields, ()))
+            return
+        pending.append((fields, psi))
+        if len(pending) == _SPECTRUM_BLOCK:
+            flush()
+
+    def flush():
+        ks = [fields[1] for fields, _ in pending]
+        spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
+        for (fields, psi), k, pairs in zip(pending, ks, spectra):
+            records.append(TrajectoryRecord(*fields, instantaneous_projections(params, k, psi, pairs)))
+        pending.clear()
+
+    def drive_at(t):
+        kx, ky = kx0 + fx * t, ky0 + fy * t
+        return u + math.cos(kx) + math.cos(ky), complex(math.sin(kx), -math.sin(ky))
+
+    half = 0.5 * dt
+    w = rk4_weights(dt)
+    a = drive_at(0.0)
+    sample(0)
+    for n in range(n_steps):
+        t = n * dt
+        b, c = drive_at(t + half), drive_at(t + dt)
+        p1, p2 = rk4_step(U, w, a, b, c, p1, p2)
+        a = c
+        if (n + 1) % sample_every == 0:
+            sample(n + 1)
+    if pending:
+        flush()
+    return records
 
 
 def evolve_per_sample(params, drive, initial, sample_every):

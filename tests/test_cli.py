@@ -278,6 +278,35 @@ def test_dynamics_rejects_missing_band_like_response(tmp_path, monkeypatch):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, output",
+    [
+        # the state blows up to NaN, whose drift no ordered comparison flags
+        (["dynamics", "--U", "4", "--F", "0.001", "--dt", "0.7", "--T", "2000",
+          "--sample-every", "2000"], "trajectory.csv"),
+        # the per-step renormalization hides a drift of order 1e20 from the charge
+        (["response", "--U", "4", "--F", "0.01", "--grid", "8", "--dt", "0.6"], "response.json"),
+    ],
+)
+def test_norm_drift_aborts_both_driven_runs(tmp_path, capsys, args, output):
+    assert run([*args, "--u", "1", "--out", str(tmp_path)]) == 4
+    assert "norm drift" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dynamics", "--T", "inf"],
+        ["response", "--grid", "4", "--F", "inf"],
+        ["response", "--grid", "4", "--dt", "inf"],
+    ],
+)
+def test_non_finite_drive_rejected(tmp_path, args):
+    assert run([*args, "--u", "1", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_response_empty_grid_rejected(tmp_path):
     assert run(["response", "--u", "1", "--grid", "0", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "response.json").exists()

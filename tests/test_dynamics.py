@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from nlchern.dynamics import (
+    NORM_ABORT,
     DriveSpec,
     NumericalHealthError,
+    check_norm_drift,
     detect_breakdown,
     evolve,
     instantaneous_projections,
@@ -17,7 +19,13 @@ from nlchern.dynamics import (
 from nlchern.model import KPoint, ModelParams, Spinor
 from nlchern.spectrum import physical_spectrum
 
-from oracles import evolve_per_sample, linear_propagate, ray_distance, write_trajectory_csv
+from oracles import (
+    evolve_interleaved,
+    evolve_per_sample,
+    linear_propagate,
+    ray_distance,
+    write_trajectory_csv,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +175,42 @@ def test_norm_abort_on_coarse_step():
     pairs = physical_spectrum(p, KPoint(0.0, 0.0))
     with pytest.raises(NumericalHealthError):
         evolve(p, drive, pairs[0].state, sample_every=10, with_projections=False)
+
+
+@pytest.mark.parametrize(
+    "k0, F, T, sample_every, with_projections",
+    [
+        # 651 samples: five full blocks of stacked spectra and a partial one
+        ((0.0, 0.0), (0.05, 0.05), 130.0, 20, True),
+        # 1000 steps: the last sample falls 6 steps before the end
+        ((0.0, 0.0), (0.05, 0.05), 10.0, 7, True),
+        ((0.0, 0.0), (0.05, 0.05), 10.0, 7, False),
+        ((0.3, 5.7), (0.03, 0.01), 20.0, 20, True),
+    ],
+)
+def test_evolve_matches_interleaved_loop(k0, F, T, sample_every, with_projections):
+    p = ModelParams(u=1.0, U=4.0)
+    drive = DriveSpec(KPoint(*k0), F, T, 0.01)
+    psi0 = physical_spectrum(p, drive.k0)[0].state
+    records = evolve(p, drive, psi0, sample_every, with_projections)
+    assert records == evolve_interleaved(p, drive, psi0, sample_every, with_projections)
+
+
+@pytest.mark.parametrize("drift", [math.nan, math.inf, 2.0 * NORM_ABORT])
+def test_norm_drift_guard_rejects_nan_and_excess(drift):
+    with pytest.raises(NumericalHealthError, match="norm drift"):
+        check_norm_drift(drift, 1.0, 0.01)
+
+
+def test_norm_drift_guard_passes_at_threshold():
+    check_norm_drift(0.0, 1.0, 0.01)
+    check_norm_drift(NORM_ABORT, 1.0, 0.01)
+
+
+@pytest.mark.parametrize("T, dt, F", [(math.inf, 0.01, 0.01), (1.0, math.nan, 0.01), (1.0, 0.01, math.nan)])
+def test_drivespec_rejects_non_finite(T, dt, F):
+    with pytest.raises(ValueError, match="finite"):
+        DriveSpec(KPoint(0.0, 0.0), (F, F), T, dt)
 
 
 def test_detect_breakdown_validation():
