@@ -18,7 +18,11 @@ numpy state of many k points whose reversal pairs each entry with its
 partner component: a stacked (2, n) state, or the flat [p1, p2 reversed]
 vector of ``response.pumped_charge``.  Both fold the -i into the stage
 weights and take the drive coefficients at t + dt/2 and t + dt, reusing
-the t + dt value as the start of the next step.
+the t + dt value as the start of the next step.  ``rk4_step_columns``
+writes every stage into buffers (``rk4_columns_work``, and the row formula
+in its buffered form ``_kerr_row_into``); a caller that passes them in,
+as the response loop does, makes a step allocate nothing, and one that
+does not gets the same body on fresh buffers.
 
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import KPoint, ModelParams, Spinor, _kerr_row, bloch_vector
 from .spectrum import NonlinearEigenpair, nonlinear_spectra, physical_spectrum
@@ -150,7 +156,34 @@ def rk4_step(U, w, a, b, c, p1, p2):
     return p1 + s * (a1 + 2.0 * (b1 + c1) + d1), p2 + s * (a2 + 2.0 * (b2 + c2) + d2)
 
 
-def rk4_step_columns(U, w, a, b, c, P):
+def _kerr_row_into(D, O, U, p, q, out, t1, t2):
+    """``model._kerr_row`` written into ``out``, with scratch arrays t1 and t2; returns ``out``.
+
+    The same ufuncs on the same operands in the same order, each result
+    passed to the next through a buffer instead of a fresh array.  No
+    product is taken in place: on a single entry numpy rounds an in-place
+    complex product differently.  The buffers must not share memory with
+    ``p`` or ``q``.
+    """
+    np.multiply(U, p, t1)
+    np.multiply(t1, np.conjugate(p, t2), out)
+    np.add(D, out, out)
+    np.multiply(out, p, t1)
+    np.multiply(O, q, t2)
+    return np.add(t1, t2, out)
+
+
+def rk4_columns_work(P):
+    """Work buffers of ``rk4_step_columns`` for states shaped like P.
+
+    The stage state X with its reversed view, made once here, the four
+    stage slopes and two scratch arrays for the row formula.
+    """
+    X = np.empty_like(P)
+    return (X, X[::-1], *(np.empty_like(P) for _ in range(6)))
+
+
+def rk4_step_columns(U, w, a, b, c, P, out=None, work=None):
     """``rk4_step`` on a complex state P of n k points, P[::-1] being the partner of P.
 
     P is a stacked [p1, p2] of shape (2, n), one k point per column, or the
@@ -160,22 +193,31 @@ def rk4_step_columns(U, w, a, b, c, P):
     and the weights as 0-d complex arrays: numpy takes its fast path only
     when every operand is a complex array, and the loop is bound by that
     per-call cost.
+
+    Every stage writes into a buffer: ``work`` from ``rk4_columns_work``
+    and ``out``, which receives the new state and must not share memory
+    with P.  Without them the step allocates its own and runs the same
+    body; with them it allocates nothing, and the result is the same bit
+    for bit.  Returns the new state.
     """
+    if work is None:
+        work = rk4_columns_work(P)
+    X, Xr, k1, k2, k3, k4, t1, t2 = work
     h, f, s = w
     (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c
-    k1 = _kerr_row(Da, Oa, U, P, P[::-1])
-    X = P + h * k1
-    k2 = _kerr_row(Db, Ob, U, X, X[::-1])
-    X = P + h * k2
-    k3 = _kerr_row(Db, Ob, U, X, X[::-1])
-    X = P + f * k3
-    k4 = _kerr_row(Dc, Oc, U, X, X[::-1])
-    k2 += k3
-    k2 += k2
-    k2 += k1
-    k2 += k4
-    k2 *= s
-    return P + k2
+    _kerr_row_into(Da, Oa, U, P, P[::-1], k1, t1, t2)
+    np.add(P, np.multiply(h, k1, X), X)
+    _kerr_row_into(Db, Ob, U, X, Xr, k2, t1, t2)
+    np.add(P, np.multiply(h, k2, X), X)
+    _kerr_row_into(Db, Ob, U, X, Xr, k3, t1, t2)
+    np.add(P, np.multiply(f, k3, X), X)
+    _kerr_row_into(Dc, Oc, U, X, Xr, k4, t1, t2)
+    np.add(k2, k3, k2)
+    np.add(k2, k2, k2)
+    np.add(k2, k1, k2)
+    np.add(k2, k4, k2)
+    np.multiply(k2, s, k2)
+    return np.add(P, k2, out)
 
 
 def norm_squared(p1, p2):

@@ -12,7 +12,10 @@ through ``dynamics.rk4_step_columns``, the RK4 and row formula that
 ``dynamics.evolve`` runs on scalars; reversing the vector pairs every
 entry with its partner component, so each numpy call of the loop runs on
 whole 1-D vectors.  The column-independent drive shift (cos k_y, sin k_y)
-is tabulated a block of steps at a time.  The response number nu averages Q
+is tabulated a block of steps at a time, and the loop runs on buffers made
+once: the stepper's work arrays, and per block the RK4 output of each
+step with the pieces of its norm, from which the spin ratios of the whole
+block are formed in four calls.  The response number nu averages Q
 over columns; its sign fixes the Brillouin zone orientation so that in
 the adiabatic linear limit nu reproduces the ground-band Chern number of
 ``model.chern_number``.  Nonlinearity first
@@ -28,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import check_norm_drift, rk4_step_columns, rk4_weights
+from .dynamics import check_norm_drift, rk4_columns_work, rk4_step_columns, rk4_weights
 from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
 from .spectrum import physical_spectrum
 
@@ -59,6 +62,8 @@ class ResponseSummary:
     dt: float
     Q: tuple[float, ...]
     max_norm_drift: float
+    nu_even_columns: float
+    nu_odd_columns: float | None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,6 +137,17 @@ def pumped_charge(
     two per entry (the first half of each sum is the columns'); the
     trapezoid end weights and the velocity formula are applied once, after
     the loop.
+
+    Each step writes its RK4 output, before the renormalization, into a
+    row of a ``_DRIVE_BLOCK``-row buffer, with its conjugate, conj * P and
+    norm^2 in three more; the renormalized state goes to one fixed P.  At
+    the end of a block the two spin ratios conj * P[::-1] / norm^2 and
+    (n - n[::-1]) / norm^2 are formed for all its rows at once and added to
+    the running sums row by row, in step order, so every sum is taken in
+    the same order as a step-by-step loop.  ``nu_even_columns`` and
+    ``nu_odd_columns`` are nu over the even and over the odd columns alone
+    (None without an odd column); their spread estimates how far nu is
+    from converged in ``n_kx``.
     """
     if not (math.isfinite(F) and F > 0.0):
         raise ValueError("drive rate F must be positive and finite")
@@ -165,28 +181,41 @@ def pumped_charge(
         O.imag[:, n_kx:] = sy
         return zip(D, O)
 
-    def spin(P, norm):
-        """p1* p2 and |p1|^2 - |p2|^2 of each entry, as complex numbers.
-
-        Writes the norm^2 of each entry into ``norm`` and normalizes P in
-        place.  The first halves belong to the columns; their real parts
-        are the two spin components the velocity needs.
-        """
-        conj = P.conjugate()
-        n = conj * P
-        np.add(n, n[::-1], out=norm)
-        cross = conj * P[::-1] / norm
-        imbalance = (n - n[::-1]) / norm
-        P /= np.sqrt(norm)
-        return cross, imbalance
-
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
     half = 0.5 * dt
-    # norm^2 before each renormalization of a block's steps, for the drift
-    norms = np.empty((_DRIVE_BLOCK, 2 * n_kx), dtype=complex)
-    x0, z0 = spin(P, norms[0])
-    X, Z = x0.copy(), z0.copy()
+    work = rk4_columns_work(P)
+    # one row per step of a block: the RK4 output before its
+    # renormalization, its conjugate, conj * output and the norm^2 of each
+    # entry (for the drift), and the two spin ratios of the step
+    R, C, N, norms = np.empty((4, _DRIVE_BLOCK, 2 * n_kx), dtype=complex)
+    S = np.empty((_DRIVE_BLOCK, 2, 2 * n_kx), dtype=complex)
+    steps = tuple(zip(R, C, N, N[:, ::-1], norms))
+    root = np.empty_like(P)
+
+    def renormalize(r, conj, n, n_rev, norm):
+        """Fill the row's conj, n and norm^2 from its state r, and write r / sqrt(norm^2) into P."""
+        np.conjugate(r, conj)
+        np.multiply(conj, r, n)
+        np.add(n, n_rev, norm)
+        np.divide(r, np.sqrt(norm, root), P)
+
+    def spin(m):
+        """p1* p2 and |p1|^2 - |p2|^2 of each entry of the first m rows, over the norm^2.
+
+        Written as complex numbers into S[:m, 0] and S[:m, 1]; the first
+        halves belong to the columns, and their real parts are the two
+        spin components the velocity needs.
+        """
+        cross, imbalance = S[:m, 0], S[:m, 1]
+        np.divide(np.multiply(C[:m], R[:m, ::-1], cross), norms[:m], cross)
+        np.divide(np.subtract(N[:m], N[:m, ::-1], imbalance), norms[:m], imbalance)
+        return S[:m]
+
+    R[0] = P
+    renormalize(*steps[0])
+    xz0 = spin(1)[0].copy()
+    XZ = xz0.copy()
     drifts = []
     (a,) = drive_rows([0.0])
     for n0 in range(0, n_steps, _DRIVE_BLOCK):
@@ -196,22 +225,25 @@ def pumped_charge(
             times += (t + half, t + dt)
         rows = drive_rows(times)
         # one iterator twice: each step takes its t + dt/2 and t + dt rows
-        for b, c, norm in zip(rows, rows, norms):
-            P = rk4_step_columns(U, w, a, b, c, P)
+        for b, c, step in zip(rows, rows, steps):
+            rk4_step_columns(U, w, a, b, c, P, step[0], work)
             a = c
-            x, z = spin(P, norm)
-            X += x
-            Z += z
-        drifts.append(np.abs(norms[: len(times) // 2].real - 1.0).max())
+            renormalize(*step)
+        m = len(times) // 2
+        # the running sums take the steps one by one, in step order
+        for xz in spin(m):
+            np.add(XZ, xz, XZ)
+        drifts.append(np.abs(norms[:m].real - 1.0).max())
         check_norm_drift(drifts[-1], t + dt, dt)
     # trapezoid rule: the end points carry half weight
-    X -= 0.5 * (x0 + x)
-    Z -= 0.5 * (z0 + z)
-    Q = dt * _velocity(cos_kx, sin_kx, X[:n_kx].real, Z[:n_kx].real)
+    XZ -= 0.5 * (xz0 + xz)
+    X, Z = XZ[:, :n_kx].real
+    Q = dt * _velocity(cos_kx, sin_kx, X, Z)
 
     # Zone orientation fixed so the linear adiabatic limit returns the
     # ground-band Chern number (and its negative for the excited band).
     nu = -float(Q.mean())
+    nu_even, nu_odd = (-float(Q[j::2].mean()) if n_kx > j else None for j in (0, 1))
 
     try:
         nu_linear = _band(band)[2] * chern_number(params.u)
@@ -231,6 +263,8 @@ def pumped_charge(
         dt=dt,
         Q=tuple(map(float, Q)),
         max_norm_drift=float(np.max(drifts)),
+        nu_even_columns=nu_even,
+        nu_odd_columns=nu_odd,
     )
 
 

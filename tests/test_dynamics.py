@@ -2,21 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlchern.dynamics import (
     NORM_ABORT,
     DriveSpec,
     NumericalHealthError,
+    _kerr_row_into,
     check_norm_drift,
     detect_breakdown,
     evolve,
     instantaneous_projections,
     mean_energy,
+    rk4_columns_work,
     rk4_step,
     rk4_step_columns,
     rk4_weights,
 )
-from nlchern.model import KPoint, ModelParams, Spinor
+from nlchern.model import KPoint, ModelParams, Spinor, _kerr_row
 from nlchern.spectrum import physical_spectrum
 
 from oracles import (
@@ -306,3 +310,41 @@ def test_rk4_step_columns_flat_layout_matches_stacked():
         P = rk4_step_columns(U_, w, *map(d_stacked, t), P)
         flat = rk4_step_columns(U_, w, *map(d_flat, t), flat)
     assert np.array_equal(flat, np.concatenate([P[0], P[1][::-1]]))
+
+
+_bounded = st.floats(-1.0, 1.0)
+_complex = st.builds(complex, _bounded, _bounded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-6.0, 6.0), st.lists(st.tuples(_complex, _complex, _complex), min_size=1, max_size=8))
+@example(1.4700153844772306, [(1.75j, 0j, 6.788068883454952e-09 + 1.5j)])
+def test_kerr_row_into_matches_kerr_row(U, rows):
+    # the stepper's buffered row formula is model._kerr_row, bit for bit;
+    # the example is a single entry where an in-place product rounds apart
+    U = np.array(complex(U))
+    D, O, p = map(np.array, zip(*rows))
+    out, t1, t2 = (np.empty_like(p) for _ in range(3))
+    expect = _kerr_row(D, O, U, p, p[::-1])
+    assert _kerr_row_into(D, O, U, p, p[::-1], out, t1, t2) is out
+    assert np.array_equal(out, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["flat", "stacked"]))
+def test_rk4_step_columns_buffers_match_allocating_call(data, layout):
+    # caller-owned buffers, reused from one step to the next, give the
+    # allocating step bit for bit on both layouts
+    n = data.draw(st.integers(1, 6))
+    U = np.array(complex(data.draw(st.floats(-4.0, 4.0))))
+    w = tuple(map(np.array, rk4_weights(data.draw(st.floats(1e-4, 0.1)))))
+    shape = (2 * n,) if layout == "flat" else (2, n)
+    entries = st.lists(_complex, min_size=2 * n, max_size=2 * n)
+    P, *drive = (np.array(data.draw(entries)).reshape(shape) for _ in range(7))
+    a, b, c = zip(drive[0::2], drive[1::2])
+    work, out = rk4_columns_work(P), np.empty_like(P)
+    for _ in range(2):
+        expect = rk4_step_columns(U, w, a, b, c, P)
+        assert rk4_step_columns(U, w, a, b, c, P, out, work) is out
+        assert np.isfinite(expect).all() and np.array_equal(out, expect)
+        P = expect

@@ -6,6 +6,7 @@ import pytest
 from nlchern.dynamics import DriveSpec, detect_breakdown, evolve
 from nlchern.model import KPoint, ModelParams, Spinor, chern_number
 from nlchern.response import (
+    _DRIVE_BLOCK,
     excited_critical_strength,
     ground_critical_strength,
     is_adiabatic,
@@ -209,6 +210,48 @@ def test_pump_matches_stacked_loop_bit_for_bit(u, U, band, n_kx):
     params = ModelParams(u=u, U=U)
     rs = pumped_charge(params, band, F=0.05, n_kx=n_kx, dt=0.01)
     assert (rs.nu, rs.Q, rs.dt, rs.steps) == pumped_charge_stacked(params, band, 0.05, n_kx, 0.01)
+
+
+@pytest.mark.parametrize(
+    "U, F, n_kx, steps",
+    [
+        (0.5, 1e4, 3, 1),
+        (0.5, 300.0, 5, _DRIVE_BLOCK - 11),
+        (0.5, 10.0, 5, 2 * _DRIVE_BLOCK),
+        (3.0, 10.0, 4, 3 * _DRIVE_BLOCK),
+        (3.0, 10.0, 1, _DRIVE_BLOCK + 1),
+    ],
+)
+def test_pump_block_edges_match_stacked_loop_bit_for_bit(U, F, n_kx, steps):
+    # the block buffers hold a step's output until its block ends: one
+    # step, a single partial block, whole blocks only, and one column
+    params = ModelParams(u=1.0, U=U)
+    dt = TWO_PI / F / steps
+    rs = pumped_charge(params, "ground", F=F, n_kx=n_kx, dt=dt)
+    assert rs.steps == steps
+    assert (rs.nu, rs.Q, rs.dt, rs.steps) == pumped_charge_stacked(params, "ground", F, n_kx, dt)
+
+
+def test_pump_nu_pinned():
+    # a change claimed to keep nu bit-identical keeps these literals; one
+    # that moves nu on purpose updates them
+    rs = pumped_charge(ModelParams(u=1.0, U=0.5), "ground", F=0.05, n_kx=8, dt=0.01)
+    assert repr(rs.nu) == "-1.0175852604202973"
+    assert rs.Q == (
+        0.43949401948091366, 31.171258003777535, 61.13495512458379, 69.62564342473726,
+        3.6103445886686716, -67.0046912118493, -60.26747578434694, -30.568846081689554,
+    )
+    assert (rs.steps, rs.dt, rs.max_norm_drift) == (12566, 0.01000029493423458, 3.304689855099241e-12)
+
+
+@pytest.mark.parametrize("n_kx", [1, 2, 7])
+def test_pump_column_spread(n_kx):
+    rs = pumped_charge(ModelParams(u=1.0, U=0.5), "ground", F=0.5, n_kx=n_kx, dt=0.01)
+    assert rs.nu_even_columns == -float(np.mean(rs.Q[0::2]))
+    if n_kx == 1:
+        assert rs.nu_odd_columns is None
+    else:
+        assert rs.nu_odd_columns == -float(np.mean(rs.Q[1::2]))
 
 
 def test_pump_reports_norm_drift():
