@@ -48,8 +48,8 @@ class ModelParams:
             raise ValueError("J is fixed to 1 (energies are measured in units of J)")
         if not math.isfinite(self.u):
             raise ValueError("u must be finite")
-        if not (self.U >= 0.0):
-            raise ValueError("U must be a nonnegative Kerr strength")
+        if not (0.0 <= self.U < math.inf):
+            raise ValueError("U must be a finite nonnegative Kerr strength")
 
 
 def _reduce_angle(x: float) -> float:

@@ -333,6 +333,10 @@ def phase_diagram(
 ) -> PhaseDiagram:
     """Label each (u, U) cell A (adiabatic) or nA over the given ranges."""
     critical_strength = _band(band)[1]
+    if not all(map(math.isfinite, (*u_range, *U_range))):
+        raise ValueError("phase diagram bounds must be finite")
+    if resolution < 2:
+        raise ValueError("phase diagram needs at least a 2 x 2 grid")
     us = np.linspace(u_range[0], u_range[1], resolution)
     Us = np.linspace(U_range[0], U_range[1], resolution)
     labels = []

@@ -307,6 +307,21 @@ def test_non_finite_drive_rejected(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bands", "--u", "1", "--U", "inf", "--grid", "3"], "U must be a finite"),
+        (["phase-diagram", "--u-min", "nan", "--grid", "3"], "bounds must be finite"),
+        (["phase-diagram", "--U-max", "inf", "--grid", "3"], "bounds must be finite"),
+        (["phase-diagram", "--grid", "0"], "at least a 2 x 2 grid"),
+    ],
+)
+def test_non_finite_model_and_diagram_inputs_rejected(tmp_path, capsys, args, message):
+    assert run([*args, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_response_empty_grid_rejected(tmp_path):
     assert run(["response", "--u", "1", "--grid", "0", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "response.json").exists()

@@ -57,6 +57,8 @@ def test_params_validation():
         ModelParams(u=1.0, U=-0.5)
     with pytest.raises(ValueError):
         ModelParams(u=math.nan)
+    with pytest.raises(ValueError):
+        ModelParams(u=1.0, U=math.inf)
 
 
 def test_hamiltonian_zero_U_is_linear_part():

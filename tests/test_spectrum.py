@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector, hamiltonian
@@ -348,6 +348,13 @@ def spectrum_batches(draw):
 
 @PROPERTY
 @given(spectrum_batches())
+# a generic d, its kx <-> ky transpose and its two reflections share one quartic
+# (one (dz, sqrt(s)) key) at four phases, among a polar and a contour vector
+@example((
+    [BlochVector(0.7, -1.3, 0.9), BlochVector(0.0, 0.0, 0.4), BlochVector(-1.3, 0.7, 0.9),
+     BlochVector(0.6, 0.8, 0.0), BlochVector(-0.7, -1.3, 0.9), BlochVector(0.7, 1.3, 0.9)],
+    2.5,
+))
 def test_list_form_equals_batch_of_one(batch):
     ds, U = batch
     spectra = nonlinear_spectra(ds, U)
@@ -564,6 +571,20 @@ def test_band_surface_nodes_equal_physical_spectrum(u, U, n):
     assert len(nodes) == n * n
     for node in nodes:
         assert list(node.pairs) == physical_spectrum(params, KPoint(node.kx, node.ky))
+
+
+def test_band_surface_solves_each_distinct_quartic_once(monkeypatch):
+    # the README bands grid: its 6,552 generic nodes have 2,888 distinct
+    # (dz, sqrt(s)), sent in one stacked solve
+    rows = []
+
+    def spy(ds, U):
+        rows.append(len(ds))
+        return _theta_roots(ds, U)
+
+    monkeypatch.setattr("nlchern.spectrum._theta_roots", spy)
+    band_surface(ModelParams(u=3.0, U=5.0), 81)
+    assert rows == [2888]
 
 
 def test_band_surface_invariants_on_every_node():
