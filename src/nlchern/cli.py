@@ -70,7 +70,6 @@ _OPTIONS = {
     "u": dict(type=float, help="topological parameter"),
     "U": dict(type=float, default=0.0, help="Kerr nonlinear strength"),
     "grid": dict(type=int, help="grid points per axis; k_x columns for response"),
-    "format": dict(choices=("csv", "json"), default="csv", help="format of the band table"),
     "bracket": dict(type=_bracket, help="LO,HI bracket on the free parameter (required)"),
     "F": dict(type=_force, default="0.01", help="drive rate; dynamics also takes Fx,Fy"),
     "T": dict(type=float, help="total evolution time (1/J); unset: 2 pi / max|F|, or 100 at F = 0"),
@@ -162,11 +161,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
     nodes = band_surface(params, args.grid, health)
     out = _outdir(args)
     header = ("kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2")
-    if args.format == "csv":
-        row_format = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-        _write_csv(out / "bands.csv", header, row_format, band_surface_rows(nodes))
-    else:
-        _write_json(out / "bands.json", [dict(zip(header, row)) for row in band_surface_rows(nodes)])
+    row_format = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+    _write_csv(out / "bands.csv", header, row_format, band_surface_rows(nodes))
 
     counts: dict[int, int] = {}
     multi = []
@@ -241,7 +237,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     fmax = max(abs(force[0]), abs(force[1]))
     T = args.T if args.T is not None else 2.0 * math.pi / fmax if fmax > 0 else 100.0
     drive = DriveSpec(KPoint(0.0, 0.0), force, T, args.dt)
-    start = sweep_initial_states(params, args.band, [drive.k0.kx], drive.k0.ky)[0]
+    start = sweep_initial_states(params, args.band, [drive.k0.kx])[0]
     records = evolve(params, drive, Spinor.from_array(start), sample_every=args.sample_every)
 
     def rows():
@@ -284,7 +280,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 # subcommand -> (function, help, the options it reads besides --config and
 # --out, its own defaults)
 _SUBCOMMANDS = {
-    "bands": (cmd_bands, "band surface over the zone", ("u", "U", "grid", "format"), {"grid": 41}),
+    "bands": (cmd_bands, "band surface over the zone", ("u", "U", "grid"), {"grid": 41}),
     "degeneracies": (
         cmd_degeneracies, "classified degenerate points", ("u", "U", "grid"), {"grid": 64}
     ),

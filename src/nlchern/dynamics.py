@@ -19,10 +19,9 @@ partner component: a stacked (2, n) state, or the flat [p1, p2 reversed]
 vector of ``response.pumped_charge``.  Both fold the -i into the stage
 weights and take the drive coefficients at t + dt/2 and t + dt, reusing
 the t + dt value as the start of the next step.  ``rk4_step_columns``
-writes every stage into buffers (``rk4_columns_work``, and the row formula
-in its buffered form ``_kerr_row_into``); a caller that passes them in,
-as the response loop does, makes a step allocate nothing, and one that
-does not gets the same body on fresh buffers.
+writes every stage into buffers that are always the caller's
+(``rk4_columns_work``, and the row formula in its buffered form
+``_kerr_row_into``), so a step allocates nothing.
 
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
@@ -39,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KPoint, ModelParams, Spinor, _kerr_row, bloch_vector
-from .spectrum import NonlinearEigenpair, nonlinear_spectra, physical_spectrum
+from .model import NORM_INPUT_TOL, KPoint, ModelParams, Spinor, _kerr_row, bloch_vector
+from .spectrum import NonlinearEigenpair, nonlinear_spectra
 
 #: abort threshold on |norm - 1| during integration
 NORM_ABORT = 1e-5
@@ -109,16 +108,12 @@ def mean_energy(params: ModelParams, k: KPoint, psi: Spinor) -> float:
     return d.dx * sx + d.dy * sy + d.dz * sz + params.U * (n1 * n1 + n2 * n2)
 
 
-def instantaneous_projections(
-    params: ModelParams, k: KPoint, psi: Spinor, pairs: list[NonlinearEigenpair] | None = None
-) -> tuple[float, ...]:
-    """P_i = |<chi_i|psi>|^2 against the eigenstates sorted by energy.
+def instantaneous_projections(psi: Spinor, pairs: list[NonlinearEigenpair]) -> tuple[float, ...]:
+    """P_i = |<chi_i|psi>|^2 against the eigenstates ``pairs`` of one k, sorted by energy.
 
     The number of entries follows the stationary-state count at k; sums
     to one only in the linear (orthonormal) regime.
     """
-    if pairs is None:
-        pairs = physical_spectrum(params, k)
     out = []
     for pair in pairs:
         ov = pair.state.c1.conjugate() * psi.c1 + pair.state.c2.conjugate() * psi.c2
@@ -183,7 +178,7 @@ def rk4_columns_work(P):
     return (X, X[::-1], *(np.empty_like(P) for _ in range(6)))
 
 
-def rk4_step_columns(U, w, a, b, c, P, out=None, work=None):
+def rk4_step_columns(U, w, a, b, c, P, out, work):
     """``rk4_step`` on a complex state P of n k points, P[::-1] being the partner of P.
 
     P is a stacked [p1, p2] of shape (2, n), one k point per column, or the
@@ -194,14 +189,11 @@ def rk4_step_columns(U, w, a, b, c, P, out=None, work=None):
     when every operand is a complex array, and the loop is bound by that
     per-call cost.
 
-    Every stage writes into a buffer: ``work`` from ``rk4_columns_work``
-    and ``out``, which receives the new state and must not share memory
-    with P.  Without them the step allocates its own and runs the same
-    body; with them it allocates nothing, and the result is the same bit
-    for bit.  Returns the new state.
+    Every stage writes into a buffer of the caller's, so the step
+    allocates nothing: ``work`` from ``rk4_columns_work`` and ``out``,
+    which receives the new state and must not share memory with P.
+    Returns ``out``.
     """
-    if work is None:
-        work = rk4_columns_work(P)
     X, Xr, k1, k2, k3, k4, t1, t2 = work
     h, f, s = w
     (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c
@@ -229,15 +221,14 @@ def evolve(
     params: ModelParams,
     drive: DriveSpec,
     initial: Spinor,
-    sample_every: int = 10,
-    with_projections: bool = True,
+    sample_every: int,
 ) -> list[TrajectoryRecord]:
     """Integrate the driven state and sample it every ``sample_every`` steps.
 
     Raises NumericalHealthError when |norm - 1| at a sample exceeds
     ``NORM_ABORT`` or is NaN (suggesting a smaller dt).
     """
-    if abs(initial.norm - 1.0) > 1e-9:
+    if abs(initial.norm - 1.0) > NORM_INPUT_TOL:
         raise ValueError("initial state must be normalized")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
@@ -273,13 +264,10 @@ def evolve(
     for i in range(0, len(samples), _SPECTRUM_BLOCK):
         block = samples[i : i + _SPECTRUM_BLOCK]
         ks = [KPoint(kx0 + fx * t, ky0 + fy * t) for t, _, _, _ in block]
-        # without projections every sample gets an empty list of eigenpairs
-        spectra = [[]] * len(block)
-        if with_projections:
-            spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
+        spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
         for (t, p1, p2, norm), k, pairs in zip(block, ks, spectra):
             psi = Spinor(p1 / norm, p2 / norm)
-            projections = instantaneous_projections(params, k, psi, pairs)
+            projections = instantaneous_projections(psi, pairs)
             records.append(
                 TrajectoryRecord(t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi), projections)
             )

@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .model import BlochVector, ModelParams
-from .spectrum import NonlinearEigenpair, _iii_residual, _real_roots, nonlinear_eigenpairs
+from .spectrum import _iii_residual, _real_roots, nonlinear_eigenpairs
 
 
 class LocusDomainError(ValueError):
@@ -77,14 +77,10 @@ def effective_bloch_vector(params: ModelParams, p: PPoint) -> BlochVector:
     return BlochVector(-p.px, -p.py, pz)
 
 
-def effective_eigenpairs(params: ModelParams, p: PPoint) -> list[NonlinearEigenpair]:
-    return nonlinear_eigenpairs(effective_bloch_vector(params, p), params.U)
-
-
 def effective_spectrum(params: ModelParams, p: PPoint) -> list[float]:
     """Physical eigenvalues of the effective model, sorted, with multiplicity."""
     out: list[float] = []
-    for pair in effective_eigenpairs(params, p):
+    for pair in nonlinear_eigenpairs(effective_bloch_vector(params, p), params.U):
         out.extend([pair.epsilon] * pair.multiplicity)
     return out
 

@@ -41,11 +41,8 @@ class ModelParams:
 
     u: float
     U: float = 0.0
-    J: float = 1.0
 
     def __post_init__(self):
-        if self.J != 1.0:
-            raise ValueError("J is fixed to 1 (energies are measured in units of J)")
         if not math.isfinite(self.u):
             raise ValueError("u must be finite")
         if not (0.0 <= self.U < math.inf):
@@ -158,15 +155,7 @@ def _kerr_row(D, O, U, p, q):
 
 def linear_eigenvalues(params: ModelParams, k: KPoint) -> tuple[float, float]:
     """Eigenvalues (-|d|, +|d|) of the linear Bloch Hamiltonian."""
-    u = params.u
-    rad = (
-        u * u
-        + 2.0
-        + 2.0 * u * math.cos(k.kx)
-        + 2.0 * u * math.cos(k.ky)
-        + 2.0 * math.cos(k.kx) * math.cos(k.ky)
-    )
-    r = math.sqrt(max(rad, 0.0))
+    r = bloch_vector(params, k).magnitude
     return (-r, r)
 
 

@@ -78,7 +78,7 @@ def _velocity(cos_kx, sin_kx, cross, imbalance):
     return cos_kx * (2.0 * cross) - sin_kx * imbalance
 
 
-def velocity_expectation(params: ModelParams, k: KPoint, psi: Spinor) -> float:
+def velocity_expectation(k: KPoint, psi: Spinor) -> float:
     """Expectation of the velocity operator along x at fixed state.
 
     Only the linear part of the Hamiltonian carries explicit k_x
@@ -95,30 +95,22 @@ def kx_columns(n_kx: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n_kx) / n_kx
 
 
-def sweep_initial_states(
-    params: ModelParams, band: str, kxs, ky0: float = 0.0
-) -> np.ndarray:
-    """Band eigenstates at the sweep start points (kx, ky0), one per column."""
+def sweep_initial_states(params: ModelParams, band: str, kxs) -> np.ndarray:
+    """Band eigenstates at the sweep start points (kx, 0), one per column."""
     index = _band(band)[0]
     psi = np.empty((len(kxs), 2), dtype=complex)
     for i, kx in enumerate(kxs):
-        pairs = physical_spectrum(params, KPoint(float(kx), ky0))
+        pairs = physical_spectrum(params, KPoint(float(kx), 0.0))
         if len(pairs) < 2:
             raise RegimeError(
-                f"band structure at kx={kx:.6g}, ky={ky0:.6g} has fewer than two "
+                f"band structure at kx={kx:.6g}, ky=0 has fewer than two "
                 f"branches; no {band} branch to start from"
             )
         psi[i] = pairs[index].state.as_array()
     return psi
 
 
-def pumped_charge(
-    params: ModelParams,
-    band: str = "ground",
-    F: float = 0.01,
-    n_kx: int = 50,
-    dt: float = 0.01,
-) -> ResponseSummary:
+def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float) -> ResponseSummary:
     """Transported charge per drive cycle, averaged over k_x columns.
 
     All columns share the drive k_y(t) = F t and step together through
@@ -326,10 +318,7 @@ class PhaseDiagram:
 
 
 def phase_diagram(
-    u_range: tuple[float, float],
-    U_range: tuple[float, float],
-    band: str = "ground",
-    resolution: int = 50,
+    u_range: tuple[float, float], U_range: tuple[float, float], band: str, resolution: int
 ) -> PhaseDiagram:
     """Label each (u, U) cell A (adiabatic) or nA over the given ranges."""
     critical_strength = _band(band)[1]

@@ -114,7 +114,9 @@ class BifurcationResult:
     discriminant: float
 
 
-def _coeffs_from(U: float, d: BlochVector) -> list[float]:
+def quartic_coefficients(params: ModelParams, d: BlochVector) -> list[float]:
+    """Monic quartic coefficients [c4, c3, c2, c1, c0] of f(eps)."""
+    U = params.U
     s = d.planar_sq
     z2 = d.dz * d.dz
     return [
@@ -124,11 +126,6 @@ def _coeffs_from(U: float, d: BlochVector) -> list[float]:
         U * z2 + 2.0 * U * s - 1.5 * U**3,
         0.25 * U**4 - 0.25 * U * U * z2 - U * U * s,
     ]
-
-
-def quartic_coefficients(params: ModelParams, d: BlochVector) -> list[float]:
-    """Monic quartic coefficients [c4, c3, c2, c1, c0] of f(eps)."""
-    return _coeffs_from(params.U, d)
 
 
 def _horner(coeffs, x):
@@ -470,7 +467,7 @@ def _iii_column_points(u: float, U: float, grid) -> Iterator[tuple[float, float]
                 yield kx, math.pi * round(ky / math.pi)
 
 
-def classify_degeneracies(params: ModelParams, resolution: int = 64) -> list[DegeneratePoint]:
+def classify_degeneracies(params: ModelParams, resolution: int) -> list[DegeneratePoint]:
     """Locate and classify all degenerate eigenvalues over the Brillouin zone.
 
     I-type points sit at the four polar momenta {0, pi}^2 and are reported
@@ -528,7 +525,7 @@ def classify_degeneracies(params: ModelParams, resolution: int = 64) -> list[Deg
 # first-order bifurcation analysis
 # ---------------------------------------------------------------------------
 
-def _d_first_order(params: ModelParams, k0: KPoint, dk) -> tuple[float, float, float]:
+def _d_first_order(k0: KPoint, dk) -> tuple[float, float, float]:
     dkx, dky = float(dk[0]), float(dk[1])
     return (
         dkx * math.cos(k0.kx),
@@ -567,7 +564,7 @@ def bifurcation_correction(params: ModelParams, k0: KPoint, dk) -> BifurcationRe
     d0 = bloch_vector(params, k0)
     kind, eps0 = _degenerate_kind_and_eps(params, d0)
 
-    dx1, dy1, dz1 = _d_first_order(params, k0, dk)
+    dx1, dy1, dz1 = _d_first_order(k0, dk)
     A = eps0 - U
     B = eps0 - 0.5 * U
     s0 = d0.planar_sq

@@ -431,7 +431,7 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     and the spin sums index the two rows.  The stepper, the cycle closure,
     the per-step renormalization and the trapezoid rule are the package's.
     """
-    from nlchern.dynamics import rk4_step_columns, rk4_weights
+    from nlchern.dynamics import rk4_columns_work, rk4_step_columns, rk4_weights
     from nlchern.response import _velocity, kx_columns, sweep_initial_states
 
     kxs = kx_columns(n_kx)
@@ -467,13 +467,14 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
     half = 0.5 * dt
+    work = rk4_columns_work(P)
     x0, z0 = spin(P)
     X, Z = x0.copy(), z0.copy()
     a = drive(0.0)
     for n in range(n_steps):
         t = n * dt
         b, c = drive(t + half), drive(t + dt)
-        P = rk4_step_columns(U, w, a, b, c, P)
+        P = rk4_step_columns(U, w, a, b, c, P, np.empty_like(P), work)
         a = c
         x, z = spin(P)
         X += x
@@ -484,7 +485,7 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     return -float(Q.mean()), tuple(map(float, Q)), dt, n_steps
 
 
-def evolve_interleaved(params, drive, initial, sample_every=10, with_projections=True):
+def evolve_interleaved(params, drive, initial, sample_every):
     """``evolve`` records from a loop that builds each record as it samples.
 
     The body of ``dynamics.evolve`` before its time loop only stepped and
@@ -526,9 +527,6 @@ def evolve_interleaved(params, drive, initial, sample_every=10, with_projections
             raise NumericalHealthError(f"norm drift |{norm} - 1| > {NORM_ABORT} at t={t:.4g}")
         psi = Spinor(p1 / norm, p2 / norm)
         fields = (t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi))
-        if not with_projections:
-            records.append(TrajectoryRecord(*fields, ()))
-            return
         pending.append((fields, psi))
         if len(pending) == _SPECTRUM_BLOCK:
             flush()
@@ -537,7 +535,7 @@ def evolve_interleaved(params, drive, initial, sample_every=10, with_projections
         ks = [fields[1] for fields, _ in pending]
         spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
         for (fields, psi), k, pairs in zip(pending, ks, spectra):
-            records.append(TrajectoryRecord(*fields, instantaneous_projections(params, k, psi, pairs)))
+            records.append(TrajectoryRecord(*fields, instantaneous_projections(psi, pairs)))
         pending.clear()
 
     def drive_at(t):
@@ -564,11 +562,12 @@ def evolve_per_sample(params, drive, initial, sample_every):
     """``evolve`` records with projections from one ``physical_spectrum`` call per sample."""
     from nlchern.dynamics import TrajectoryRecord, evolve, instantaneous_projections
     from nlchern.model import Spinor
+    from nlchern.spectrum import physical_spectrum
 
     out = []
-    for rec in evolve(params, drive, initial, sample_every=sample_every, with_projections=False):
+    for rec in evolve(params, drive, initial, sample_every=sample_every):
         psi = Spinor(rec.psi.c1 / rec.norm, rec.psi.c2 / rec.norm)
-        proj = instantaneous_projections(params, rec.k, psi)  # physical_spectrum at rec.k
+        proj = instantaneous_projections(psi, physical_spectrum(params, rec.k))
         out.append(TrajectoryRecord(rec.t, rec.k, rec.psi, rec.norm, rec.energy, proj))
     return out
 

@@ -229,14 +229,14 @@ def test_criterion_8_numerical_health():
     errs = {}
     for dt in (0.02, 0.01):
         drive = DriveSpec(k0, (0.03, 0.01), T, dt)
-        recs = evolve(params, drive, pairs[0].state, sample_every=int(T / dt), with_projections=False)
+        recs = evolve(params, drive, pairs[0].state, sample_every=int(T / dt))
         ref = linear_propagate(params.u, (k0.kx, k0.ky), drive.F, psi0, [0.0, T], dt_fine=1e-4)
         errs[dt] = float(np.linalg.norm(recs[-1].psi.as_array() - ref[-1]))
     ratio = errs[0.02] / errs[0.01]
 
     drive = DriveSpec(KPoint(0.0, 0.0), (0.01, 0.01), 100.0, 0.01)
     pairs0 = physical_spectrum(params, KPoint(0.0, 0.0))
-    recs = evolve(params, drive, pairs0[0].state, sample_every=1000, with_projections=False)
+    recs = evolve(params, drive, pairs0[0].state, sample_every=1000)
     drift_rate = abs(recs[-1].norm - 1.0) / 100.0
     times = [r.t for r in recs]
     ref = linear_propagate(params.u, (0.0, 0.0), (0.01, 0.01), pairs0[0].state.as_array(), times, dt_fine=1e-4)
@@ -262,7 +262,7 @@ def test_criterion_9_projection_sum(ground_sweep_u1_U4):
         k = KPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
         raw = rng.normal(size=4)
         psi = Spinor(complex(raw[0], raw[1]), complex(raw[2], raw[3])).normalized()
-        worst_linear = max(worst_linear, abs(sum(instantaneous_projections(params, k, psi)) - 1.0))
+        worst_linear = max(worst_linear, abs(sum(instantaneous_projections(psi, physical_spectrum(params, k))) - 1.0))
 
     records, _ = ground_sweep_u1_U4
     max_dev = max(abs(sum(r.projections) - 1.0) for r in records)

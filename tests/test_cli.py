@@ -18,7 +18,7 @@ from oracles import write_bands_csv, write_phase_diagram_csv, write_trajectory_c
 
 # the options each subcommand reads, besides --config, with their defaults
 OPTIONS = {
-    "bands": {"u": None, "U": 0.0, "grid": 41, "format": "csv", "out": "."},
+    "bands": {"u": None, "U": 0.0, "grid": 41, "out": "."},
     "degeneracies": {"u": None, "U": 0.0, "grid": 64, "out": "."},
     "gap": {"u": None, "U": None, "bracket": None, "out": "."},
     "dynamics": {
@@ -331,8 +331,8 @@ def test_bad_config_values_rejected(tmp_path):
     conf = tmp_path / "band.conf"
     conf.write_text("u=1\nU=4\nband=bogus\n")
     assert run(["dynamics", "--config", str(conf), "--T", "1", "--out", str(tmp_path)]) == 2
-    conf = tmp_path / "format.conf"
-    conf.write_text("u=3\nU=0\ngrid=3\nformat=xml\n")
+    conf = tmp_path / "U.conf"
+    conf.write_text("u=3\nU=strong\ngrid=3\n")
     assert run(["bands", "--config", str(conf), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "bands.json").exists()
@@ -435,7 +435,7 @@ def test_abbreviated_flag_rejected(tmp_path, capsys, args, option):
 @pytest.mark.parametrize(
     "args, option",
     [
-        (["bands", "--u", "1", "--format", "xml"], "--format"),
+        (["bands", "--u", "1", "--U", "strong"], "--U"),
         (["degeneracies", "--u", "1", "--grid", "many"], "--grid"),
         (["dynamics", "--u", "1", "--F", "1,2,3"], "--F"),
         (["gap", "--u", "1", "--bracket", "4.0"], "--bracket"),

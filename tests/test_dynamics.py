@@ -88,7 +88,7 @@ def test_linear_oracle_agreement():
     k0 = KPoint(0.0, 0.0)
     pairs = physical_spectrum(p, k0)
     drive = DriveSpec(k0, (0.01, 0.01), 100.0, 0.01)
-    recs = evolve(p, drive, pairs[0].state, sample_every=1000, with_projections=False)
+    recs = evolve(p, drive, pairs[0].state, sample_every=1000)
     times = [r.t for r in recs]
     ref = linear_propagate(
         p.u, (k0.kx, k0.ky), drive.F, pairs[0].state.as_array(), times, dt_fine=1e-4
@@ -106,14 +106,14 @@ def test_fourth_order_convergence_and_drift():
     errs = {}
     for dt in (0.02, 0.01):
         drive = DriveSpec(k0, (0.03, 0.01), T, dt)
-        recs = evolve(p, drive, pairs[0].state, sample_every=int(T / dt), with_projections=False)
+        recs = evolve(p, drive, pairs[0].state, sample_every=int(T / dt))
         ref = linear_propagate(p.u, (k0.kx, k0.ky), drive.F, psi0, [0.0, T], dt_fine=1e-4)
         errs[dt] = np.linalg.norm(recs[-1].psi.as_array() - ref[-1])
     ratio = errs[0.02] / errs[0.01]
     assert 13.0 <= ratio <= 19.0
     # norm drift per unit time at dt=0.01
     drive = DriveSpec(k0, (0.01, 0.01), 50.0, 0.01)
-    recs = evolve(p, drive, pairs[0].state, sample_every=100, with_projections=False)
+    recs = evolve(p, drive, pairs[0].state, sample_every=100)
     assert abs(recs[-1].norm - 1.0) / 50.0 < 1e-8
 
 
@@ -144,7 +144,7 @@ def test_projections_linear_completeness():
         k = KPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
         raw = rng.normal(size=4)
         psi = Spinor(complex(raw[0], raw[1]), complex(raw[2], raw[3])).normalized()
-        P = instantaneous_projections(p, k, psi)
+        P = instantaneous_projections(psi, physical_spectrum(p, k))
         assert sum(P) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -154,11 +154,11 @@ def test_projections_pick_out_branch():
     pairs = physical_spectrum(p, k)
     assert len(pairs) >= 3
     for j, pair in enumerate(pairs):
-        P = instantaneous_projections(p, k, pair.state)
+        P = instantaneous_projections(pair.state, pairs)
         assert P[j] == pytest.approx(1.0, abs=1e-9)
     # non-orthogonality: the projections of one branch onto the others
     # need not vanish and their sum exceeds one somewhere
-    sums = [sum(instantaneous_projections(p, k, pair.state)) for pair in pairs]
+    sums = [sum(instantaneous_projections(pair.state, pairs)) for pair in pairs]
     assert any(abs(s - 1.0) > 1e-3 for s in sums)
 
 
@@ -178,26 +178,25 @@ def test_norm_abort_on_coarse_step():
     drive = DriveSpec(KPoint(0.0, 0.0), (0.001, 0.001), 50.0, 0.5)
     pairs = physical_spectrum(p, KPoint(0.0, 0.0))
     with pytest.raises(NumericalHealthError):
-        evolve(p, drive, pairs[0].state, sample_every=10, with_projections=False)
+        evolve(p, drive, pairs[0].state, sample_every=10)
 
 
 @pytest.mark.parametrize(
-    "k0, F, T, sample_every, with_projections",
+    "k0, F, T, sample_every",
     [
         # 651 samples: five full blocks of stacked spectra and a partial one
-        ((0.0, 0.0), (0.05, 0.05), 130.0, 20, True),
+        ((0.0, 0.0), (0.05, 0.05), 130.0, 20),
         # 1000 steps: the last sample falls 6 steps before the end
-        ((0.0, 0.0), (0.05, 0.05), 10.0, 7, True),
-        ((0.0, 0.0), (0.05, 0.05), 10.0, 7, False),
-        ((0.3, 5.7), (0.03, 0.01), 20.0, 20, True),
+        ((0.0, 0.0), (0.05, 0.05), 10.0, 7),
+        ((0.3, 5.7), (0.03, 0.01), 20.0, 20),
     ],
 )
-def test_evolve_matches_interleaved_loop(k0, F, T, sample_every, with_projections):
+def test_evolve_matches_interleaved_loop(k0, F, T, sample_every):
     p = ModelParams(u=1.0, U=4.0)
     drive = DriveSpec(KPoint(*k0), F, T, 0.01)
     psi0 = physical_spectrum(p, drive.k0)[0].state
-    records = evolve(p, drive, psi0, sample_every, with_projections)
-    assert records == evolve_interleaved(p, drive, psi0, sample_every, with_projections)
+    records = evolve(p, drive, psi0, sample_every)
+    assert records == evolve_interleaved(p, drive, psi0, sample_every)
 
 
 @pytest.mark.parametrize("drift", [math.nan, math.inf, 2.0 * NORM_ABORT])
@@ -264,10 +263,12 @@ def test_rk4_step_columns_match_scalars():
 
     w = rk4_weights(dt)
     P = psi0.T.copy()
+    work = rk4_columns_work(P)
     for n in range(20):
         P = rk4_step_columns(
             np.array(complex(U)), tuple(map(np.array, w)),
             d_columns(n * dt), d_columns((n + 0.5) * dt), d_columns((n + 1) * dt), P,
+            np.empty_like(P), work,
         )
 
     for i, kx in enumerate(map(float, kxs)):
@@ -305,10 +306,11 @@ def test_rk4_step_columns_flat_layout_matches_stacked():
     U_, w = np.array(complex(U)), tuple(map(np.array, rk4_weights(dt)))
     P = np.ascontiguousarray(psi0.T)
     flat = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
+    work, work_flat = rk4_columns_work(P), rk4_columns_work(flat)
     for n in range(20):
         t = (n * dt, (n + 0.5) * dt, (n + 1) * dt)
-        P = rk4_step_columns(U_, w, *map(d_stacked, t), P)
-        flat = rk4_step_columns(U_, w, *map(d_flat, t), flat)
+        P = rk4_step_columns(U_, w, *map(d_stacked, t), P, np.empty_like(P), work)
+        flat = rk4_step_columns(U_, w, *map(d_flat, t), flat, np.empty_like(flat), work_flat)
     assert np.array_equal(flat, np.concatenate([P[0], P[1][::-1]]))
 
 
@@ -333,8 +335,8 @@ def test_kerr_row_into_matches_kerr_row(U, rows):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from(["flat", "stacked"]))
 def test_rk4_step_columns_buffers_match_allocating_call(data, layout):
-    # caller-owned buffers, reused from one step to the next, give the
-    # allocating step bit for bit on both layouts
+    # buffers reused from one step to the next give the step on fresh
+    # buffers bit for bit on both layouts
     n = data.draw(st.integers(1, 6))
     U = np.array(complex(data.draw(st.floats(-4.0, 4.0))))
     w = tuple(map(np.array, rk4_weights(data.draw(st.floats(1e-4, 0.1)))))
@@ -344,7 +346,7 @@ def test_rk4_step_columns_buffers_match_allocating_call(data, layout):
     a, b, c = zip(drive[0::2], drive[1::2])
     work, out = rk4_columns_work(P), np.empty_like(P)
     for _ in range(2):
-        expect = rk4_step_columns(U, w, a, b, c, P)
+        expect = rk4_step_columns(U, w, a, b, c, P, np.empty_like(P), rk4_columns_work(P))
         assert rk4_step_columns(U, w, a, b, c, P, out, work) is out
         assert np.isfinite(expect).all() and np.array_equal(out, expect)
         P = expect

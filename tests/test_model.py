@@ -51,7 +51,7 @@ def test_kpoint_reduction_idempotent():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ModelParams(u=1.0, J=2.0)
     with pytest.raises(ValueError):
         ModelParams(u=1.0, U=-0.5)

@@ -32,9 +32,9 @@ TWO_PI = 2.0 * math.pi
 def test_velocity_examples():
     p = ModelParams(u=1.0, U=0.0)
     s = 1.0 / math.sqrt(2.0)
-    assert velocity_expectation(p, KPoint(0.0, 0.0), Spinor(1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    assert velocity_expectation(p, KPoint(math.pi / 2, 0.0), Spinor(1.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert velocity_expectation(p, KPoint(math.pi / 2, 0.0), Spinor(s, s)) == pytest.approx(0.0, abs=1e-12)
+    assert velocity_expectation(KPoint(0.0, 0.0), Spinor(1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+    assert velocity_expectation(KPoint(math.pi / 2, 0.0), Spinor(1.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert velocity_expectation(KPoint(math.pi / 2, 0.0), Spinor(s, s)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_velocity_band_sum_rule_linear():
@@ -43,7 +43,7 @@ def test_velocity_band_sum_rule_linear():
     for _ in range(30):
         k = KPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
         pairs = physical_spectrum(p, k)
-        total = sum(velocity_expectation(p, k, q.state) for q in pairs)
+        total = sum(velocity_expectation(k, q.state) for q in pairs)
         assert abs(total) < 1e-10
 
 
@@ -184,7 +184,7 @@ def test_pump_cycle_closes_exactly():
 
 def test_pump_rejects_empty_grid():
     with pytest.raises(ValueError):
-        pumped_charge(ModelParams(u=1.0, U=0.0), n_kx=0)
+        pumped_charge(ModelParams(u=1.0, U=0.0), "ground", F=0.01, n_kx=0, dt=0.01)
 
 
 @pytest.mark.parametrize(
