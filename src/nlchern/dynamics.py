@@ -13,15 +13,13 @@ norm drift through one rule, ``check_norm_drift``.
 
 ``model._kerr_row`` is the one formula for H(psi) psi, written per row of
 the 2x2 problem.  ``rk4_step`` calls it twice per stage on Python complex
-scalars (``evolve``); ``rk4_step_columns`` calls it once per stage on a
-numpy state of many k points whose reversal pairs each entry with its
-partner component: a stacked (2, n) state, or the flat [p1, p2 reversed]
-vector of ``response.pumped_charge``.  Both fold the -i into the stage
-weights and take the drive coefficients at t + dt/2 and t + dt, reusing
-the t + dt value as the start of the next step.  ``rk4_step_columns``
-writes every stage into buffers that are always the caller's
-(``rk4_columns_work``, and the row formula in its buffered form
-``_kerr_row_into``), so a step allocates nothing.
+scalars (``evolve``); the stepper built once per run by ``rk4_columns``
+calls it once per stage on a numpy state of many k points whose reversal
+pairs each entry with its partner component: a stacked (2, n) state, or
+the flat [p1, p2 reversed] vector of ``response.pumped_charge``.  Both
+fold the -i into the stage weights and take the drive coefficients at
+t + dt/2 and t + dt, reusing the t + dt value as the start of the next
+step.  The stepper owns its stage buffers, so a step allocates nothing.
 
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
@@ -151,65 +149,66 @@ def rk4_step(U, w, a, b, c, p1, p2):
     return p1 + s * (a1 + 2.0 * (b1 + c1) + d1), p2 + s * (a2 + 2.0 * (b2 + c2) + d2)
 
 
-def _kerr_row_into(D, O, U, p, q, out, t1, t2):
-    """``model._kerr_row`` written into ``out``, with scratch arrays t1 and t2; returns ``out``.
+def _kerr_row_into(U, t1, t2):
+    """``model._kerr_row`` as ``row(D, O, p, q, out)``, which writes into ``out`` and returns it.
 
-    The same ufuncs on the same operands in the same order, each result
-    passed to the next through a buffer instead of a fresh array.  No
-    product is taken in place: on a single entry numpy rounds an in-place
-    complex product differently.  The buffers must not share memory with
-    ``p`` or ``q``.
+    The same ufuncs on the same operands in the same order, through the
+    scratch arrays t1 and t2 instead of fresh arrays; they must not share
+    memory with ``p`` or ``q``.  No product is taken in place: on a single
+    entry numpy rounds an in-place complex product differently.
     """
-    np.multiply(U, p, t1)
-    np.multiply(t1, np.conjugate(p, t2), out)
-    np.add(D, out, out)
-    np.multiply(out, p, t1)
-    np.multiply(O, q, t2)
-    return np.add(t1, t2, out)
+    multiply, add, conjugate = np.multiply, np.add, np.conjugate
+
+    def row(D, O, p, q, out):
+        multiply(U, p, t1)
+        multiply(t1, conjugate(p, t2), out)
+        add(D, out, out)
+        multiply(out, p, t1)
+        multiply(O, q, t2)
+        return add(t1, t2, out)
+
+    return row
 
 
-def rk4_columns_work(P):
-    """Work buffers of ``rk4_step_columns`` for states shaped like P.
+def rk4_columns(U, w, like):
+    """``rk4_step`` on complex states shaped like ``like``, as ``step(a, b, c, P, out)``.
 
-    The stage state X with its reversed view, made once here, the four
-    stage slopes and two scratch arrays for the row formula.
+    P holds n k points with P[::-1] the partner of P: a stacked [p1, p2] of
+    shape (2, n), one k point per column, or the flat vector [p1, p2
+    reversed] of length 2 n.  The drive coefficients are laid out the same
+    way, D = [dz, -dz] and O = [dx - i dy, dx + i dy], so one row formula
+    call gives both components.  Pass U and the weights ``w`` as 0-d
+    complex arrays: numpy takes its fast path only when every operand is a
+    complex array, and the loop is bound by that per-call cost.
+
+    Built once per run, the stepper owns its stage buffers and binds U, the
+    weights and the ufuncs, so a step makes only its numpy calls.  ``step``
+    writes the new state into ``out``, which must not share memory with P,
+    and returns it.
     """
-    X = np.empty_like(P)
-    return (X, X[::-1], *(np.empty_like(P) for _ in range(6)))
-
-
-def rk4_step_columns(U, w, a, b, c, P, out, work):
-    """``rk4_step`` on a complex state P of n k points, P[::-1] being the partner of P.
-
-    P is a stacked [p1, p2] of shape (2, n), one k point per column, or the
-    flat vector [p1, p2 reversed] of length 2 n.  The drive coefficients
-    are laid out the same way, D = [dz, -dz] and O = [dx - i dy,
-    dx + i dy], so one ``_kerr_row`` call gives both components.  Pass U
-    and the weights as 0-d complex arrays: numpy takes its fast path only
-    when every operand is a complex array, and the loop is bound by that
-    per-call cost.
-
-    Every stage writes into a buffer of the caller's, so the step
-    allocates nothing: ``work`` from ``rk4_columns_work`` and ``out``,
-    which receives the new state and must not share memory with P.
-    Returns ``out``.
-    """
-    X, Xr, k1, k2, k3, k4, t1, t2 = work
+    multiply, add = np.multiply, np.add
     h, f, s = w
-    (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c
-    _kerr_row_into(Da, Oa, U, P, P[::-1], k1, t1, t2)
-    np.add(P, np.multiply(h, k1, X), X)
-    _kerr_row_into(Db, Ob, U, X, Xr, k2, t1, t2)
-    np.add(P, np.multiply(h, k2, X), X)
-    _kerr_row_into(Db, Ob, U, X, Xr, k3, t1, t2)
-    np.add(P, np.multiply(f, k3, X), X)
-    _kerr_row_into(Dc, Oc, U, X, Xr, k4, t1, t2)
-    np.add(k2, k3, k2)
-    np.add(k2, k2, k2)
-    np.add(k2, k1, k2)
-    np.add(k2, k4, k2)
-    np.multiply(k2, s, k2)
-    return np.add(P, k2, out)
+    X, k1, k2, k3, k4, t1, t2 = (np.empty_like(like) for _ in range(7))
+    Xr = X[::-1]
+    row = _kerr_row_into(U, t1, t2)
+
+    def step(a, b, c, P, out):
+        (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c
+        row(Da, Oa, P, P[::-1], k1)
+        add(P, multiply(h, k1, X), X)
+        row(Db, Ob, X, Xr, k2)
+        add(P, multiply(h, k2, X), X)
+        row(Db, Ob, X, Xr, k3)
+        add(P, multiply(f, k3, X), X)
+        row(Dc, Oc, X, Xr, k4)
+        add(k2, k3, k2)
+        add(k2, k2, k2)
+        add(k2, k1, k2)
+        add(k2, k4, k2)
+        multiply(k2, s, k2)
+        return add(P, k2, out)
+
+    return step
 
 
 def norm_squared(p1, p2):

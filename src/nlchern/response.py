@@ -8,14 +8,15 @@ velocity expectation
 
 is accumulated into the transported charge per cycle Q(k_x).  All columns
 step together as one flat state [p1 by column, p2 by reversed column]
-through ``dynamics.rk4_step_columns``, the RK4 and row formula that
-``dynamics.evolve`` runs on scalars; reversing the vector pairs every
+through the stepper of ``dynamics.rk4_columns``, the RK4 and row formula
+that ``dynamics.evolve`` runs on scalars; reversing the vector pairs every
 entry with its partner component, so each numpy call of the loop runs on
-whole 1-D vectors.  The column-independent drive shift (cos k_y, sin k_y)
-is tabulated a block of steps at a time, and the loop runs on buffers made
-once: the stepper's work arrays, and per block the RK4 output of each
-step with the pieces of its norm, from which the spin ratios of the whole
-block are formed in four calls.  The response number nu averages Q
+whole 1-D vectors.  The loop runs on buffers made once, so a step makes
+only its numpy calls: the stepper, a drive table whose column-independent
+shift (cos k_y, sin k_y) is refilled in place a block of steps at a time,
+and the RK4 output of each step of a block with the pieces of its norm,
+from which the block's spin ratios are formed in four calls and summed in
+one.  The response number nu averages Q
 over columns; its sign fixes the Brillouin zone orientation so that in
 the adiabatic linear limit nu reproduces the ground-band Chern number of
 ``model.chern_number``.  Nonlinearity first
@@ -31,14 +32,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import check_norm_drift, rk4_columns_work, rk4_step_columns, rk4_weights
+from .dynamics import check_norm_drift, rk4_columns, rk4_weights
 from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
 from .spectrum import physical_spectrum
 
-# drive steps tabulated at a time in ``pumped_charge``; the start drive of a
-# block's first step is a row of the block before, so two tables are alive
-# at the block change: 256 steps raised the peak resident memory of the
-# README response command by 3.5 MB over 32
+# steps per block of ``pumped_charge``: its drive table (refilled in place
+# every block) and its per-step buffers hold one block; 256 raised the peak
+# resident memory of the README response command by 5.3 MB over 32
 _DRIVE_BLOCK = 32
 
 
@@ -114,13 +114,14 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     """Transported charge per drive cycle, averaged over k_x columns.
 
     All columns share the drive k_y(t) = F t and step together through
-    ``dynamics.rk4_step_columns`` as one flat state P = [p1, p2 reversed],
-    so ``P[::-1]`` is the partner component of every entry; D = [dz, -dz
-    reversed] and O = [dx - i dy, (dx + i dy) reversed] are laid out the
-    same way.  The drive shift (cos k_y, sin k_y) is the same for every
-    column, so the loop takes D and O as rows of a table built for
-    ``_DRIVE_BLOCK`` steps at a time.  The step is shrunk from ``dt`` to
-    T / round(T / dt), so the steps add up to exactly one cycle T = 2*pi/F.
+    the stepper of ``dynamics.rk4_columns`` as one flat state P = [p1, p2
+    reversed], so ``P[::-1]`` is the partner component of every entry;
+    D = [dz, -dz reversed] and O = [dx - i dy, (dx + i dy) reversed] are
+    laid out the same way.  The drive shift (cos k_y, sin k_y) is the same
+    for every column, so the loop takes D and O as rows of one table, whose
+    cos k_y and sin k_y parts each block of ``_DRIVE_BLOCK`` steps rewrites
+    in place.  The step is shrunk from ``dt`` to T / round(T / dt), so the
+    steps add up to exactly one cycle T = 2*pi/F.
     The state is renormalized after every step: a full cycle takes 2*pi/F
     time units and the drift bound matters there; ``max_norm_drift`` is the
     largest |norm^2 - 1| met before a renormalization, and a block of steps
@@ -134,12 +135,12 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     row of a ``_DRIVE_BLOCK``-row buffer, with its conjugate, conj * P and
     norm^2 in three more; the renormalized state goes to one fixed P.  At
     the end of a block the two spin ratios conj * P[::-1] / norm^2 and
-    (n - n[::-1]) / norm^2 are formed for all its rows at once and added to
-    the running sums row by row, in step order, so every sum is taken in
-    the same order as a step-by-step loop.  ``nu_even_columns`` and
-    ``nu_odd_columns`` are nu over the even and over the odd columns alone
-    (None without an odd column); their spread estimates how far nu is
-    from converged in ``n_kx``.
+    (n - n[::-1]) / norm^2 are formed for all its rows at once, and one
+    ``np.add.accumulate`` over [running sums; the block's rows] adds them
+    strictly in step order, as a step-by-step loop does.
+    ``nu_even_columns`` and ``nu_odd_columns`` are nu over the even and
+    over the odd columns alone (None without an odd column); their spread
+    estimates how far nu is from converged in ``n_kx``.
     """
     if not (math.isfinite(F) and F > 0.0):
         raise ValueError("drive rate F must be positive and finite")
@@ -159,77 +160,77 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     dz0 = params.u + cos_kx
     sin_flat = np.concatenate([sin_kx, sin_kx[::-1]])
 
-    def drive_rows(times):
-        """(D, O) on the flat layout at each time, one row per time."""
-        ky = [F * t for t in times]
-        cy = np.array([math.cos(k) for k in ky])[:, None]
-        sy = np.array([math.sin(k) for k in ky])[:, None]
-        D = np.zeros((len(ky), 2 * n_kx), dtype=complex)
-        O = np.empty_like(D)
-        np.add(dz0, cy, out=D.real[:, :n_kx])
-        np.add(-dz0[::-1], -cy, out=D.real[:, n_kx:])
-        O.real = sin_flat
-        O.imag[:, :n_kx] = 0.0 - sy  # +0.0, not -0.0, where sin ky = 0
-        O.imag[:, n_kx:] = sy
-        return zip(D, O)
-
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
+    step = rk4_columns(U, w, P)
     half = 0.5 * dt
-    work = rk4_columns_work(P)
-    # one row per step of a block: the RK4 output before its
-    # renormalization, its conjugate, conj * output and the norm^2 of each
-    # entry (for the drift), and the two spin ratios of the step
+    # row 0 holds a block's start drive, rows 2j + 1 and 2j + 2 step j's
+    # drive at t + dt/2 and t + dt; D.imag and O.real are written once
+    D = np.zeros((2 * _DRIVE_BLOCK + 1, 2 * n_kx), dtype=complex)
+    O = np.empty_like(D)
+    O.real = sin_flat
+
+    def refill(lo, times):
+        """Write the drive at each of ``times`` into the table from row ``lo`` on."""
+        cy = np.array([math.cos(F * t) for t in times])[:, None]
+        sy = np.array([math.sin(F * t) for t in times])[:, None]
+        Dr, Oi = D.real[lo : lo + len(times)], O.imag[lo : lo + len(times)]
+        np.add(dz0, cy, out=Dr[:, :n_kx])
+        np.add(-dz0[::-1], -cy, out=Dr[:, n_kx:])
+        np.subtract(0.0, sy, out=Oi[:, :n_kx])  # +0.0, not -0.0, where sin ky = 0
+        Oi[:, n_kx:] = sy
+
+    # per step of a block: the RK4 output before its renormalization, its
+    # conjugate, conj * output and norm^2; S holds the running spin sums in
+    # row 0 and the block's spin ratios after it, A their running sums
     R, C, N, norms = np.empty((4, _DRIVE_BLOCK, 2 * n_kx), dtype=complex)
-    S = np.empty((_DRIVE_BLOCK, 2, 2 * n_kx), dtype=complex)
-    steps = tuple(zip(R, C, N, N[:, ::-1], norms))
+    S, A = np.empty((2, _DRIVE_BLOCK + 1, 2, 2 * n_kx), dtype=complex)
+    rows = tuple(zip(D, O))
+    steps = tuple(zip(rows[0::2], rows[1::2], rows[2::2], R, C, N, N[:, ::-1], norms))
     root = np.empty_like(P)
 
-    def renormalize(r, conj, n, n_rev, norm):
-        """Fill the row's conj, n and norm^2 from its state r, and write r / sqrt(norm^2) into P."""
-        np.conjugate(r, conj)
-        np.multiply(conj, r, n)
-        np.add(n, n_rev, norm)
-        np.divide(r, np.sqrt(norm, root), P)
-
     def spin(m):
-        """p1* p2 and |p1|^2 - |p2|^2 of each entry of the first m rows, over the norm^2.
+        """p1* p2 and |p1|^2 - |p2|^2 over the norm^2 of the first m rows, into S[1:m + 1].
 
-        Written as complex numbers into S[:m, 0] and S[:m, 1]; the first
-        halves belong to the columns, and their real parts are the two
-        spin components the velocity needs.
+        The first halves belong to the columns, and their real parts are
+        the two spin components the velocity needs.
         """
-        cross, imbalance = S[:m, 0], S[:m, 1]
+        cross, imbalance = S[1 : m + 1, 0], S[1 : m + 1, 1]
         np.divide(np.multiply(C[:m], R[:m, ::-1], cross), norms[:m], cross)
         np.divide(np.subtract(N[:m], N[:m, ::-1], imbalance), norms[:m], imbalance)
-        return S[:m]
 
+    conjugate, multiply, add, divide, sqrt = np.conjugate, np.multiply, np.add, np.divide, np.sqrt
     R[0] = P
-    renormalize(*steps[0])
-    xz0 = spin(1)[0].copy()
-    XZ = xz0.copy()
+    conjugate(P, C[0])
+    multiply(C[0], P, N[0])
+    add(N[0], N[0, ::-1], norms[0])
+    divide(R[0], sqrt(norms[0], root), P)
+    spin(1)
+    S[0] = xz0 = S[1].copy()
     drifts = []
-    (a,) = drive_rows([0.0])
-    for n0 in range(0, n_steps, _DRIVE_BLOCK):
-        times = []
-        for n in range(n0, min(n0 + _DRIVE_BLOCK, n_steps)):
-            t = n * dt
-            times += (t + half, t + dt)
-        rows = drive_rows(times)
-        # one iterator twice: each step takes its t + dt/2 and t + dt rows
-        for b, c, step in zip(rows, rows, steps):
-            rk4_step_columns(U, w, a, b, c, P, step[0], work)
-            a = c
-            renormalize(*step)
+    refill(0, [0.0])
+    for j0 in range(0, n_steps, _DRIVE_BLOCK):
+        js = range(j0, min(j0 + _DRIVE_BLOCK, n_steps))
+        times = [t for j in js for t in (j * dt + half, j * dt + dt)]
+        refill(1, times)
         m = len(times) // 2
-        # the running sums take the steps one by one, in step order
-        for xz in spin(m):
-            np.add(XZ, xz, XZ)
+        for a, b, c, r, conj, n, n_rev, norm in steps[:m]:
+            step(a, b, c, P, r)
+            conjugate(r, conj)
+            multiply(conj, r, n)
+            add(n, n_rev, norm)
+            divide(r, sqrt(norm, root), P)
+        # the next block starts from this one's last t + dt row
+        D[0], O[0] = D[2 * m], O[2 * m]
+        # one sequential accumulate adds the steps one by one, in step order
+        spin(m)
+        add.accumulate(S[: m + 1], axis=0, out=A[: m + 1])
+        S[0] = A[m]
         drifts.append(np.abs(norms[:m].real - 1.0).max())
-        check_norm_drift(drifts[-1], t + dt, dt)
+        check_norm_drift(drifts[-1], times[-1], dt)
     # trapezoid rule: the end points carry half weight
-    XZ -= 0.5 * (xz0 + xz)
-    X, Z = XZ[:, :n_kx].real
+    S[0] -= 0.5 * (xz0 + S[m])
+    X, Z = S[0, :, :n_kx].real
     Q = dt * _velocity(cos_kx, sin_kx, X, Z)
 
     # Zone orientation fixed so the linear adiabatic limit returns the

@@ -431,7 +431,7 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     and the spin sums index the two rows.  The stepper, the cycle closure,
     the per-step renormalization and the trapezoid rule are the package's.
     """
-    from nlchern.dynamics import rk4_columns_work, rk4_step_columns, rk4_weights
+    from nlchern.dynamics import rk4_columns, rk4_weights
     from nlchern.response import _velocity, kx_columns, sweep_initial_states
 
     kxs = kx_columns(n_kx)
@@ -467,14 +467,14 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
     half = 0.5 * dt
-    work = rk4_columns_work(P)
+    step = rk4_columns(U, w, P)
     x0, z0 = spin(P)
     X, Z = x0.copy(), z0.copy()
     a = drive(0.0)
     for n in range(n_steps):
         t = n * dt
         b, c = drive(t + half), drive(t + dt)
-        P = rk4_step_columns(U, w, a, b, c, P, np.empty_like(P), work)
+        P = step(a, b, c, P, np.empty_like(P))
         a = c
         x, z = spin(P)
         X += x

@@ -219,6 +219,17 @@ def test_deterministic_outputs(tmp_path):
     assert (a / "bands.csv").read_bytes() == (b / "bands.csv").read_bytes()
 
 
+def test_response_outputs_repeat_in_one_process(tmp_path):
+    # a drive table, stepper or buffer kept from one run to the next would
+    # change the second run's files; 3,142 steps end on a partial block
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run(["response", "--u", "1", "--U", "3", "--F", "0.2", "--grid", "7", "--dt", "0.01",
+                    "--out", str(out)]) == 0
+    for name in ("response.json", "response_columns.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_gap_json_round_trip(tmp_path):
     out = tmp_path / "g"
     assert run(["gap", "--U", "4", "--bracket", "1.0,1.2", "--out", str(out)]) == 0

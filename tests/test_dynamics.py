@@ -15,9 +15,8 @@ from nlchern.dynamics import (
     evolve,
     instantaneous_projections,
     mean_energy,
-    rk4_columns_work,
+    rk4_columns,
     rk4_step,
-    rk4_step_columns,
     rk4_weights,
 )
 from nlchern.model import KPoint, ModelParams, Spinor, _kerr_row
@@ -247,8 +246,8 @@ def test_trajectory_csv_blank_padding(tmp_path):
 
 def test_rk4_step_columns_match_scalars():
     # evolve steps Python complex scalars through rk4_step, pumped_charge a
-    # stacked (2, n) state through rk4_step_columns, with the same row
-    # formula; one column at a time must reproduce the batch
+    # stacked (2, n) state through the stepper of rk4_columns, with the
+    # same row formula; one column at a time must reproduce the batch
     u, U, F, ky0, dt = 0.7, 2.5, 0.01, 0.2, 0.05
     kxs = np.array([0.3, 1.9, 4.4])
     rng = np.random.default_rng(5)
@@ -263,13 +262,9 @@ def test_rk4_step_columns_match_scalars():
 
     w = rk4_weights(dt)
     P = psi0.T.copy()
-    work = rk4_columns_work(P)
+    step = rk4_columns(np.array(complex(U)), tuple(map(np.array, w)), P)
     for n in range(20):
-        P = rk4_step_columns(
-            np.array(complex(U)), tuple(map(np.array, w)),
-            d_columns(n * dt), d_columns((n + 0.5) * dt), d_columns((n + 1) * dt), P,
-            np.empty_like(P), work,
-        )
+        P = step(d_columns(n * dt), d_columns((n + 0.5) * dt), d_columns((n + 1) * dt), P, np.empty_like(P))
 
     for i, kx in enumerate(map(float, kxs)):
         def d_scalar(t):
@@ -306,11 +301,11 @@ def test_rk4_step_columns_flat_layout_matches_stacked():
     U_, w = np.array(complex(U)), tuple(map(np.array, rk4_weights(dt)))
     P = np.ascontiguousarray(psi0.T)
     flat = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
-    work, work_flat = rk4_columns_work(P), rk4_columns_work(flat)
+    step, step_flat = rk4_columns(U_, w, P), rk4_columns(U_, w, flat)
     for n in range(20):
         t = (n * dt, (n + 0.5) * dt, (n + 1) * dt)
-        P = rk4_step_columns(U_, w, *map(d_stacked, t), P, np.empty_like(P), work)
-        flat = rk4_step_columns(U_, w, *map(d_flat, t), flat, np.empty_like(flat), work_flat)
+        P = step(*map(d_stacked, t), P, np.empty_like(P))
+        flat = step_flat(*map(d_flat, t), flat, np.empty_like(flat))
     assert np.array_equal(flat, np.concatenate([P[0], P[1][::-1]]))
 
 
@@ -328,15 +323,15 @@ def test_kerr_row_into_matches_kerr_row(U, rows):
     D, O, p = map(np.array, zip(*rows))
     out, t1, t2 = (np.empty_like(p) for _ in range(3))
     expect = _kerr_row(D, O, U, p, p[::-1])
-    assert _kerr_row_into(D, O, U, p, p[::-1], out, t1, t2) is out
+    assert _kerr_row_into(U, t1, t2)(D, O, p, p[::-1], out) is out
     assert np.array_equal(out, expect)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from(["flat", "stacked"]))
 def test_rk4_step_columns_buffers_match_allocating_call(data, layout):
-    # buffers reused from one step to the next give the step on fresh
-    # buffers bit for bit on both layouts
+    # one stepper reused from one step to the next gives a fresh stepper's
+    # step bit for bit on both layouts
     n = data.draw(st.integers(1, 6))
     U = np.array(complex(data.draw(st.floats(-4.0, 4.0))))
     w = tuple(map(np.array, rk4_weights(data.draw(st.floats(1e-4, 0.1)))))
@@ -344,9 +339,9 @@ def test_rk4_step_columns_buffers_match_allocating_call(data, layout):
     entries = st.lists(_complex, min_size=2 * n, max_size=2 * n)
     P, *drive = (np.array(data.draw(entries)).reshape(shape) for _ in range(7))
     a, b, c = zip(drive[0::2], drive[1::2])
-    work, out = rk4_columns_work(P), np.empty_like(P)
+    step, out = rk4_columns(U, w, P), np.empty_like(P)
     for _ in range(2):
-        expect = rk4_step_columns(U, w, a, b, c, P, np.empty_like(P), rk4_columns_work(P))
-        assert rk4_step_columns(U, w, a, b, c, P, out, work) is out
+        expect = rk4_columns(U, w, P)(a, b, c, P, np.empty_like(P))
+        assert step(a, b, c, P, out) is out
         assert np.isfinite(expect).all() and np.array_equal(out, expect)
         P = expect

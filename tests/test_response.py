@@ -220,11 +220,13 @@ def test_pump_matches_stacked_loop_bit_for_bit(u, U, band, n_kx):
         (0.5, 10.0, 5, 2 * _DRIVE_BLOCK),
         (3.0, 10.0, 4, 3 * _DRIVE_BLOCK),
         (3.0, 10.0, 1, _DRIVE_BLOCK + 1),
+        (3.0, 10.0, 7, 2 * _DRIVE_BLOCK + 5),
     ],
 )
 def test_pump_block_edges_match_stacked_loop_bit_for_bit(U, F, n_kx, steps):
     # the block buffers hold a step's output until its block ends: one
-    # step, a single partial block, whole blocks only, and one column
+    # step, a single partial block, whole blocks only, one column, and odd
+    # columns with a partial third block that starts from a refilled table
     params = ModelParams(u=1.0, U=U)
     dt = TWO_PI / F / steps
     rs = pumped_charge(params, "ground", F=F, n_kx=n_kx, dt=dt)
