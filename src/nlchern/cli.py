@@ -248,7 +248,16 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
     header = ("t", "kx", "ky", "norm", "energy", "P1", "P2", "P3", "P4")
     row_format = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s"
-    _write_csv(_outdir(args) / "trajectory.csv", header, row_format, rows())
+    out = _outdir(args)
+    _write_csv(out / "trajectory.csv", header, row_format, rows())
+    summary = {
+        "steps": drive.steps,
+        "dt": drive.dt,
+        "sample_every": args.sample_every,
+        "samples": len(records),
+        "max_sample_norm_drift": max(abs(r.norm - 1.0) for r in records),
+    }
+    _write_json(out / "trajectory_summary.json", summary)
     return EXIT_OK
 
 

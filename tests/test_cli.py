@@ -160,6 +160,30 @@ def test_dynamics_trajectory(tmp_path):
     assert len(lines) > 10
 
 
+def test_dynamics_trajectory_summary(tmp_path):
+    out = tmp_path / "t"
+    args = ["dynamics", "--u", "1", "--U", "4", "--F", "0.02,0.005", "--T", "5", "--sample-every", "7"]
+    assert run([*args, "--out", str(out)]) == 0
+    with open(out / "trajectory.csv") as fh:
+        norms = [float(r["norm"]) for r in csv.DictReader(fh)]
+    summary = json.loads((out / "trajectory_summary.json").read_text())
+    # 500 steps give 71 samples after the one at t = 0; %.17g round-trips each norm
+    assert summary == {
+        "steps": 500,
+        "dt": 0.01,
+        "sample_every": 7,
+        "samples": 72,
+        "max_sample_norm_drift": max(abs(n - 1.0) for n in norms),
+    }
+    assert len(norms) == 72 and 0.0 < summary["max_sample_norm_drift"] < 1e-9
+    # a run that aborts on its norm drift writes neither file
+    bad = tmp_path / "bad"
+    args = ["dynamics", "--u", "1", "--U", "0", "--F", "0.001", "--T", "50", "--dt", "0.5"]
+    assert run([*args, "--out", str(bad)]) == 4
+    assert not (bad / "trajectory.csv").exists()
+    assert not (bad / "trajectory_summary.json").exists()
+
+
 def test_response_report(tmp_path):
     out = tmp_path / "r"
     code = run(

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlchern.dynamics import (
+    _DRIVE_BLOCK,
     NORM_ABORT,
     DriveSpec,
     NumericalHealthError,
@@ -188,6 +191,13 @@ def test_norm_abort_on_coarse_step():
         # 1000 steps: the last sample falls 6 steps before the end
         ((0.0, 0.0), (0.05, 0.05), 10.0, 7),
         ((0.3, 5.7), (0.03, 0.01), 20.0, 20),
+        # 2,500 steps: four full drive-table blocks of 512 steps and a partial
+        # one of 452, sampled every 37 steps, which does not divide a block
+        ((0.0, 0.0), (0.05, 0.05), 25.0, 37),
+        # k_y stays 0, so sin k_y is exactly 0 in every table row
+        ((0.4, 0.0), (0.05, 0.0), 12.0, 9),
+        # off the diagonal, with F_x != F_y and one rate negative
+        ((2.0, 1.0), (-0.02, 0.04), 15.0, 11),
     ],
 )
 def test_evolve_matches_interleaved_loop(k0, F, T, sample_every):
@@ -195,7 +205,37 @@ def test_evolve_matches_interleaved_loop(k0, F, T, sample_every):
     drive = DriveSpec(KPoint(*k0), F, T, 0.01)
     psi0 = physical_spectrum(p, drive.k0)[0].state
     records = evolve(p, drive, psi0, sample_every)
-    assert records == evolve_interleaved(p, drive, psi0, sample_every)
+    expected = evolve_interleaved(p, drive, psi0, sample_every)
+    assert records == expected
+    # == takes -0.0 for 0.0; repr does not
+    assert repr(records) == repr(expected)
+
+
+def test_evolve_drive_table_does_not_grow_with_the_run():
+    # one sample per run, so what evolve holds beyond a block's table does
+    # not grow with the step count; a table of the whole run would
+    p = ModelParams(u=1.0, U=4.0)
+    psi0 = physical_spectrum(p, KPoint(0.0, 0.0))[0].state
+
+    def run(blocks):
+        steps = blocks * _DRIVE_BLOCK
+        drive = DriveSpec(KPoint(0.0, 0.0), (0.05, 0.05), steps * 0.01, 0.01)
+        assert drive.steps == steps
+        evolve(p, drive, psi0, steps)
+
+    def traced_peak(blocks):
+        tracemalloc.start()
+        try:
+            run(blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a lower bound on one block's table: two (dz, dx - i dy) pairs per step
+    block_bytes = 2 * _DRIVE_BLOCK * sum(map(sys.getsizeof, ((0.0, 0j), 0.0, 0j)))
+    run(1)  # fills the interpreter's free lists, which stay allocated after a run
+    peaks = traced_peak(5), traced_peak(20)
+    assert abs(peaks[1] - peaks[0]) < block_bytes, (peaks, block_bytes)
 
 
 @pytest.mark.parametrize("drift", [math.nan, math.inf, 2.0 * NORM_ABORT])
