@@ -254,8 +254,9 @@ def evolve(
     drive coefficients at t + dt/2 and t + dt come from ``_drive_table``,
     built for ``_DRIVE_BLOCK`` steps at a time, so the drive is written once
     and its table stays one block long for any T.  Raises
-    NumericalHealthError when |norm - 1| at a sample exceeds ``NORM_ABORT``
-    or is NaN (suggesting a smaller dt).
+    NumericalHealthError when |norm - 1| at a sample, or at the final state
+    when that is no sample, exceeds ``NORM_ABORT`` or is NaN (suggesting a
+    smaller dt).
     """
     if abs(initial.norm - 1.0) > NORM_INPUT_TOL:
         raise ValueError("initial state must be normalized")
@@ -286,6 +287,9 @@ def evolve(
                 norm = math.sqrt(norm_squared(p1, p2))
                 check_norm_drift(abs(norm - 1.0), t_n, dt)
                 samples.append((t_n, p1, p2, norm))
+    if n_steps % sample_every:
+        # the steps after the last sample are not recorded, but they are checked
+        check_norm_drift(abs(math.sqrt(norm_squared(p1, p2)) - 1.0), n_steps * dt, dt)
 
     records = []
     for i in range(0, len(samples), _SPECTRUM_BLOCK):

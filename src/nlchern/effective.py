@@ -4,9 +4,8 @@ Expanding the Bloch vector to second order around (pi, pi) gives
 
     d_eff(p) = (-px, -py, pz),   pz = u - 2 + (px^2 + py^2)/2,
 
-with px = kx - pi, py = ky - pi.  Its quartic spectrum inherits the full
-model's physicality rules.  Along the diagonal cross-section px = py = p,
-the two-fold degenerate fold points satisfy
+with px = kx - pi, py = ky - pi.  Along the diagonal cross-section
+px = py = p, the two-fold degenerate fold points satisfy
 
     (u - 2 + p^2) = -(1/2) * { U^(2/3) - (8 p^2)^(1/3) }^(3/2),
 
@@ -23,32 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .model import BlochVector, ModelParams
-from .spectrum import _iii_residual, _real_roots, nonlinear_eigenpairs
-
-
-class LocusDomainError(ValueError):
-    """Fractional power evaluated outside its real domain |p| <= U / sqrt(8)."""
+from .model import ModelParams
+from .spectrum import _real_roots
 
 
 class BracketError(ValueError):
     """Bracket endpoints do not straddle the fold merger (4 -> 2 roots)."""
-
-
-@dataclass(frozen=True)
-class PPoint:
-    """Expansion momenta around (pi, pi); |px|, |py| <= pi."""
-
-    px: float
-    py: float
-
-    def __post_init__(self):
-        if abs(self.px) > math.pi or abs(self.py) > math.pi:
-            raise ValueError("expansion momenta must satisfy |px|, |py| <= pi")
-
-    @classmethod
-    def diagonal(cls, p: float) -> "PPoint":
-        return cls(p, p)
 
 
 @dataclass(frozen=True)
@@ -72,44 +51,12 @@ def _tuples_as_lists(pairs) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
 
-def effective_bloch_vector(params: ModelParams, p: PPoint) -> BlochVector:
-    pz = params.u - 2.0 + 0.5 * (p.px * p.px + p.py * p.py)
-    return BlochVector(-p.px, -p.py, pz)
-
-
-def effective_spectrum(params: ModelParams, p: PPoint) -> list[float]:
-    """Physical eigenvalues of the effective model, sorted, with multiplicity."""
-    out: list[float] = []
-    for pair in nonlinear_eigenpairs(effective_bloch_vector(params, p), params.U):
-        out.extend([pair.epsilon] * pair.multiplicity)
-    return out
-
-
-def iii_locus_residual(params: ModelParams, p: float, sign: int) -> float:
-    """Defect (u - 2 + p^2) + sign * {U^(2/3) - (8 p^2)^(1/3)}^(3/2) / 2.
-
-    This is the III-locus residual of ``spectrum`` on d_eff at px = py = p,
-    with the sign flipped.  Defined only where the braced quantity is
-    nonnegative; an even function of p.  The fold-point condition of the
-    lower branch corresponds to sign = +1.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    r = _iii_residual(effective_bloch_vector(params, PPoint.diagonal(p)), params.U, -sign)
-    if r is None:
-        raise LocusDomainError(
-            f"|p|={abs(p):.6g} outside the real domain of the fractional power "
-            f"(requires |p| <= {math.sqrt(params.U * params.U / 8.0):.6g})"
-        )
-    return r
-
-
 def count_iii_points(params: ModelParams) -> tuple[int, list[float]]:
     """Count and locate the diagonal fold points as the real roots of a sextic.
 
-    They are the roots p, |p| <= pi, of ``iii_locus_residual(params, p, +1)``,
-    which is ``spectrum._iii_residual`` at sign = -1 on d_eff(p, p), where
-    s = 2 p^2 and dz = u - 2 + p^2:
+    They are the roots p, |p| <= pi, of the III-locus residual
+    ``spectrum._iii_residual`` at sign = -1 on d_eff(p, p), where s = 2 p^2
+    and dz = u - 2 + p^2:
 
         r(p) = (u - 2 + p^2) + (1/2) t^(3/2),   t = c - (8 p^2)^(1/3),  c = U^(2/3).
 

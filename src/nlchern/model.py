@@ -31,10 +31,6 @@ class GaplessParameterError(ValueError):
     """Raised when a Chern number is requested at a gap-closing parameter."""
 
 
-class NormalizationError(ValueError):
-    """Raised when a supplied spinor is not normalized to tolerance."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: topological parameter u, Kerr strength U, hopping J=1."""
@@ -122,28 +118,6 @@ def bloch_vector(params: ModelParams, k: KPoint) -> BlochVector:
     )
 
 
-def hamiltonian(params: ModelParams, k: KPoint, psi: Spinor) -> np.ndarray:
-    """State-dependent 2x2 Bloch Hamiltonian d.sigma + U diag(|c1|^2, |c2|^2).
-
-    Rejects spinors whose norm deviates from 1 by more than 1e-9; tighter
-    drift is the caller's responsibility.
-    """
-    if abs(psi.norm - 1.0) > NORM_INPUT_TOL:
-        raise NormalizationError(
-            f"spinor norm {psi.norm!r} deviates from 1 beyond {NORM_INPUT_TOL}"
-        )
-    d = bloch_vector(params, k)
-    n1 = abs(psi.c1) ** 2
-    n2 = abs(psi.c2) ** 2
-    return np.array(
-        [
-            [d.dz + params.U * n1, d.dx - 1j * d.dy],
-            [d.dx + 1j * d.dy, -d.dz + params.U * n2],
-        ],
-        dtype=complex,
-    )
-
-
 def _kerr_row(D, O, U, p, q):
     """One row of H(d, psi) psi for H = d . sigma + U diag(|p1|^2, |p2|^2), elementwise.
 
@@ -151,12 +125,6 @@ def _kerr_row(D, O, U, p, q):
     ``_kerr_row(-dz, dx + i dy, U, p2, p1)``.
     """
     return (D + U * p * p.conjugate()) * p + O * q
-
-
-def linear_eigenvalues(params: ModelParams, k: KPoint) -> tuple[float, float]:
-    """Eigenvalues (-|d|, +|d|) of the linear Bloch Hamiltonian."""
-    r = bloch_vector(params, k).magnitude
-    return (-r, r)
 
 
 def chern_number(u: float) -> int:

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import check_norm_drift, rk4_columns, rk4_weights
-from .model import GaplessParameterError, KPoint, ModelParams, Spinor, chern_number
+from .model import GaplessParameterError, KPoint, ModelParams, chern_number
 from .spectrum import physical_spectrum
 
 # steps per block of ``pumped_charge``: its drive table (refilled in place
@@ -76,18 +76,6 @@ def _velocity(cos_kx, sin_kx, cross, imbalance):
     integrals to the integral of the velocity.
     """
     return cos_kx * (2.0 * cross) - sin_kx * imbalance
-
-
-def velocity_expectation(k: KPoint, psi: Spinor) -> float:
-    """Expectation of the velocity operator along x at fixed state.
-
-    Only the linear part of the Hamiltonian carries explicit k_x
-    dependence; the Kerr diagonal depends on k through the state alone
-    and does not enter the derivative.
-    """
-    c1, c2 = complex(psi.c1), complex(psi.c2)
-    imbalance = (c1.real * c1.real + c1.imag * c1.imag) - (c2.real * c2.real + c2.imag * c2.imag)
-    return _velocity(math.cos(k.kx), math.sin(k.kx), (c1.conjugate() * c2).real, imbalance)
 
 
 def kx_columns(n_kx: int) -> np.ndarray:

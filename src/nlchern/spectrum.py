@@ -23,13 +23,17 @@ vectors at one U, each by one of three paths:
                     solved in one stacked eigenvalue call, once per distinct
                     (dz, sqrt(s)).
 
-``nonlinear_eigenpairs`` and ``physical_spectrum`` are its batch of one;
-``band_surface`` calls it once for its whole grid.
+``physical_spectrum`` is its batch of one; ``band_surface`` calls it once
+for its whole grid.
 
 The III-type degeneracies, eps = U/2 + (4 U s)^(1/3) / 2 on the locus
 dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
 cone/tube structures; ``classify_degeneracies`` finds them on each grid
-column as the roots of one quartic.  ``solve_quartic`` solves f itself.
+column as the roots of one quartic.
+
+``solve_quartic`` solves f itself.  Nothing in the package calls it; it
+stays only because the benchmark's per-layer trace (``bench/spans.py``)
+binds it by name.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .model import (
     Spinor,
     _kerr_row,
     bloch_vector,
-    hamiltonian,
 )
 
 # sqrt(dx^2 + dy^2) or |dz| at most this times max(1, U, |d|) is zero to
@@ -83,10 +86,6 @@ class DegeneracyKind(str, enum.Enum):
     III = "III"
 
 
-class AtCriticalityError(ArithmeticError):
-    """First-order bifurcation correction is singular: U sits exactly at U_c."""
-
-
 @dataclass(frozen=True)
 class NonlinearEigenpair:
     """One self-consistent stationary solution at fixed k."""
@@ -103,29 +102,6 @@ class DegeneratePoint:
     k: KPoint
     epsilon: float
     critical_U: float | None = None
-
-
-@dataclass(frozen=True)
-class BifurcationResult:
-    """Real first-order corrections eps1 near a degenerate point."""
-
-    kind: DegeneracyKind
-    values: tuple[float, ...]
-    discriminant: float
-
-
-def quartic_coefficients(params: ModelParams, d: BlochVector) -> list[float]:
-    """Monic quartic coefficients [c4, c3, c2, c1, c0] of f(eps)."""
-    U = params.U
-    s = d.planar_sq
-    z2 = d.dz * d.dz
-    return [
-        1.0,
-        -3.0 * U,
-        3.25 * U * U - z2 - s,
-        U * z2 + 2.0 * U * s - 1.5 * U**3,
-        0.25 * U**4 - 0.25 * U * U * z2 - U * U * s,
-    ]
 
 
 def _horner(coeffs, x):
@@ -404,26 +380,14 @@ def nonlinear_spectra(
     return spectra
 
 
-def nonlinear_eigenpairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
-    """All physical stationary solutions for a raw Bloch vector and Kerr U."""
-    return nonlinear_spectra([d], U)[0]
-
-
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:
     """Physical self-consistent eigenpairs at k, sorted by (epsilon, kappa)."""
-    return nonlinear_eigenpairs(bloch_vector(params, k), params.U)
+    return nonlinear_spectra([bloch_vector(params, k)], params.U)[0]
 
 
 def branch_count(pairs: list[NonlinearEigenpair]) -> int:
     """Number of stationary states counting multiplicity (2 to 4)."""
     return sum(p.multiplicity for p in pairs)
-
-
-def eigenpair_residual(params: ModelParams, k: KPoint, pair: NonlinearEigenpair) -> float:
-    """|| H(state) state - epsilon state ||, the self-consistency defect."""
-    H = hamiltonian(params, k, pair.state)
-    v = pair.state.as_array()
-    return float(np.linalg.norm(H @ v - pair.epsilon * v))
 
 
 # ---------------------------------------------------------------------------
@@ -519,82 +483,6 @@ def classify_degeneracies(params: ModelParams, resolution: int) -> list[Degenera
         for k in (KPoint(kx, ky) for kx, ky in columns + rows):
             points.append(DegeneratePoint(DegeneracyKind.III, k, iii_epsilon(bloch_vector(params, k), U), None))
     return points
-
-
-# ---------------------------------------------------------------------------
-# first-order bifurcation analysis
-# ---------------------------------------------------------------------------
-
-def _d_first_order(k0: KPoint, dk) -> tuple[float, float, float]:
-    dkx, dky = float(dk[0]), float(dk[1])
-    return (
-        dkx * math.cos(k0.kx),
-        dky * math.cos(k0.ky),
-        -dkx * math.sin(k0.kx) - dky * math.sin(k0.ky),
-    )
-
-
-def _degenerate_kind_and_eps(params: ModelParams, d: BlochVector) -> tuple[DegeneracyKind, float]:
-    """I on the polar set and II on the contour, as the spectrum decides them (``_path``);
-    III within 1e-7 of the locus equation."""
-    U = params.U
-    path = _path(d, U)
-    if path == "polar":
-        return DegeneracyKind.I, 0.5 * U
-    if path == "contour":
-        return DegeneracyKind.II, U
-    for sign in (1.0, -1.0):
-        r = _iii_residual(d, U, sign)
-        if r is not None and abs(r) <= 1e-7:
-            return DegeneracyKind.III, iii_epsilon(d, U)
-    raise ValueError("k0 is not a degenerate point of any recognized kind")
-
-
-def bifurcation_correction(params: ModelParams, k0: KPoint, dk) -> BifurcationResult:
-    """First-order eigenvalue corrections a x^2 + b x + c = 0 near a degeneracy.
-
-    Coefficients are the exact partial derivatives of the quartic f with
-    respect to eps and the Bloch-vector components, contracted with the
-    first-order displacement d^(1) = (dk . grad) d at k0.  The sign of the
-    discriminant b^2 - 4ac decides whether the bifurcated pair is real.
-    """
-    if math.hypot(float(dk[0]), float(dk[1])) > 0.1 + 1e-12:
-        raise ValueError("displacement |dk| must be small (<= 0.1)")
-    U = params.U
-    d0 = bloch_vector(params, k0)
-    kind, eps0 = _degenerate_kind_and_eps(params, d0)
-
-    dx1, dy1, dz1 = _d_first_order(k0, dk)
-    A = eps0 - U
-    B = eps0 - 0.5 * U
-    s0 = d0.planar_sq
-    z0 = d0.dz
-
-    f_eps = 2.0 * A * B * B + 2.0 * A * A * B - 2.0 * z0 * z0 * B - 2.0 * s0 * A
-    f_epseps = 2.0 * B * B + 8.0 * A * B + 2.0 * A * A - 2.0 * z0 * z0 - 2.0 * s0
-
-    a = 0.5 * f_epseps
-    b = f_eps + (-4.0 * d0.dx * A) * dx1 + (-4.0 * d0.dy * A) * dy1 + (-4.0 * z0 * B) * dz1
-    c = (
-        (-2.0 * d0.dx * A * A) * dx1
-        + (-2.0 * d0.dy * A * A) * dy1
-        + (-2.0 * z0 * B * B) * dz1
-        + 0.5 * (-2.0 * A * A) * (dx1 * dx1 + dy1 * dy1)
-        + 0.5 * (-2.0 * B * B) * dz1 * dz1
-    )
-
-    scale = max(1.0, U * U, d0.magnitude ** 2)
-    if abs(a) <= 1e-10 * scale:
-        raise AtCriticalityError(
-            f"quadratic coefficient vanishes at the {kind.value}-type point: "
-            "U sits exactly at the critical strength"
-        )
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return BifurcationResult(kind, (), disc)
-    r = math.sqrt(disc)
-    vals = tuple(sorted(((-b - r) / (2.0 * a), (-b + r) / (2.0 * a))))
-    return BifurcationResult(kind, vals, disc)
 
 
 # ---------------------------------------------------------------------------

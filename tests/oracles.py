@@ -6,8 +6,15 @@ grid scan of the locus residual, III-type degenerate points from sign
 changes of the locus residual on the edges of an n x n zone grid, each
 bisected, Chern numbers from a lattice plaquette-link calculation, and
 time evolution from midpoint matrix exponentials of the linear
-Hamiltonian.  Loop versions of batched package code are kept as
-references: the pumped-charge loop on a stacked (2, n) state, the
+Hamiltonian.  The dense-matrix Hamiltonian with its eigenpair residual,
+the linear bands, the coefficients of the energy quartic and the
+velocity expectation are written out from their formulas.  Two
+references call package code: ``effective_spectrum`` solves the (pi, pi)
+expansion with ``spectrum.nonlinear_spectra``, and
+``bifurcation_correction`` takes the kind of a degenerate point from
+``spectrum._path``, and a III point's locus and energy from
+``spectrum._iii_residual`` and ``spectrum.iii_epsilon``.  Loop versions
+of batched package code are kept as references: the pumped-charge loop on a stacked (2, n) state, the
 trajectory loop that builds each record as it samples, the per-sample
 spectra of a trajectory and the csv.writer loops of
 ``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
@@ -16,6 +23,7 @@ spectra of a trajectory and the csv.writer loops of
 import csv
 import decimal
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,8 +140,114 @@ def _exact_g(branch, dx, dy, dz, U):
 
 
 # ---------------------------------------------------------------------------
-# diagonal fold points of the effective model by a grid scan
+# dense-matrix Hamiltonian and the closed forms the spectrum rests on
 # ---------------------------------------------------------------------------
+
+# tolerance for the normalization of a spinor handed to ``hamiltonian``
+NORM_TOL = 1e-9
+
+
+class NormalizationError(ValueError):
+    """Raised when a supplied spinor is not normalized to tolerance."""
+
+
+def _bloch(params, k):
+    """d(k) = (sin kx, sin ky, u + cos kx + cos ky), written out here, not taken from the package."""
+    return math.sin(k.kx), math.sin(k.ky), params.u + math.cos(k.kx) + math.cos(k.ky)
+
+
+def hamiltonian(params, k, psi):
+    """State-dependent 2x2 Bloch Hamiltonian d.sigma + U diag(|c1|^2, |c2|^2).
+
+    Rejects spinors whose norm deviates from 1 by more than 1e-9; tighter
+    drift is the caller's responsibility.
+    """
+    if abs(psi.norm - 1.0) > NORM_TOL:
+        raise NormalizationError(f"spinor norm {psi.norm!r} deviates from 1 beyond {NORM_TOL}")
+    dx, dy, dz = _bloch(params, k)
+    n1 = abs(psi.c1) ** 2
+    n2 = abs(psi.c2) ** 2
+    return np.array(
+        [
+            [dz + params.U * n1, dx - 1j * dy],
+            [dx + 1j * dy, -dz + params.U * n2],
+        ],
+        dtype=complex,
+    )
+
+
+def eigenpair_residual(params, k, pair):
+    """|| H(state) state - epsilon state || from the dense ``hamiltonian``."""
+    H = hamiltonian(params, k, pair.state)
+    v = pair.state.as_array()
+    return float(np.linalg.norm(H @ v - pair.epsilon * v))
+
+
+def linear_eigenvalues(params, k):
+    """Eigenvalues (-|d|, +|d|) of the linear Bloch Hamiltonian."""
+    r = math.hypot(*_bloch(params, k))
+    return (-r, r)
+
+
+def quartic_coefficients(params, d):
+    """Monic quartic coefficients [c4, c3, c2, c1, c0] of the energy quartic f(eps)."""
+    U = params.U
+    s = d.planar_sq
+    z2 = d.dz * d.dz
+    return [
+        1.0,
+        -3.0 * U,
+        3.25 * U * U - z2 - s,
+        U * z2 + 2.0 * U * s - 1.5 * U**3,
+        0.25 * U**4 - 0.25 * U * U * z2 - U * U * s,
+    ]
+
+
+def velocity_expectation(k, psi):
+    """cos(kx) <sigma_x> - sin(kx) <sigma_z>, the velocity along x at a fixed state.
+
+    Only the linear part of the Hamiltonian depends on k_x explicitly; the
+    Kerr diagonal depends on k through the state alone.
+    """
+    c1, c2 = complex(psi.c1), complex(psi.c2)
+    sigma_x = 2.0 * (c1.conjugate() * c2).real
+    sigma_z = abs(c1) ** 2 - abs(c2) ** 2
+    return math.cos(k.kx) * sigma_x - math.sin(k.kx) * sigma_z
+
+
+# ---------------------------------------------------------------------------
+# the effective model near (pi, pi) and its diagonal fold points by a grid scan
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PPoint:
+    """Expansion momenta around (pi, pi); |px|, |py| <= pi."""
+
+    px: float
+    py: float
+
+    def __post_init__(self):
+        if abs(self.px) > math.pi or abs(self.py) > math.pi:
+            raise ValueError("expansion momenta must satisfy |px|, |py| <= pi")
+
+
+def effective_bloch_vector(params, p):
+    """d_eff(p) = (-px, -py, u - 2 + (px^2 + py^2)/2), d to second order around (pi, pi)."""
+    from nlchern.model import BlochVector
+
+    pz = params.u - 2.0 + 0.5 * (p.px * p.px + p.py * p.py)
+    return BlochVector(-p.px, -p.py, pz)
+
+
+def effective_spectrum(params, p):
+    """Physical eigenvalues of the effective model from ``nonlinear_spectra``, sorted, with multiplicity."""
+    from nlchern.spectrum import nonlinear_spectra
+
+    out = []
+    for pair in nonlinear_spectra([effective_bloch_vector(params, p)], params.U)[0]:
+        out.extend([pair.epsilon] * pair.multiplicity)
+    return out
+
 
 def fold_residual(u, U, p):
     """(u - 2 + p^2) + {U^(2/3) - (8 p^2)^(1/3)}^(3/2) / 2, with the brace clipped at 0."""
@@ -263,6 +377,99 @@ def iii_points_scan(u, U, n):
                         k = (ka[0] + t * (kb[0] - ka[0]), ka[1] + t * (kb[1] - ka[1]))
                         points.append(tuple(float(x % (2.0 * math.pi)) for x in k))
     return points
+
+
+# ---------------------------------------------------------------------------
+# first-order bifurcation corrections
+# ---------------------------------------------------------------------------
+
+class AtCriticalityError(ArithmeticError):
+    """First-order bifurcation correction is singular: U sits exactly at U_c."""
+
+
+@dataclass(frozen=True)
+class BifurcationResult:
+    """Real first-order corrections eps1 near a degenerate point."""
+
+    kind: str  # a spectrum.DegeneracyKind
+    values: tuple
+    discriminant: float
+
+
+def _d_first_order(k0, dk):
+    dkx, dky = float(dk[0]), float(dk[1])
+    return (
+        dkx * math.cos(k0.kx),
+        dky * math.cos(k0.ky),
+        -dkx * math.sin(k0.kx) - dky * math.sin(k0.ky),
+    )
+
+
+def _degenerate_kind_and_eps(params, d):
+    """I on the polar set and II on the contour, as the spectrum decides them (``_path``);
+    III within 1e-7 of the locus equation."""
+    from nlchern.spectrum import DegeneracyKind, _iii_residual, _path, iii_epsilon
+
+    U = params.U
+    path = _path(d, U)
+    if path == "polar":
+        return DegeneracyKind.I, 0.5 * U
+    if path == "contour":
+        return DegeneracyKind.II, U
+    for sign in (1.0, -1.0):
+        r = _iii_residual(d, U, sign)
+        if r is not None and abs(r) <= 1e-7:
+            return DegeneracyKind.III, iii_epsilon(d, U)
+    raise ValueError("k0 is not a degenerate point of any recognized kind")
+
+
+def bifurcation_correction(params, k0, dk):
+    """First-order eigenvalue corrections a x^2 + b x + c = 0 near a degeneracy.
+
+    Coefficients are the exact partial derivatives of the quartic f with
+    respect to eps and the Bloch-vector components, contracted with the
+    first-order displacement d^(1) = (dk . grad) d at k0.  The sign of the
+    discriminant b^2 - 4ac decides whether the bifurcated pair is real.
+    """
+    from nlchern.model import bloch_vector
+
+    if math.hypot(float(dk[0]), float(dk[1])) > 0.1 + 1e-12:
+        raise ValueError("displacement |dk| must be small (<= 0.1)")
+    U = params.U
+    d0 = bloch_vector(params, k0)
+    kind, eps0 = _degenerate_kind_and_eps(params, d0)
+
+    dx1, dy1, dz1 = _d_first_order(k0, dk)
+    A = eps0 - U
+    B = eps0 - 0.5 * U
+    s0 = d0.planar_sq
+    z0 = d0.dz
+
+    f_eps = 2.0 * A * B * B + 2.0 * A * A * B - 2.0 * z0 * z0 * B - 2.0 * s0 * A
+    f_epseps = 2.0 * B * B + 8.0 * A * B + 2.0 * A * A - 2.0 * z0 * z0 - 2.0 * s0
+
+    a = 0.5 * f_epseps
+    b = f_eps + (-4.0 * d0.dx * A) * dx1 + (-4.0 * d0.dy * A) * dy1 + (-4.0 * z0 * B) * dz1
+    c = (
+        (-2.0 * d0.dx * A * A) * dx1
+        + (-2.0 * d0.dy * A * A) * dy1
+        + (-2.0 * z0 * B * B) * dz1
+        + 0.5 * (-2.0 * A * A) * (dx1 * dx1 + dy1 * dy1)
+        + 0.5 * (-2.0 * B * B) * dz1 * dz1
+    )
+
+    scale = max(1.0, U * U, d0.magnitude ** 2)
+    if abs(a) <= 1e-10 * scale:
+        raise AtCriticalityError(
+            f"quadratic coefficient vanishes at the {kind.value}-type point: "
+            "U sits exactly at the critical strength"
+        )
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return BifurcationResult(kind, (), disc)
+    r = math.sqrt(disc)
+    vals = tuple(sorted(((-b - r) / (2.0 * a), (-b + r) / (2.0 * a))))
+    return BifurcationResult(kind, vals, disc)
 
 
 # ---------------------------------------------------------------------------

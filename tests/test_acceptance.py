@@ -13,14 +13,16 @@ from nlchern.dynamics import DriveSpec, detect_breakdown, evolve, instantaneous_
 from nlchern.effective import gap_closed_u_interval, gap_closing_search
 from nlchern.model import KPoint, ModelParams, Spinor, bloch_vector, chern_number
 from nlchern.response import is_adiabatic, pumped_charge
-from nlchern.spectrum import (
-    branch_count,
-    eigenpair_residual,
-    physical_spectrum,
-    quartic_coefficients,
-)
+from nlchern.spectrum import physical_spectrum
 
-from oracles import kappa_scan_spectrum, linear_propagate, plaquette_chern, ray_distance
+from oracles import (
+    eigenpair_residual,
+    kappa_scan_spectrum,
+    linear_propagate,
+    plaquette_chern,
+    quartic_coefficients,
+    ray_distance,
+)
 
 TWO_PI = 2.0 * math.pi
 

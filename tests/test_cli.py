@@ -321,6 +321,9 @@ def test_dynamics_rejects_missing_band_like_response(tmp_path, monkeypatch):
           "--sample-every", "2000"], "trajectory.csv"),
         # the per-step renormalization hides a drift of order 1e20 from the charge
         (["response", "--U", "4", "--F", "0.01", "--grid", "8", "--dt", "0.6"], "response.json"),
+        # the first run sampled only at t = 0: the check of its final state, step 2,857, sees the NaN
+        (["dynamics", "--U", "4", "--F", "0.001", "--dt", "0.7", "--T", "2000",
+          "--sample-every", "5000"], "trajectory.csv"),
     ],
 )
 def test_norm_drift_aborts_both_driven_runs(tmp_path, capsys, args, output):
@@ -492,3 +495,15 @@ def test_module_entry_point_exits_with_config_error(tmp_path):
     )
     assert proc.returncode == 2
     assert "--format" in proc.stderr
+
+
+def test_readme_names_every_public_name():
+    # every public name of the package has a caller on a CLI path or is
+    # library API, and the README's module table names it either way
+    import types
+
+    import nlchern
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = [n for n, v in vars(nlchern).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+    assert [n for n in names if f"`{n}`" not in readme] == []

@@ -28,6 +28,7 @@ from nlchern.spectrum import physical_spectrum
 from oracles import (
     evolve_interleaved,
     evolve_per_sample,
+    hamiltonian,
     linear_propagate,
     ray_distance,
     write_trajectory_csv,
@@ -59,8 +60,6 @@ def test_mean_energy_examples():
     # U=0 reduces to the linear expectation
     p3 = ModelParams(u=1.0, U=0.0)
     psi = Spinor(complex(0.3, 0.5), complex(0.7, -0.1)).normalized()
-    from nlchern.model import bloch_vector, hamiltonian
-
     k3 = KPoint(0.8, 2.0)
     H = hamiltonian(p3, k3, psi)
     v = psi.as_array()

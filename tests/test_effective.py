@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from nlchern.effective import (
     BracketError,
-    LocusDomainError,
-    PPoint,
     count_iii_points,
-    effective_spectrum,
     gap_closed_u_interval,
     gap_closing_search,
-    iii_locus_residual,
 )
 from nlchern.model import KPoint, ModelParams
 from nlchern.spectrum import physical_spectrum
 
-from oracles import fold_merger_bisection, fold_points_scan, fold_residual
+from oracles import PPoint, effective_spectrum, fold_merger_bisection, fold_points_scan, fold_residual
 
 
 def test_ppoint_bounds():
@@ -57,27 +53,6 @@ def test_effective_consistent_with_full_model():
             assert eff == pytest.approx(full, abs=2e-2)
 
 
-def test_locus_residual_value():
-    assert iii_locus_residual(ModelParams(u=1.0, U=4.0), 0.0, -1) == pytest.approx(-3.0, abs=1e-14)
-
-
-def test_locus_residual_even_and_sign_flip():
-    params = ModelParams(u=1.0, U=4.0)
-    for p in (0.1, 0.5, 1.0):
-        rp = iii_locus_residual(params, p, 1)
-        rm = iii_locus_residual(params, -p, 1)
-        assert rp == pytest.approx(rm, abs=1e-14)
-        base = params.u - 2.0 + p * p
-        assert iii_locus_residual(params, p, 1) - base == pytest.approx(
-            -(iii_locus_residual(params, p, -1) - base), abs=1e-14
-        )
-
-
-def test_locus_residual_domain_error():
-    with pytest.raises(LocusDomainError):
-        iii_locus_residual(ModelParams(u=1.0, U=1.0), 1.0, 1)
-
-
 def test_count_four_roots():
     n, roots = count_iii_points(ModelParams(u=1.0, U=4.0))
     assert n == 4
@@ -85,7 +60,7 @@ def test_count_four_roots():
     assert roots[0] == pytest.approx(-roots[3], abs=1e-8)
     assert roots[1] == pytest.approx(-roots[2], abs=1e-8)
     for r in roots:
-        assert abs(iii_locus_residual(ModelParams(u=1.0, U=4.0), r, 1)) < 1e-8
+        assert abs(fold_residual(1.0, 4.0, r)) < 1e-8
 
 
 def test_count_zero_roots():
@@ -130,7 +105,7 @@ def test_count_matches_scan_oracle(point):
     assert n == len(roots)
     for p in roots:
         assert abs(p) <= math.pi
-        assert abs(iii_locus_residual(params, p, 1)) <= 1e-10
+        assert abs(fold_residual(u, U, p)) <= 1e-10
     # away from tangency: no local extremum of the residual (the fold merger,
     # the cusp at p = 0) and neither end of the domain lies near zero
     pmax = min(math.pi, U / math.sqrt(8.0))

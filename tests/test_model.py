@@ -7,13 +7,12 @@ from nlchern.model import (
     GaplessParameterError,
     KPoint,
     ModelParams,
-    NormalizationError,
     Spinor,
     bloch_vector,
     chern_number,
-    hamiltonian,
-    linear_eigenvalues,
 )
+
+from oracles import NormalizationError, hamiltonian, linear_eigenvalues
 
 TWO_PI = 2.0 * math.pi
 

@@ -14,7 +14,6 @@ from nlchern.response import (
     phase_diagram,
     pumped_charge,
     sweep_initial_states,
-    velocity_expectation,
 )
 from nlchern.spectrum import physical_spectrum
 
@@ -23,6 +22,7 @@ from oracles import (
     pumped_charge_reference,
     pumped_charge_stacked,
     tube_strength_scan,
+    velocity_expectation,
     write_phase_diagram_csv,
 )
 

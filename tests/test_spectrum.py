@@ -6,28 +6,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector, hamiltonian
+from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
 from nlchern.spectrum import (
     _iii_residual,
     _path,
     _theta_roots,
-    AtCriticalityError,
     DegeneracyKind,
     SpectrumHealth,
     band_surface,
-    bifurcation_correction,
     branch_count,
     classify_degeneracies,
-    eigenpair_residual,
     iii_epsilon,
-    nonlinear_eigenpairs,
     nonlinear_spectra,
     physical_spectrum,
-    quartic_coefficients,
     solve_quartic,
 )
 
-from oracles import iii_points_scan, kappa_scan_spectrum
+from oracles import (
+    AtCriticalityError,
+    bifurcation_correction,
+    eigenpair_residual,
+    hamiltonian,
+    iii_points_scan,
+    kappa_scan_spectrum,
+    quartic_coefficients,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,7 +362,6 @@ def test_list_form_equals_batch_of_one(batch):
     ds, U = batch
     spectra = nonlinear_spectra(ds, U)
     assert spectra == [nonlinear_spectra([d], U)[0] for d in ds]
-    assert spectra == [nonlinear_eigenpairs(d, U) for d in ds]
     # the stacked companions give np.roots bit for bit (less its appended z = 0 at U = 0)
     generic = [d for d in ds if _path(d, U) == "generic"]
     if generic:
