@@ -1,14 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: the options, and the layout of every output file.
 
 Subcommands: bands, degeneracies, gap, dynamics, response, phase-diagram.
 Each subcommand takes only the options it reads; ``nlchern <command>
 --help`` lists them with their defaults.  A flat key=value config file
-(--config) may supply any of those options under its long name; explicit
-command-line flags override it, and a key the subcommand does not read is
-an error like a flag it does not read.  Flags are not abbreviated, so a
-flag and a config key name an option the same way.  All computations are
-deterministic, so identical configurations produce byte-identical output
-files.
+(--config) may supply any of those options under its long name: each line
+is parsed as the flag --key=value placed before the command-line flags, so
+argparse checks it the same way and an explicit flag overrides it.  A key
+the subcommand does not read is an error like a flag it does not read.
+Flags are not abbreviated, so a flag and a config key name an option the
+same way.  All computations are deterministic, so identical configurations
+produce byte-identical output files.
 
 Exit codes: 0 success, 2 configuration error, 3 regime error (missing
 band branch), 4 numerical-health abort.
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .dynamics import DriveSpec, NumericalHealthError, evolve
@@ -27,11 +29,11 @@ from .effective import BracketError, gap_closing_search
 from .model import KPoint, ModelParams, Spinor, bloch_vector
 from .response import RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
 from .spectrum import (
+    BandNode,
     DegeneracyKind,
     SpectrumHealth,
     _iii_residual,
     band_surface,
-    band_surface_rows,
     classify_degeneracies,
 )
 
@@ -95,9 +97,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _read_config(path: str, actions: dict) -> dict:
-    """Parse a key=value file into {dest: value}; ``actions`` maps long option names to actions."""
-    values = {}
+def _config_tokens(path: str, keys) -> list[str]:
+    """A key=value file as the flags ``--key=value``, for argparse to convert and
+    check like the command line's; ``keys`` are the long option names it may set."""
+    tokens = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -110,19 +113,11 @@ def _read_config(path: str, actions: dict) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in actions:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        action = actions[key]
-        try:
-            value = (action.type or str)(val.strip())
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"{path}:{lineno}: {key} must be one of {', '.join(action.choices)}, got {value!r}"
-            )
-        values[action.dest] = value
-    return values
+        # one token, so that a value starting with "-" is not read as a flag
+        tokens.append(f"--{key}={val.strip()}")
+    return tokens
 
 
 def _require(args: argparse.Namespace, dest: str):
@@ -155,6 +150,27 @@ def _write_csv(path: Path, header, row_format: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
+def _band_rows(nodes: list[BandNode]):
+    """Flatten to CSV rows: one row per branch per node, duplicating
+    population-split degenerate pairs according to their multiplicity."""
+    for node in nodes:
+        idx = 0
+        for p in node.pairs:
+            for _ in range(p.multiplicity):
+                yield (
+                    node.kx,
+                    node.ky,
+                    idx,
+                    p.epsilon,
+                    p.kappa,
+                    p.state.c1.real,
+                    p.state.c1.imag,
+                    p.state.c2.real,
+                    p.state.c2.imag,
+                )
+                idx += 1
+
+
 def cmd_bands(args: argparse.Namespace) -> int:
     params = _params(args)
     health = SpectrumHealth()
@@ -162,15 +178,11 @@ def cmd_bands(args: argparse.Namespace) -> int:
     out = _outdir(args)
     header = ("kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2")
     row_format = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-    _write_csv(out / "bands.csv", header, row_format, band_surface_rows(nodes))
+    _write_csv(out / "bands.csv", header, row_format, _band_rows(nodes))
 
-    counts: dict[int, int] = {}
-    multi = []
-    for node in nodes:
-        c = node.branch_count
-        counts[c] = counts.get(c, 0) + 1
-        if c > 2:
-            multi.append((node.kx, node.ky))
+    branches = [node.branch_count for node in nodes]
+    counts = Counter(branches)
+    multi = [(node.kx, node.ky) for node, c in zip(nodes, branches) if c > 2]
     summary = {
         "u": params.u,
         "U": params.U,
@@ -179,12 +191,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
         "diagnostics": health.to_dict(),
     }
     if multi:
-        summary["multi_branch_region"] = {
-            "kx_min": min(m[0] for m in multi),
-            "kx_max": max(m[0] for m in multi),
-            "ky_min": min(m[1] for m in multi),
-            "ky_max": max(m[1] for m in multi),
-        }
+        kxs, kys = zip(*multi)
+        summary["multi_branch_region"] = dict(kx_min=min(kxs), kx_max=max(kxs), ky_min=min(kys), ky_max=max(kys))
     _write_json(out / "bands_summary.json", summary)
     return EXIT_OK
 
@@ -315,29 +323,31 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and per subcommand its parser and {long option name: action}."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlchern", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (_, text, options, defaults) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="flat key=value file of this subcommand's options")
-        actions = {key: p.add_argument(f"--{key}", **_OPTIONS[key]) for key in (*options, "out")}
+        for key in (*options, "out"):
+            p.add_argument(f"--{key}", **_OPTIONS[key])
         p.set_defaults(**defaults)
-        commands[name] = (p, actions)
-    return parser, commands
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults, so flags still override them
-            subparser, actions = commands[args.command]
-            subparser.set_defaults(**_read_config(args.config, actions))
-            args = parser.parse_args(argv)
+            # the file's options go in as flags before the command line's, which
+            # override them; the command line parsed, so an error is the file's
+            tokens = _config_tokens(args.config, (*_SUBCOMMANDS[args.command][2], "out"))
+            try:
+                args = parser.parse_args([args.command, *tokens, *argv[1:]])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from exc
         return _SUBCOMMANDS[args.command][0](args)
     except (ConfigError, BracketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

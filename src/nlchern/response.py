@@ -313,6 +313,8 @@ def phase_diagram(
     critical_strength = _band(band)[1]
     if not all(map(math.isfinite, (*u_range, *U_range))):
         raise ValueError("phase diagram bounds must be finite")
+    if min(U_range) < 0:
+        raise ValueError("U must be a finite nonnegative Kerr strength")
     if resolution < 2:
         raise ValueError("phase diagram needs at least a 2 x 2 grid")
     us = np.linspace(u_range[0], u_range[1], resolution)

@@ -42,7 +42,7 @@ import cmath
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -323,13 +323,7 @@ class SpectrumHealth:
         self.max_residual = worst
 
     def to_dict(self) -> dict:
-        return {
-            "paths": dict(self.paths),
-            "roots_discarded": self.roots_discarded,
-            "max_kept_root_margin": self.max_kept_root_margin,
-            "min_discarded_root_margin": self.min_discarded_root_margin,
-            "max_residual": self.max_residual,
-        }
+        return asdict(self)
 
 
 def nonlinear_spectra(
@@ -516,24 +510,3 @@ def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = No
     ks = [(kx, ky) for kx in axis for ky in axis]
     spectra = nonlinear_spectra([bloch_vector(params, KPoint(kx, ky)) for kx, ky in ks], params.U, health)
     return [BandNode(kx, ky, tuple(pairs)) for (kx, ky), pairs in zip(ks, spectra)]
-
-
-def band_surface_rows(nodes: list[BandNode]):
-    """Flatten to CSV rows: one row per branch per node, duplicating
-    population-split degenerate pairs according to their multiplicity."""
-    for node in nodes:
-        idx = 0
-        for p in node.pairs:
-            for _ in range(p.multiplicity):
-                yield (
-                    node.kx,
-                    node.ky,
-                    idx,
-                    p.epsilon,
-                    p.kappa,
-                    p.state.c1.real,
-                    p.state.c1.imag,
-                    p.state.c2.real,
-                    p.state.c2.imag,
-                )
-                idx += 1

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from nlchern import cli
+from nlchern.cli import _band_rows
 from nlchern.dynamics import DriveSpec, evolve
 from nlchern.model import KPoint, ModelParams, Spinor
 from nlchern.response import phase_diagram, sweep_initial_states
-from nlchern.spectrum import band_surface, band_surface_rows
+from nlchern.spectrum import band_surface
 
 from oracles import write_bands_csv, write_phase_diagram_csv, write_trajectory_csv
 
@@ -62,7 +63,7 @@ def test_bands_writes_table_and_summary(tmp_path):
 def test_bands_csv_matches_csv_writer_loop(tmp_path, u, U, n):
     out = tmp_path / "b"
     assert run(["bands", "--u", str(u), "--U", str(U), "--grid", str(n), "--out", str(out)]) == 0
-    write_bands_csv(band_surface_rows(band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
+    write_bands_csv(_band_rows(band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
     assert (out / "bands.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -222,6 +223,18 @@ def test_config_file_and_override(tmp_path):
     assert run(["degeneracies", "--config", str(conf), "--u", "1.2", "--out", str(out2)]) == 0
     payload2 = json.loads((out2 / "degeneracies.json").read_text())
     assert payload2["u"] == 1.2
+    # a value starting with "-", or holding one, is the flag's value, not a flag
+    for args, key, value in [
+        (["bands"], "u", "-1"),
+        (["dynamics", "--u", "1", "--U", "4", "--T", "1"], "F", "0.02,-0.01"),
+        (["dynamics", "--u", "1", "--U", "4", "--T", "1"], "F", "-0.02,0.01"),
+    ]:
+        conf.write_text(f"{key}={value}\n")
+        flag, config = tmp_path / "flag", tmp_path / "config"
+        assert run([*args, f"--{key}={value}", "--out", str(flag)]) == 0
+        assert run([*args, "--config", str(conf), "--out", str(config)]) == 0
+        for name in sorted(os.listdir(flag)):
+            assert (config / name).read_bytes() == (flag / name).read_bytes()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -352,6 +365,7 @@ def test_non_finite_drive_rejected(tmp_path, args):
         (["phase-diagram", "--u-min", "nan", "--grid", "3"], "bounds must be finite"),
         (["phase-diagram", "--U-max", "inf", "--grid", "3"], "bounds must be finite"),
         (["phase-diagram", "--grid", "0"], "at least a 2 x 2 grid"),
+        (["phase-diagram", "--U-min", "-2", "--U-max", "1", "--grid", "3"], "U must be a finite nonnegative"),
     ],
 )
 def test_non_finite_model_and_diagram_inputs_rejected(tmp_path, capsys, args, message):
@@ -365,13 +379,22 @@ def test_response_empty_grid_rejected(tmp_path):
     assert not (tmp_path / "response.json").exists()
 
 
-def test_bad_config_values_rejected(tmp_path):
-    conf = tmp_path / "band.conf"
-    conf.write_text("u=1\nU=4\nband=bogus\n")
-    assert run(["dynamics", "--config", str(conf), "--T", "1", "--out", str(tmp_path)]) == 2
-    conf = tmp_path / "U.conf"
-    conf.write_text("u=3\nU=strong\ngrid=3\n")
-    assert run(["bands", "--config", str(conf), "--out", str(tmp_path)]) == 2
+def test_bad_config_values_rejected(tmp_path, capsys):
+    # argparse checks a value from the file as the same flag: the same
+    # message, after the file's path
+    for args, lines, key, value in [
+        (["dynamics", "--T", "1"], "u=1\nU=4\n", "band", "bogus"),
+        (["bands"], "u=3\ngrid=3\n", "U", "strong"),
+        (["phase-diagram"], "", "band", "middle"),
+        (["degeneracies", "--u", "1"], "", "grid", "many"),
+    ]:
+        conf = tmp_path / f"{key}.conf"
+        conf.write_text(f"{lines}{key}={value}\n")
+        assert run([*args, f"--{key}", value, "--out", str(tmp_path)]) == 2
+        flag_error = capsys.readouterr().err
+        assert f"argument --{key}:" in flag_error
+        assert run([*args, "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == flag_error.replace("error: ", f"error: {conf}: ", 1)
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "bands.json").exists()
     assert not (tmp_path / "bands.csv").exists()
