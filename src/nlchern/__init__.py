@@ -11,10 +11,10 @@ from .model import (
     chern_number,
 )
 from .spectrum import (
-    BandNode,
     DegeneracyKind,
     DegeneratePoint,
     NonlinearEigenpair,
+    Spectra,
     SpectrumHealth,
     band_surface,
     branch_count,

@@ -20,17 +20,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .dynamics import DriveSpec, NumericalHealthError, evolve
 from .effective import BracketError, gap_closing_search
 from .model import KPoint, ModelParams, Spinor, bloch_vector
 from .response import RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
 from .spectrum import (
-    BandNode,
     DegeneracyKind,
+    Spectra,
     SpectrumHealth,
     _iii_residual,
     band_surface,
@@ -41,6 +44,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERICS = 4
+
+# bands.csv rows turned into Python numbers at a time
+_ROW_BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -72,8 +78,12 @@ _OPTIONS = {
     "u": dict(type=float, help="topological parameter"),
     "U": dict(type=float, default=0.0, help="Kerr nonlinear strength"),
     "grid": dict(type=int, help="grid points per axis; k_x columns for response"),
-    "bracket": dict(type=_bracket, help="LO,HI bracket on the free parameter (required)"),
-    "F": dict(type=_force, default="0.01", help="drive rate; dynamics also takes Fx,Fy"),
+    "bracket": dict(
+        type=_bracket, help="LO,HI bracket on the free parameter (required); LO < 0 as --bracket=-0.5,1.2"
+    ),
+    "F": dict(
+        type=_force, default="0.01", help="drive rate; dynamics also takes Fx,Fy, Fx < 0 as --F=-0.02,0.01"
+    ),
     "T": dict(type=float, help="total evolution time (1/J); unset: 2 pi / max|F|, or 100 at F = 0"),
     "dt": dict(type=float, default=0.01, help="integration step (1/J)"),
     "band": dict(choices=("ground", "excited"), default="ground", help="band branch"),
@@ -91,9 +101,21 @@ class _Parser(argparse.ArgumentParser):
         # a flag is spelled out like its config key; no prefix matching
         super().__init__(allow_abbrev=False, **kwargs)
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         # a bad command line is a configuration error like a bad config file:
-        # main reports it and returns 2 instead of exiting
+        # main reports it and returns 2 instead of exiting.  argparse takes a
+        # value that starts with "-" and is no plain negative number for a
+        # flag; name the one-token form that passes it.
+        flag = re.fullmatch(r"argument (--\S+): expected one argument", message)
+        tokens = getattr(self, "_tokens", [])
+        if flag and flag[1] in tokens[:-1]:
+            value = tokens[tokens.index(flag[1]) + 1]
+            if value.startswith("-"):
+                message += f" (a value starting with '-' goes in one token: {flag[1]}={value})"
         raise ConfigError(f"{self.prog}: {message}")
 
 
@@ -150,39 +172,34 @@ def _write_csv(path: Path, header, row_format: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def _band_rows(nodes: list[BandNode]):
-    """Flatten to CSV rows: one row per branch per node, duplicating
-    population-split degenerate pairs according to their multiplicity."""
-    for node in nodes:
-        idx = 0
-        for p in node.pairs:
-            for _ in range(p.multiplicity):
-                yield (
-                    node.kx,
-                    node.ky,
-                    idx,
-                    p.epsilon,
-                    p.kappa,
-                    p.state.c1.real,
-                    p.state.c1.imag,
-                    p.state.c2.real,
-                    p.state.c2.imag,
-                )
-                idx += 1
+def _band_rows(kx, ky, spectra: Spectra):
+    """Flatten to CSV rows: one row per branch per node (kx[i], ky[i]), a
+    population-split degenerate pair once per unit of its multiplicity; the
+    columns are indexed as arrays, and turned into Python numbers a block of
+    rows at a time."""
+    branches = spectra.branch_counts()
+    node = np.repeat(np.arange(len(branches)), branches)
+    index = np.arange(len(node)) - np.repeat(np.cumsum(branches) - branches, branches)
+    state = np.repeat(np.arange(len(spectra.multiplicity)), spectra.multiplicity)
+    c1, c2 = spectra.c1[state], spectra.c2[state]
+    columns = (kx[node], ky[node], index, spectra.epsilon[state], spectra.kappa[state])
+    columns += (c1.real, c1.imag, c2.real, c2.imag)
+    for start in range(0, len(node), _ROW_BLOCK):
+        yield from zip(*(column[start : start + _ROW_BLOCK].tolist() for column in columns))
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
     params = _params(args)
     health = SpectrumHealth()
-    nodes = band_surface(params, args.grid, health)
+    kx, ky, spectra = band_surface(params, args.grid, health)
     out = _outdir(args)
     header = ("kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2")
     row_format = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-    _write_csv(out / "bands.csv", header, row_format, _band_rows(nodes))
+    _write_csv(out / "bands.csv", header, row_format, _band_rows(kx, ky, spectra))
 
-    branches = [node.branch_count for node in nodes]
-    counts = Counter(branches)
-    multi = [(node.kx, node.ky) for node, c in zip(nodes, branches) if c > 2]
+    branches = spectra.branch_counts()
+    counts = Counter(branches.tolist())
+    multi = branches > 2
     summary = {
         "u": params.u,
         "U": params.U,
@@ -190,8 +207,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
         "branch_count_nodes": {str(k): v for k, v in sorted(counts.items())},
         "diagnostics": health.to_dict(),
     }
-    if multi:
-        kxs, kys = zip(*multi)
+    if multi.any():
+        kxs, kys = kx[multi].tolist(), ky[multi].tolist()
         summary["multi_branch_region"] = dict(kx_min=min(kxs), kx_max=max(kxs), ky_min=min(kys), ky_max=max(kys))
     _write_json(out / "bands_summary.json", summary)
     return EXIT_OK

@@ -295,7 +295,8 @@ def evolve(
     for i in range(0, len(samples), _SPECTRUM_BLOCK):
         block = samples[i : i + _SPECTRUM_BLOCK]
         ks = [KPoint(k0.kx + F[0] * t, k0.ky + F[1] * t) for t, _, _, _ in block]
-        spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
+        ds = [bloch_vector(params, k) for k in ks]
+        spectra = nonlinear_spectra([(d.dx, d.dy, d.dz) for d in ds], U).pairs()
         for (t, p1, p2, norm), k, pairs in zip(block, ks, spectra):
             psi = Spinor(p1 / norm, p2 / norm)
             projections = instantaneous_projections(psi, pairs)

@@ -23,8 +23,13 @@ vectors at one U, each by one of three paths:
                     solved in one stacked eigenvalue call, once per distinct
                     (dz, sqrt(s)).
 
-``physical_spectrum`` is its batch of one; ``band_surface`` calls it once
-for its whole grid.
+``nonlinear_spectra`` is the array core: it returns the states of all its
+vectors as flat numpy arrays with an offset per vector (``Spectra``), and
+``band_surface`` calls it once for its whole grid.  ``NonlinearEigenpair``
+objects are built only at the API edge: ``physical_spectrum`` solves one k
+on Python scalars (``_spectrum``), faster for one vector, and
+``Spectra.pairs`` turns rows into pair lists; every row of the array core
+equals ``_spectrum`` to the bit.
 
 The III-type degeneracies, eps = U/2 + (4 U s)^(1/3) / 2 on the locus
 dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
@@ -47,11 +52,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
+    TWO_PI,
     BlochVector,
     KPoint,
     ModelParams,
     Spinor,
-    _kerr_row,
     bloch_vector,
 )
 
@@ -251,8 +256,8 @@ def _path(d: BlochVector, U: float) -> str:
 _SHIFT = {n: np.eye(n - 1, n, dtype=complex) for n in (2, 4)}
 
 
-def _theta_roots(ds: list[BlochVector], U: float) -> np.ndarray:
-    """Roots z = e^{i theta} of the generic-path quartic of each d, one row per d.
+def _theta_roots(dz: list[float], r: list[float], U: float) -> np.ndarray:
+    """Roots z = e^{i theta} of the generic-path quartic of each (dz, sqrt(s)) = (dz[j], r[j]).
 
     G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta) = 0 says that the
     state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).  With z = e^{i theta},
@@ -266,20 +271,129 @@ def _theta_roots(ds: list[BlochVector], U: float) -> np.ndarray:
     ``np.roots`` of its quartic.  Where U/4 is zero ``np.roots`` trims the end
     coefficients, and so does this: the 2 x 2 companion of
     (dz - i sqrt(s)) z^2 - (dz + i sqrt(s)), without the root z = 0 that
-    ``np.roots`` appends.
+    ``np.roots`` appends.  A row whose U/4 is round-off next to |d| takes that
+    quadratic too, its last two roots NaN: there the 4 x 4 companion, with
+    entries of size |d| / U, loses the unit-circle roots (from about
+    U = 1e-17 |d| down, leaving no state).
     """
-    rows = []
-    for d in ds:
-        r = math.sqrt(d.planar_sq)
-        rows.append([0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U])
-    c = np.array(rows)
-    if 0.25 * U == 0.0:
-        c = c[:, 1:4]
+    q = 0.25 * U
+    c = np.array([[q, complex(z, -x), 0.0, -complex(z, x), -q] for z, x in zip(dz, r)], dtype=complex)
+    c = c.reshape(-1, 5)
+    quadratic = [q <= _ROUNDOFF_REL * math.sqrt(z * z + x * x) for z, x in zip(dz, r)]
+    if not any(quadratic):
+        return _companion_roots(c)
+    if all(quadratic):
+        return _companion_roots(c[:, 1:4])
+    quadratic = np.array(quadratic)
+    roots = np.full((len(c), 4), np.nan, dtype=complex)
+    roots[~quadratic] = _companion_roots(c[~quadratic])
+    roots[quadratic, :2] = _companion_roots(c[quadratic, 1:4])
+    return roots
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of each row of polynomial coefficients ``c``, by stacked companion eigenvalues."""
     n = c.shape[1] - 1
-    companion = np.empty((len(ds), n, n), dtype=complex)
+    companion = np.empty((len(c), n, n), dtype=complex)
     companion[:, 1:] = _SHIFT[n]
     np.divide(-c[:, 1:], c[:, :1], out=companion[:, 0])
     return np.linalg.eigvals(companion)
+
+
+def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
+    """The physical states of one d, sorted by (epsilon, kappa), on Python scalars.
+
+    The path of ``physical_spectrum``, and of ``nonlinear_spectra``'s polar and
+    contour rows: for one d it is faster than the array core, which holds each of
+    its rows equal to this.
+    """
+    path = _path(d, U)
+    if path == "polar":
+        pairs = _polar_pairs(d.dz, U)
+    elif path == "contour":
+        pairs = _contour_pairs(d, U)
+    else:
+        zs = _theta_roots([d.dz], [math.sqrt(d.planar_sq)], U)[0].tolist()
+        pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
+    if not pairs:
+        _no_state()
+    pairs.sort(key=lambda p: (p.epsilon, p.kappa))
+    return pairs
+
+
+def _no_state():
+    raise AssertionError(
+        "internal error: no physical root survived; the self-consistent "
+        "Hermitian problem always admits at least two stationary states"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Spectra:
+    """The stationary states of many Bloch vectors, as flat arrays.
+
+    The states of vector i are the entries ``offsets[i]:offsets[i + 1]`` of
+    ``epsilon``, ``kappa``, ``c1``, ``c2`` (complex) and ``multiplicity``, sorted
+    by (epsilon, kappa).
+    """
+
+    offsets: np.ndarray
+    epsilon: np.ndarray
+    kappa: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    multiplicity: np.ndarray
+
+    def branch_counts(self) -> np.ndarray:
+        """Stationary states of each vector, counting multiplicity (2 to 4)."""
+        return np.diff(np.concatenate(([0], np.cumsum(self.multiplicity)))[self.offsets])
+
+    def pairs(self) -> list[list[NonlinearEigenpair]]:
+        """The states as ``NonlinearEigenpair`` lists, one per vector."""
+        columns = (self.epsilon, self.kappa, self.c1, self.c2, self.multiplicity)
+        states = [
+            NonlinearEigenpair(eps, kappa, Spinor(c1, c2), m)
+            for eps, kappa, c1, c2, m in zip(*(a.tolist() for a in columns))
+        ]
+        bounds = self.offsets.tolist()
+        return [states[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython multiplies complex numbers, on floats."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _row_residual(D, Or, Oi, U, eps, pr, pi, qr, qi):
+    """``model._kerr_row(D, O, U, p, q) - eps * p`` on real and imaginary parts.
+
+    Each operation is CPython's on complex scalars, a float operand taken as the
+    complex (x, 0.0), so every part is the one Python complex arithmetic gives,
+    to the bit (numpy's complex multiply rounds differently on some hosts).
+    """
+    ur, ui = _cmul(U, 0.0, pr, pi)
+    ur, ui = _cmul(ur, ui, pr, -pi)
+    wr, wi = _cmul(D + ur, 0.0 + ui, pr, pi)
+    vr, vi = _cmul(Or, Oi, qr, qi)
+    er, ei = _cmul(eps, 0.0, pr, pi)
+    return (wr + vr) - er, (wi + vi) - ei
+
+
+def _max_residual(dx, dy, dz, U: float, spectra: Spectra) -> float:
+    """The largest || H(state) state - epsilon state || in ``spectra`` of the vectors (dx, dy, dz).
+
+    ``math.hypot(abs(r1), abs(r2))`` of the two rows, as on Python scalars: abs is
+    libm's hypot, which ``np.hypot`` calls, and the few states within 1e-9 of
+    numpy's largest norm take ``math.hypot`` itself.
+    """
+    counts = np.diff(spectra.offsets)
+    dx, dy, dz = (np.repeat(a, counts) for a in (dx, dy, dz))
+    eps, p, q = spectra.epsilon, spectra.c1, spectra.c2
+    a1 = np.hypot(*_row_residual(dz, dx, -dy, U, eps, p.real, p.imag, q.real, q.imag))
+    a2 = np.hypot(*_row_residual(-dz, dx, dy, U, eps, q.real, q.imag, p.real, p.imag))
+    norm = np.hypot(a1, a2)
+    near = norm >= norm.max(initial=0.0) * (1.0 - 1e-9)
+    return max(map(math.hypot, a1[near].tolist(), a2[near].tolist()), default=0.0)
 
 
 @dataclass
@@ -299,84 +413,116 @@ class SpectrumHealth:
     min_discarded_root_margin: float | None = None
     max_residual: float = 0.0
 
-    def _record(self, ds, U, paths, margins, spectra) -> None:
-        for path in paths:
-            self.paths[path] += 1
-        kept = [m for m in margins if m <= _ON_CIRCLE_TOL]
-        discarded = [m for m in margins if m > _ON_CIRCLE_TOL]
-        self.roots_discarded += len(discarded)
-        if kept:
-            self.max_kept_root_margin = max(self.max_kept_root_margin or 0.0, *kept)
-        if discarded:
-            self.min_discarded_root_margin = min(self.min_discarded_root_margin or math.inf, *discarded)
-        # on Python scalars: numpy arrays per column were a few ms faster on
-        # ``bands --grid 81`` but raised its peak memory by 0.4 MB
-        worst = self.max_residual
-        for d, pairs in zip(ds, spectra):
-            o = complex(d.dx, -d.dy)
-            o_bar = o.conjugate()
-            for p in pairs:
-                c1, c2, eps = p.state.c1, p.state.c2, p.epsilon
-                r1 = _kerr_row(d.dz, o, U, c1, c2) - eps * c1
-                r2 = _kerr_row(-d.dz, o_bar, U, c2, c1) - eps * c2
-                worst = max(worst, math.hypot(abs(r1), abs(r2)))
-        self.max_residual = worst
+    def _record_roots(self, paths: dict[str, int], margins: np.ndarray, uses: np.ndarray) -> None:
+        """Add path counts, and the margins (one row per distinct quartic) of the roots of
+        ``uses[j]`` generic vectors per row j."""
+        for path, count in paths.items():
+            self.paths[path] += count
+        kept, discarded = margins <= _ON_CIRCLE_TOL, margins > _ON_CIRCLE_TOL
+        self.roots_discarded += int(discarded.sum(axis=1) @ uses)
+        if kept.any():
+            self.max_kept_root_margin = max(self.max_kept_root_margin or 0.0, float(margins[kept].max()))
+        if discarded.any():
+            self.min_discarded_root_margin = min(
+                self.min_discarded_root_margin or math.inf, float(margins[discarded].min())
+            )
+
+    def _record_states(self, dx, dy, dz, U: float, spectra: Spectra) -> None:
+        self.max_residual = max(self.max_residual, _max_residual(dx, dy, dz, U, spectra))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def nonlinear_spectra(
-    ds: list[BlochVector], U: float, health: SpectrumHealth | None = None
-) -> list[list[NonlinearEigenpair]]:
-    """All physical stationary solutions for each raw Bloch vector in ``ds`` at Kerr U.
+def _generic_spectra(dx, dy, dz, U: float):
+    """``nonlinear_spectra`` of rows that all take the generic path, with the root
+    margins of each distinct (dz, sqrt(s)) and the number of rows that share it."""
+    r = np.sqrt(dx * dx + dy * dy)
+    key = np.empty(len(dz), dtype=complex)
+    key.real, key.imag = dz, r
+    keys, inverse = np.unique(key, return_inverse=True)
+    roots = _theta_roots(keys.real.tolist(), keys.imag.tolist(), U)
+    margins = np.abs(np.hypot(roots.real, roots.imag) - 1.0)  # | |z| - 1 |, abs as CPython takes it
+    kept = margins <= _ON_CIRCLE_TOL
+    per_key = kept.sum(axis=1)
+    if not per_key.all():
+        _no_state()
+    # the kept roots' states, formed and sorted by key, then by (epsilon, kappa), once per key
+    key_of = np.nonzero(kept)[0]
+    theta = np.array([cmath.phase(z) for z in roots[kept].tolist()])
+    kappa = np.cos(theta)
+    eps = 0.5 * U + keys.imag[key_of] * np.sin(theta) + (keys.real[key_of] + 0.5 * U * kappa) * kappa
+    order = np.lexsort((kappa, eps, key_of))
+    # state i of a row is state i of its key
+    count = per_key[inverse]
+    shift = (np.cumsum(per_key) - per_key)[inverse] - (np.cumsum(count) - count)
+    src = order[np.arange(count.sum()) + np.repeat(shift, count)]
+    x, y, r = (np.repeat(a, count) for a in (dx, dy, r))
+    # complex(dx, -dy) / r: CPython divides by the complex (r, 0.0), Smith's way
+    re, im = (x + -y * 0.0) / r, (-y - x * 0.0) / r
+    half = 0.5 * theta[src]
+    c1, c2 = np.empty(len(src), dtype=complex), np.zeros(len(src), dtype=complex)
+    c1.real, c1.imag = _cmul(re, im, np.cos(half), 0.0)
+    c2.real = np.sin(half)
+    offsets = np.concatenate(([0], np.cumsum(count)))
+    spectra = Spectra(offsets, eps[src], kappa[src], c1, c2, np.ones(len(src), dtype=np.intp))
+    return spectra, margins, np.bincount(inverse, minlength=len(keys))
 
-    Each d takes the polar, the contour or the generic path (``_path``).  A generic
-    row's theta-quartic depends on d only through (dz, sqrt(s)), so each distinct
-    (dz, sqrt(s)) goes once to one stacked solve (``_theta_roots``), skipped when
-    there is none, and every d with that key builds its states from the same
-    roots at its own phase.  Identical quartics have identical companions, so
-    the result is the same as one solve per d.  Each spectrum is sorted by
-    (epsilon, kappa).  ``health``, when given, accumulates the paths taken, the
-    root margins of every generic d and the largest residual.
+
+def _with_edge_rows(spectra: Spectra, generic: np.ndarray, edge_pairs) -> Spectra:
+    """``spectra`` of the rows where ``generic`` holds, with the pair lists of the
+    other rows, in order, put in their places."""
+    count = np.empty(len(generic), dtype=np.intp)
+    count[generic] = np.diff(spectra.offsets)
+    count[~generic] = [len(pairs) for pairs in edge_pairs]
+    offsets = np.concatenate(([0], np.cumsum(count)))
+    at = np.repeat(generic, count)
+    columns = (spectra.epsilon, spectra.kappa, spectra.c1, spectra.c2, spectra.multiplicity)
+    merged = Spectra(offsets, *(np.empty(offsets[-1], dtype=a.dtype) for a in columns))
+    for new, old in zip((merged.epsilon, merged.kappa, merged.c1, merged.c2, merged.multiplicity), columns):
+        new[at] = old
+    for start, pairs in zip(offsets[:-1][~generic].tolist(), edge_pairs):
+        for i, p in enumerate(pairs, start):
+            merged.epsilon[i], merged.kappa[i] = p.epsilon, p.kappa
+            merged.c1[i], merged.c2[i], merged.multiplicity[i] = p.state.c1, p.state.c2, p.multiplicity
+    return merged
+
+
+def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spectra:
+    """All physical stationary solutions of each raw Bloch vector at Kerr U, as flat arrays.
+
+    ``d`` holds one vector (dx, dy, dz) per row.  Each row takes the polar, the
+    contour or the generic path, chosen as ``_path`` chooses; the few polar and
+    contour rows are solved by ``_spectrum``.  A generic row's theta-quartic, and
+    so its energies and populations, depend on d only through (dz, sqrt(s)): each
+    distinct key goes once to one stacked solve (``_theta_roots``), its states are
+    formed and sorted once, and only c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes
+    each row's own phase, formed in CPython's complex operation order.  So row i
+    of the result is ``_spectrum`` of row i of ``d``, to the bit, and a grid pays
+    no object per node.  ``health``, when given, accumulates the paths taken, the
+    root margins of every generic row and the largest residual.
     """
-    paths = [_path(d, U) for d in ds]
-    # the first d of each distinct (dz, sqrt(s)), and each generic d's row among them
-    row_of, firsts, rows = {}, [], []
-    for d, path in zip(ds, paths):
-        if path == "generic":
-            i = row_of.setdefault((d.dz, math.sqrt(d.planar_sq)), len(firsts))
-            if i == len(firsts):
-                firsts.append(d)
-            rows.append(i)
-    solved = _theta_roots(firsts, U).tolist() if firsts else []
-    rows = iter(rows)
-    spectra, margins = [], []
-    for d, path in zip(ds, paths):
-        if path == "polar":
-            pairs = _polar_pairs(d.dz, U)
-        elif path == "contour":
-            pairs = _contour_pairs(d, U)
-        else:
-            zs = solved[next(rows)]
-            row = [abs(abs(z) - 1.0) for z in zs]
-            margins += row
-            pairs = [_pair(cmath.phase(z), d, U) for z, m in zip(zs, row) if m <= _ON_CIRCLE_TOL]
-        if not pairs:
-            raise AssertionError(
-                "internal error: no physical root survived; the self-consistent "
-                "Hermitian problem always admits at least two stationary states"
-            )
-        pairs.sort(key=lambda p: (p.epsilon, p.kappa))
-        spectra.append(pairs)
+    dx, dy, dz = np.asarray(d, dtype=float).reshape(-1, 3).T
+    s = dx * dx + dy * dy
+    zero = _ROUNDOFF_REL * np.maximum(max(1.0, U), np.sqrt(s + dz * dz))
+    polar = s <= zero * zero
+    generic = ~(polar | (np.abs(dz) <= zero))
+    spectra, margins, uses = _generic_spectra(dx[generic], dy[generic], dz[generic], U)
+    if not generic.all():
+        edge = ~generic
+        rows = zip(dx[edge].tolist(), dy[edge].tolist(), dz[edge].tolist())
+        spectra = _with_edge_rows(spectra, generic, [_spectrum(BlochVector(*row), U) for row in rows])
     if health is not None:
-        health._record(ds, U, paths, margins, spectra)
+        n_polar, n_generic = int(polar.sum()), int(generic.sum())
+        paths = {"polar": n_polar, "contour": len(dx) - n_polar - n_generic, "generic": n_generic}
+        health._record_roots(paths, margins, uses)
+        health._record_states(dx, dy, dz, U, spectra)
     return spectra
 
 
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:
     """Physical self-consistent eigenpairs at k, sorted by (epsilon, kappa)."""
-    return nonlinear_spectra([bloch_vector(params, k)], params.U)[0]
+    return _spectrum(bloch_vector(params, k), params.U)
 
 
 def branch_count(pairs: list[NonlinearEigenpair]) -> int:
@@ -483,30 +629,24 @@ def classify_degeneracies(params: ModelParams, resolution: int) -> list[Degenera
 # band surfaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandNode:
-    kx: float
-    ky: float
-    pairs: tuple[NonlinearEigenpair, ...]
+def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = None):
+    """Physical spectrum on an inclusive n x n grid over [0, 2*pi]^2, as (kx, ky, spectra).
 
-    @property
-    def branch_count(self) -> int:
-        return branch_count(self.pairs)
-
-
-def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = None) -> list[BandNode]:
-    """Physical spectrum on an inclusive n x n grid over [0, 2*pi]^2.
-
-    One ``nonlinear_spectra`` call for the whole grid, with d taken at the
-    reduced ``KPoint``, so every node equals ``physical_spectrum`` there.  A
-    k_x <-> k_y transpose or a reflection k -> 2 pi - k whose (dz, sqrt(s))
-    agrees to the bit shares its node's theta-quartic, which that call solves
-    once: 2,888 quartics for the 6,552 generic nodes at u = 3, U = 5, n = 81.
-    Ordered by (kx, ky).  ``health`` is passed on to ``nonlinear_spectra``.
+    Node i is at (kx[i], ky[i]), ordered by (kx, ky), and its states are row i of
+    ``spectra``, one ``nonlinear_spectra`` call for the whole grid.  d is taken at
+    k reduced as ``KPoint`` reduces it, so every row equals ``physical_spectrum``
+    at its node.  A k_x <-> k_y transpose or a reflection k -> 2 pi - k whose
+    (dz, sqrt(s)) agrees to the bit shares its node's theta-quartic, which that
+    call solves once: 2,888 quartics for the 6,552 generic nodes at u = 3, U = 5,
+    n = 81.  ``health`` is passed on to ``nonlinear_spectra``.
     """
     if n < 2:
         raise ValueError("band surface needs at least a 2 x 2 grid")
-    axis = np.linspace(0.0, 2.0 * math.pi, n).tolist()
-    ks = [(kx, ky) for kx in axis for ky in axis]
-    spectra = nonlinear_spectra([bloch_vector(params, KPoint(kx, ky)) for kx, ky in ks], params.U, health)
-    return [BandNode(kx, ky, tuple(pairs)) for (kx, ky), pairs in zip(ks, spectra)]
+    axis = np.linspace(0.0, 2.0 * math.pi, n)
+    k = np.remainder(axis, TWO_PI)  # KPoint's reduction, 2 pi -> 0
+    sin, cos = np.sin(k), np.cos(k)
+    d = np.empty((n, n, 3))
+    d[..., 0] = sin[:, None]
+    d[..., 1] = sin
+    d[..., 2] = (params.u + cos[:, None]) + cos
+    return np.repeat(axis, n), np.tile(axis, n), nonlinear_spectra(d.reshape(-1, 3), params.U, health)

@@ -244,9 +244,27 @@ def effective_spectrum(params, p):
     from nlchern.spectrum import nonlinear_spectra
 
     out = []
-    for pair in nonlinear_spectra([effective_bloch_vector(params, p)], params.U)[0]:
+    d = effective_bloch_vector(params, p)
+    for pair in nonlinear_spectra([(d.dx, d.dy, d.dz)], params.U).pairs()[0]:
         out.extend([pair.epsilon] * pair.multiplicity)
     return out
+
+
+def scalar_max_residual(ds, U, spectra, worst=0.0):
+    """The largest || H(state) state - epsilon state || of the pair lists ``spectra`` of the
+    Bloch vectors ``ds``, on Python complex scalars through ``model._kerr_row``: the loop
+    that ``SpectrumHealth`` ran per state before it computed on arrays."""
+    from nlchern.model import _kerr_row
+
+    for d, pairs in zip(ds, spectra):
+        o = complex(d.dx, -d.dy)
+        o_bar = o.conjugate()
+        for p in pairs:
+            c1, c2, eps = p.state.c1, p.state.c2, p.epsilon
+            r1 = _kerr_row(d.dz, o, U, c1, c2) - eps * c1
+            r2 = _kerr_row(-d.dz, o_bar, U, c2, c1) - eps * c2
+            worst = max(worst, math.hypot(abs(r1), abs(r2)))
+    return worst
 
 
 def fold_residual(u, U, p):
@@ -740,7 +758,8 @@ def evolve_interleaved(params, drive, initial, sample_every):
 
     def flush():
         ks = [fields[1] for fields, _ in pending]
-        spectra = nonlinear_spectra([bloch_vector(params, k) for k in ks], U)
+        ds = [bloch_vector(params, k) for k in ks]
+        spectra = nonlinear_spectra([(d.dx, d.dy, d.dz) for d in ds], U).pairs()
         for (fields, psi), k, pairs in zip(pending, ks, spectra):
             records.append(TrajectoryRecord(*fields, instantaneous_projections(psi, pairs)))
         pending.clear()

@@ -63,7 +63,7 @@ def test_bands_writes_table_and_summary(tmp_path):
 def test_bands_csv_matches_csv_writer_loop(tmp_path, u, U, n):
     out = tmp_path / "b"
     assert run(["bands", "--u", str(u), "--U", str(U), "--grid", str(n), "--out", str(out)]) == 0
-    write_bands_csv(_band_rows(band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
+    write_bands_csv(_band_rows(*band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
     assert (out / "bands.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -507,6 +507,25 @@ def test_bad_flag_value_returns_config_error(tmp_path, capsys, args, option):
     assert run([*args, "--out", str(tmp_path / "o")]) == 2
     assert f"argument {option}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        (["gap", "--U", "4", "--bracket", "-0.5,1.2"], "--bracket=-0.5,1.2"),
+        (["dynamics", "--u", "1", "--T", "1", "--F", "-0.02,0.01"], "--F=-0.02,0.01"),
+    ],
+)
+def test_value_read_as_flag_names_the_one_token_form(tmp_path, capsys, args, value):
+    # argparse takes a value that starts with "-" and is no plain negative
+    # number for a flag; the error names the form that passes it
+    assert run([*args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and value in err
+    assert not (tmp_path / "o").exists()
+    # and argparse takes that form's value
+    run([*args[:-2], value, "--out", str(tmp_path / "o")])
+    assert "expected one argument" not in capsys.readouterr().err
 
 
 def test_module_entry_point_exits_with_config_error(tmp_path):

@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
 from nlchern.spectrum import (
     _iii_residual,
     _path,
+    _spectrum,
     _theta_roots,
     DegeneracyKind,
     SpectrumHealth,
@@ -30,6 +33,7 @@ from oracles import (
     iii_points_scan,
     kappa_scan_spectrum,
     quartic_coefficients,
+    scalar_max_residual,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -343,6 +347,11 @@ def _on_iii_locus(U, phi, frac, sign):
     return BlochVector(r * math.cos(phi), r * math.sin(phi), sign * 0.5 * t**1.5)
 
 
+def as_rows(ds):
+    """Bloch vectors as the (dx, dy, dz) rows that ``nonlinear_spectra`` takes."""
+    return np.array([(d.dx, d.dy, d.dz) for d in ds]).reshape(-1, 3)
+
+
 @st.composite
 def spectrum_batches(draw):
     U = draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0)))
@@ -360,15 +369,53 @@ def spectrum_batches(draw):
 ))
 def test_list_form_equals_batch_of_one(batch):
     ds, U = batch
-    spectra = nonlinear_spectra(ds, U)
-    assert spectra == [nonlinear_spectra([d], U)[0] for d in ds]
-    # the stacked companions give np.roots bit for bit (less its appended z = 0 at U = 0)
+    health = SpectrumHealth()
+    spectra = nonlinear_spectra(as_rows(ds), U, health)
+    # every row of the array core is the scalar path of physical_spectrum, and so is its residual
+    ref = [_spectrum(d, U) for d in ds]
+    assert spectra.pairs() == ref
+    assert health.max_residual == scalar_max_residual(ds, U, ref)
+    # the stacked companions give np.roots bit for bit: of the quartic, or of the
+    # quadratic of U = 0 where U/4 is round-off next to |d| (the row's other roots NaN)
     generic = [d for d in ds if _path(d, U) == "generic"]
     if generic:
-        for d, row in zip(generic, _theta_roots(generic, U).tolist()):
+        dz, rs = [d.dz for d in generic], [math.sqrt(d.planar_sq) for d in generic]
+        for d, row in zip(generic, _theta_roots(dz, rs, U).tolist()):
             r = math.sqrt(d.planar_sq)
-            ref = np.roots([0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U])
-            assert row == ref.tolist()[: len(row)]
+            coeffs = [0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U]
+            if 0.25 * U <= 1e-15 * math.sqrt(d.dz * d.dz + r * r):
+                coeffs = coeffs[1:4]
+            ref = np.roots(coeffs).tolist()
+            assert row[: len(ref)] == ref and all(map(cmath.isnan, row[len(ref) :]))
+
+
+@pytest.mark.parametrize("U", [1e-20, 1e-120, 5e-324])
+def test_round_off_kerr_strength_keeps_two_states(U):
+    # U/4 below round-off next to |d|: the 4 x 4 companion lost the unit-circle
+    # roots and raised "no physical root survived"; the quadratic of U = 0 keeps them
+    params = ModelParams(u=3.0, U=U)
+    health = SpectrumHealth()
+    for node in surface_nodes(params, 9, health):
+        assert node.pairs == physical_spectrum(params, KPoint(node.kx, node.ky))
+        assert node.branch_count == 2
+    assert health.roots_discarded == 0 and health.max_residual <= 1e-14
+    # which are the states of U = 0, to the bit at a generic k
+    k = KPoint(0.3, 0.7)
+    assert physical_spectrum(ModelParams(u=1.0, U=U), k) == physical_spectrum(ModelParams(u=1.0), k)
+
+
+def test_readme_band_surface_equals_scalar_path_bit_for_bit():
+    # the README bands grid: every state, and the largest residual, is the one
+    # the scalar path and the Python-scalar residual loop give, to the bit (repr
+    # tells -0.0 from 0.0, which bands.csv prints)
+    params = ModelParams(u=3.0, U=5.0)
+    health = SpectrumHealth()
+    kx, ky, spectra = band_surface(params, 81, health)
+    ks = [KPoint(x, y) for x, y in zip(kx.tolist(), ky.tolist())]
+    ref = [physical_spectrum(params, k) for k in ks]
+    assert repr(spectra.pairs()) == repr(ref)
+    ds = [bloch_vector(params, k) for k in ks]
+    assert repr(health.max_residual) == repr(scalar_max_residual(ds, params.U, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +574,25 @@ def test_bifurcation_rejects_nondegenerate_point():
 # band surfaces
 # ---------------------------------------------------------------------------
 
+Node = namedtuple("Node", "kx ky pairs branch_count")
+
+
+def surface_nodes(params, n, health=None):
+    """``band_surface``'s arrays as one record per node."""
+    kx, ky, spectra = band_surface(params, n, health)
+    return [
+        Node(*node)
+        for node in zip(kx.tolist(), ky.tolist(), spectra.pairs(), spectra.branch_counts().tolist())
+    ]
+
+
 def test_band_surface_linear_two_branches():
-    nodes = band_surface(ModelParams(u=3.0, U=0.0), 15)
+    nodes = surface_nodes(ModelParams(u=3.0, U=0.0), 15)
     assert all(node.branch_count == 2 for node in nodes)
 
 
 def test_band_surface_cone_region():
-    nodes = band_surface(ModelParams(u=3.0, U=5.0), 21)
+    nodes = surface_nodes(ModelParams(u=3.0, U=5.0), 21)
     at = {(round(n.kx, 9), round(n.ky, 9)): n for n in nodes}
     pi_node = at[(round(math.pi, 9), round(math.pi, 9))]
     assert pi_node.branch_count == 4
@@ -549,7 +608,7 @@ def test_band_surface_cone_region():
 def test_band_surface_tube_region():
     # u=1.2, U=3: cones near polar points and a tube along the dz=0 contour
     params = ModelParams(u=1.2, U=3.0)
-    nodes = band_surface(params, 41)
+    nodes = surface_nodes(params, 41)
     multi = [n for n in nodes if n.branch_count > 2]
     assert multi
     near_polar = [
@@ -569,7 +628,7 @@ def test_band_surface_tube_region():
 @pytest.mark.parametrize("u, U, n", [(3.0, 5.0, 81), (1.2, 3.0, 41), (1.0, 4.0, 41), (3.0, 0.0, 15)])
 def test_band_surface_nodes_equal_physical_spectrum(u, U, n):
     params = ModelParams(u=u, U=U)
-    nodes = band_surface(params, n)
+    nodes = surface_nodes(params, n)
     assert len(nodes) == n * n
     for node in nodes:
         assert list(node.pairs) == physical_spectrum(params, KPoint(node.kx, node.ky))
@@ -580,9 +639,9 @@ def test_band_surface_solves_each_distinct_quartic_once(monkeypatch):
     # (dz, sqrt(s)), sent in one stacked solve
     rows = []
 
-    def spy(ds, U):
-        rows.append(len(ds))
-        return _theta_roots(ds, U)
+    def spy(dz, r, U):
+        rows.append(len(dz))
+        return _theta_roots(dz, r, U)
 
     monkeypatch.setattr("nlchern.spectrum._theta_roots", spy)
     band_surface(ModelParams(u=3.0, U=5.0), 81)
@@ -592,7 +651,7 @@ def test_band_surface_solves_each_distinct_quartic_once(monkeypatch):
 def test_band_surface_invariants_on_every_node():
     # the README bands grid: at least two branches, residuals at round-off
     params = ModelParams(u=3.0, U=5.0)
-    for node in band_surface(params, 81):
+    for node in surface_nodes(params, 81):
         assert node.branch_count >= 2
         k = KPoint(node.kx, node.ky)
         bound = 1e-9 * max(1.0, params.U, bloch_vector(params, k).magnitude)
@@ -602,8 +661,8 @@ def test_band_surface_invariants_on_every_node():
 def test_spectrum_health_counts_and_margins():
     params, n = ModelParams(u=1.0, U=4.0), 41
     health = SpectrumHealth()
-    nodes = band_surface(params, n, health)
-    assert nodes == band_surface(params, n)
+    nodes = surface_nodes(params, n, health)
+    assert nodes == surface_nodes(params, n)
     assert sum(health.paths.values()) == n * n
     assert health.paths["polar"] == 9 and health.paths["contour"] > 0
     # four theta-roots per generic node, one state from each root kept
@@ -622,12 +681,13 @@ def test_spectrum_health_residual_matches_eigenpair_residual():
     # residual must read what eigenpair_residual reads
     params = ModelParams(u=1.0, U=4.0)
     ks = [KPoint(0.3, 0.7), KPoint(0.0, math.pi), KPoint(math.pi / 2, 0.3)]
-    ds = [bloch_vector(params, k) for k in ks]
-    spectra = [[dataclasses.replace(q, epsilon=q.epsilon + 0.1 * (i + 1)) for i, q in enumerate(pairs)]
-               for pairs in nonlinear_spectra(ds, params.U)]
+    d = as_rows([bloch_vector(params, k) for k in ks])
+    spectra = nonlinear_spectra(d, params.U)
+    shift = np.concatenate([0.1 * (np.arange(n) + 1) for n in np.diff(spectra.offsets)])
+    spectra = dataclasses.replace(spectra, epsilon=spectra.epsilon + shift)
     health = SpectrumHealth()
-    health._record(ds, params.U, [], [], spectra)
-    expect = max(eigenpair_residual(params, k, q) for k, pairs in zip(ks, spectra) for q in pairs)
+    health._record_states(*d.T, params.U, spectra)
+    expect = max(eigenpair_residual(params, k, q) for k, pairs in zip(ks, spectra.pairs()) for q in pairs)
     assert health.max_residual == pytest.approx(expect, abs=1e-12)
 
 
