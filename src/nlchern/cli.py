@@ -109,12 +109,13 @@ class _Parser(argparse.ArgumentParser):
         # a bad command line is a configuration error like a bad config file:
         # main reports it and returns 2 instead of exiting.  argparse takes a
         # value that starts with "-" and is no plain negative number for a
-        # flag; name the one-token form that passes it.
+        # flag; name the one-token form that passes it, unless the value is
+        # an option of its own and the flag's value was left out.
         flag = re.fullmatch(r"argument (--\S+): expected one argument", message)
         tokens = getattr(self, "_tokens", [])
         if flag and flag[1] in tokens[:-1]:
             value = tokens[tokens.index(flag[1]) + 1]
-            if value.startswith("-"):
+            if value.startswith("-") and value.split("=")[0] not in self._option_string_actions:
                 message += f" (a value starting with '-' goes in one token: {flag[1]}={value})"
         raise ConfigError(f"{self.prog}: {message}")
 

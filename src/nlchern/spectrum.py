@@ -207,8 +207,26 @@ def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
     r = math.sqrt(d.planar_sq)
     kappa = math.cos(theta)
     eps = 0.5 * U + r * math.sin(theta) + (d.dz + 0.5 * U * kappa) * kappa
-    c1 = complex(d.dx, -d.dy) / r * math.cos(0.5 * theta)
+    c1 = complex(*_c1_parts(d.dx, d.dy, r, math.cos(0.5 * theta)))
     return NonlinearEigenpair(eps, kappa, Spinor(c1, complex(math.sin(0.5 * theta))))
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython multiplies complex numbers, on floats."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c1_parts(dx, dy, r, cos_half):
+    """Real and imaginary part of c1 = (dx - i dy) / r * cos(theta / 2), on floats or arrays.
+
+    The operations of ``complex(dx, -dy) / r * cos_half`` in CPython up to 3.13: a
+    division by the complex (r, 0.0), Smith's way, then a product with the complex
+    (cos_half, 0.0).  The scalar path and the array core both take this formula, so
+    they agree to the bit, -0.0 parts too, on any interpreter: CPython 3.14 mixes
+    floats into complex arithmetic by C99's rules, which sign zero parts otherwise.
+    """
+    re, im = (dx + -dy * 0.0) / r, (-dy - dx * 0.0) / r
+    return _cmul(re, im, cos_half, 0.0)
 
 
 def _polar_pairs(dz: float, U: float) -> list[NonlinearEigenpair]:
@@ -256,7 +274,7 @@ def _path(d: BlochVector, U: float) -> str:
 _SHIFT = {n: np.eye(n - 1, n, dtype=complex) for n in (2, 4)}
 
 
-def _theta_roots(dz: list[float], r: list[float], U: float) -> np.ndarray:
+def _theta_roots(dz: np.ndarray, r: np.ndarray, U: float) -> np.ndarray:
     """Roots z = e^{i theta} of the generic-path quartic of each (dz, sqrt(s)) = (dz[j], r[j]).
 
     G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta) = 0 says that the
@@ -271,24 +289,28 @@ def _theta_roots(dz: list[float], r: list[float], U: float) -> np.ndarray:
     ``np.roots`` of its quartic.  Where U/4 is zero ``np.roots`` trims the end
     coefficients, and so does this: the 2 x 2 companion of
     (dz - i sqrt(s)) z^2 - (dz + i sqrt(s)), without the root z = 0 that
-    ``np.roots`` appends.  A row whose U/4 is round-off next to |d| takes that
-    quadratic too, its last two roots NaN: there the 4 x 4 companion, with
-    entries of size |d| / U, loses the unit-circle roots (from about
-    U = 1e-17 |d| down, leaving no state).
+    ``np.roots`` appends, its last two roots NaN.  A row whose U/4 is round-off
+    next to |d| takes that quadratic too: there the 4 x 4 companion, with entries
+    of size |d| / U, loses the unit-circle roots (from about U = 1e-17 |d| down,
+    leaving no state).  ``_spectrum`` builds the same coefficients for its one d on
+    Python scalars, which is faster for one.
     """
     q = 0.25 * U
-    c = np.array([[q, complex(z, -x), 0.0, -complex(z, x), -q] for z, x in zip(dz, r)], dtype=complex)
-    c = c.reshape(-1, 5)
-    quadratic = [q <= _ROUNDOFF_REL * math.sqrt(z * z + x * x) for z, x in zip(dz, r)]
-    if not any(quadratic):
-        return _companion_roots(c)
-    if all(quadratic):
-        return _companion_roots(c[:, 1:4])
-    quadratic = np.array(quadratic)
+    c = np.zeros((len(dz), 5), dtype=complex)
+    c[:, 0], c[:, 4] = q, -q
+    c[:, 1].real, c[:, 1].imag = dz, -r
+    c[:, 3].real, c[:, 3].imag = -dz, -r
+    quadratic = _takes_quadratic(q, dz, r)
     roots = np.full((len(c), 4), np.nan, dtype=complex)
     roots[~quadratic] = _companion_roots(c[~quadratic])
     roots[quadratic, :2] = _companion_roots(c[quadratic, 1:4])
     return roots
+
+
+def _takes_quadratic(q, dz, r):
+    """Whether the theta-quartic of (dz, sqrt(s)) = (dz, r) with U/4 = q takes the quadratic
+    of U = 0: q is round-off next to |d|.  On floats or arrays."""
+    return q <= _ROUNDOFF_REL * np.sqrt(dz * dz + r * r)
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:
@@ -313,7 +335,10 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     elif path == "contour":
         pairs = _contour_pairs(d, U)
     else:
-        zs = _theta_roots([d.dz], [math.sqrt(d.planar_sq)], U)[0].tolist()
+        # _theta_roots of one d, its coefficients built on Python scalars
+        r, q = math.sqrt(d.planar_sq), 0.25 * U
+        c = [q, complex(d.dz, -r), 0.0, -complex(d.dz, r), -q]
+        zs = _companion_roots(np.array([c[1:4] if _takes_quadratic(q, d.dz, r) else c]))[0].tolist()
         pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
     if not pairs:
         _no_state()
@@ -357,11 +382,6 @@ class Spectra:
         ]
         bounds = self.offsets.tolist()
         return [states[i:j] for i, j in zip(bounds, bounds[1:])]
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as CPython multiplies complex numbers, on floats."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _row_residual(D, Or, Oi, U, eps, pr, pi, qr, qi):
@@ -441,7 +461,7 @@ def _generic_spectra(dx, dy, dz, U: float):
     key = np.empty(len(dz), dtype=complex)
     key.real, key.imag = dz, r
     keys, inverse = np.unique(key, return_inverse=True)
-    roots = _theta_roots(keys.real.tolist(), keys.imag.tolist(), U)
+    roots = _theta_roots(keys.real, keys.imag, U)
     margins = np.abs(np.hypot(roots.real, roots.imag) - 1.0)  # | |z| - 1 |, abs as CPython takes it
     kept = margins <= _ON_CIRCLE_TOL
     per_key = kept.sum(axis=1)
@@ -458,11 +478,9 @@ def _generic_spectra(dx, dy, dz, U: float):
     shift = (np.cumsum(per_key) - per_key)[inverse] - (np.cumsum(count) - count)
     src = order[np.arange(count.sum()) + np.repeat(shift, count)]
     x, y, r = (np.repeat(a, count) for a in (dx, dy, r))
-    # complex(dx, -dy) / r: CPython divides by the complex (r, 0.0), Smith's way
-    re, im = (x + -y * 0.0) / r, (-y - x * 0.0) / r
     half = 0.5 * theta[src]
     c1, c2 = np.empty(len(src), dtype=complex), np.zeros(len(src), dtype=complex)
-    c1.real, c1.imag = _cmul(re, im, np.cos(half), 0.0)
+    c1.real, c1.imag = _c1_parts(x, y, r, np.cos(half))
     c2.real = np.sin(half)
     offsets = np.concatenate(([0], np.cumsum(count)))
     spectra = Spectra(offsets, eps[src], kappa[src], c1, c2, np.ones(len(src), dtype=np.intp))
@@ -497,7 +515,7 @@ def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spec
     so its energies and populations, depend on d only through (dz, sqrt(s)): each
     distinct key goes once to one stacked solve (``_theta_roots``), its states are
     formed and sorted once, and only c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes
-    each row's own phase, formed in CPython's complex operation order.  So row i
+    each row's own phase, by the scalar path's formula (``_c1_parts``).  So row i
     of the result is ``_spectrum`` of row i of ``d``, to the bit, and a grid pays
     no object per node.  ``health``, when given, accumulates the paths taken, the
     root margins of every generic row and the largest residual.

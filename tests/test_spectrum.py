@@ -380,7 +380,7 @@ def test_list_form_equals_batch_of_one(batch):
     generic = [d for d in ds if _path(d, U) == "generic"]
     if generic:
         dz, rs = [d.dz for d in generic], [math.sqrt(d.planar_sq) for d in generic]
-        for d, row in zip(generic, _theta_roots(dz, rs, U).tolist()):
+        for d, row in zip(generic, _theta_roots(np.array(dz), np.array(rs), U).tolist()):
             r = math.sqrt(d.planar_sq)
             coeffs = [0.25 * U, complex(d.dz, -r), 0.0, -complex(d.dz, r), -0.25 * U]
             if 0.25 * U <= 1e-15 * math.sqrt(d.dz * d.dz + r * r):
