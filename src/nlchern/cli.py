@@ -264,7 +264,8 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     T = args.T if args.T is not None else 2.0 * math.pi / fmax if fmax > 0 else 100.0
     drive = DriveSpec(KPoint(0.0, 0.0), force, T, args.dt)
     start = sweep_initial_states(params, args.band, [drive.k0.kx])[0]
-    records = evolve(params, drive, Spinor.from_array(start), sample_every=args.sample_every)
+    health = SpectrumHealth()
+    records = evolve(params, drive, Spinor.from_array(start), args.sample_every, health)
 
     def rows():
         for r in records:
@@ -282,6 +283,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         "sample_every": args.sample_every,
         "samples": len(records),
         "max_sample_norm_drift": max(abs(r.norm - 1.0) for r in records),
+        "diagnostics": health.to_dict(),
     }
     _write_json(out / "trajectory_summary.json", summary)
     return EXIT_OK

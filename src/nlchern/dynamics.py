@@ -24,11 +24,12 @@ step.  The stepper owns its stage buffers, so a step allocates nothing.
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
 Kerr term is on, so the projection probabilities need not sum to one.
-The time loop of ``evolve`` only steps and keeps its samples; the records
-are built after it, one stacked ``spectrum.nonlinear_spectra`` call per
-block of samples.  Its drive coefficients come from a table that numpy
-builds a fixed block of steps at a time, as Python scalars, so the scalar
-step itself is unchanged and the table never outgrows one block.
+The time loop of ``evolve`` only steps and keeps its samples; its drive
+coefficients come from a table that numpy builds a fixed block of steps
+at a time, as Python scalars, so the table never outgrows one block.  The
+records are built after it on arrays, a block of samples at a time: one
+``nonlinear_spectra`` call, the elementwise ``mean_energy`` and
+``instantaneous_projections``, and no object but the records.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NORM_INPUT_TOL, KPoint, ModelParams, Spinor, _kerr_row, bloch_vector
-from .spectrum import NonlinearEigenpair, nonlinear_spectra
+from .model import NORM_INPUT_TOL, KPoint, ModelParams, Spinor, _kerr_row
+from .spectrum import SpectrumHealth, _cdiv, _cmul, nonlinear_spectra
 
 #: abort threshold on |norm - 1| during integration
 NORM_ABORT = 1e-5
 
-# trajectory samples whose spectra ``evolve`` solves in one stacked call; one
-# stack of all 3,142 samples of the README dynamics cycle raised its peak
-# resident memory by 4.5 MB over blocks of 128
+# trajectory samples whose records ``evolve`` builds in one pass; one block
+# of all 3,142 samples of the README dynamics cycle raised its peak
+# resident memory by 1.5-1.6 MB over blocks of 128
 _SPECTRUM_BLOCK = 128
 
 # steps whose drive coefficients ``evolve`` builds in one numpy pass; its
@@ -104,30 +105,24 @@ class TrajectoryRecord:
     projections: tuple[float, ...]
 
 
-def mean_energy(params: ModelParams, k: KPoint, psi: Spinor) -> float:
-    """<psi| H(k, psi) |psi>, including the quartic Kerr piece U(|c1|^4+|c2|^4)."""
-    c1, c2 = psi.c1, psi.c2
+def mean_energy(d, U, c1, c2):
+    """<psi| H(d, psi) |psi> of psi = (c1, c2), d = (dx, dy, dz), with the Kerr piece U(|c1|^4+|c2|^4).
+
+    Elementwise on scalars or arrays, to the same bits: parts taken in CPython's complex operation order."""
+    dx, dy, dz = d
     n1 = c1.real * c1.real + c1.imag * c1.imag
     n2 = c2.real * c2.real + c2.imag * c2.imag
-    cross = c1.conjugate() * c2
-    sx = 2.0 * cross.real
-    sy = 2.0 * cross.imag
-    sz = n1 - n2
-    d = bloch_vector(params, k)
-    return d.dx * sx + d.dy * sy + d.dz * sz + params.U * (n1 * n1 + n2 * n2)
+    cross_re, cross_im = _cmul(c1.real, -c1.imag, c2.real, c2.imag)  # conj(c1) c2
+    return dx * (2.0 * cross_re) + dy * (2.0 * cross_im) + dz * (n1 - n2) + U * (n1 * n1 + n2 * n2)
 
 
-def instantaneous_projections(psi: Spinor, pairs: list[NonlinearEigenpair]) -> tuple[float, ...]:
-    """P_i = |<chi_i|psi>|^2 against the eigenstates ``pairs`` of one k, sorted by energy.
-
-    The number of entries follows the stationary-state count at k; sums
-    to one only in the linear (orthonormal) regime.
-    """
-    out = []
-    for pair in pairs:
-        ov = pair.state.c1.conjugate() * psi.c1 + pair.state.c2.conjugate() * psi.c2
-        out.append(ov.real * ov.real + ov.imag * ov.imag)
-    return tuple(out)
+def instantaneous_projections(c1, c2, chi1, chi2):
+    """P = |<chi|psi>|^2 of psi = (c1, c2) on an eigenstate chi = (chi1, chi2), elementwise as
+    ``mean_energy``; the eigenstates of one k need not be orthogonal, so P need not sum to one."""
+    ar, ai = _cmul(chi1.real, -chi1.imag, c1.real, c1.imag)
+    br, bi = _cmul(chi2.real, -chi2.imag, c2.real, c2.imag)
+    re, im = ar + br, ai + bi
+    return re * re + im * im
 
 
 def rk4_weights(dt):
@@ -247,6 +242,7 @@ def evolve(
     drive: DriveSpec,
     initial: Spinor,
     sample_every: int,
+    health: SpectrumHealth | None = None,
 ) -> list[TrajectoryRecord]:
     """Integrate the driven state and sample it every ``sample_every`` steps.
 
@@ -256,7 +252,7 @@ def evolve(
     and its table stays one block long for any T.  Raises
     NumericalHealthError when |norm - 1| at a sample, or at the final state
     when that is no sample, exceeds ``NORM_ABORT`` or is NaN (suggesting a
-    smaller dt).
+    smaller dt).  ``health`` is passed on to each block's ``nonlinear_spectra``.
     """
     if abs(initial.norm - 1.0) > NORM_INPUT_TOL:
         raise ValueError("initial state must be normalized")
@@ -295,14 +291,18 @@ def evolve(
     for i in range(0, len(samples), _SPECTRUM_BLOCK):
         block = samples[i : i + _SPECTRUM_BLOCK]
         ks = [KPoint(k0.kx + F[0] * t, k0.ky + F[1] * t) for t, _, _, _ in block]
-        ds = [bloch_vector(params, k) for k in ks]
-        spectra = nonlinear_spectra([(d.dx, d.dy, d.dz) for d in ds], U).pairs()
-        for (t, p1, p2, norm), k, pairs in zip(block, ks, spectra):
-            psi = Spinor(p1 / norm, p2 / norm)
-            projections = instantaneous_projections(psi, pairs)
-            records.append(
-                TrajectoryRecord(t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi), projections)
-            )
+        kx, ky = np.array([(k.kx, k.ky) for k in ks]).T
+        d = np.sin(kx), np.sin(ky), (u + np.cos(kx)) + np.cos(ky)
+        spectra = nonlinear_spectra(np.column_stack(d), U, health)
+        p = np.array([(p1, p2) for _, p1, p2, _ in block]).T
+        psi = np.empty_like(p)  # the normalized states, one column per sample
+        psi.real, psi.imag = _cdiv(p.real, p.imag, np.array([norm for *_, norm in block]))
+        energies = mean_energy(d, U, *psi).tolist()
+        states = np.repeat(psi, np.diff(spectra.offsets), axis=1)  # per eigenstate
+        projections = instantaneous_projections(*states, spectra.c1, spectra.c2).tolist()
+        bounds = spectra.offsets.tolist()
+        for (t, p1, p2, norm), k, energy, lo, hi in zip(block, ks, energies, bounds, bounds[1:]):
+            records.append(TrajectoryRecord(t, k, Spinor(p1, p2), norm, energy, tuple(projections[lo:hi])))
     return records
 
 

@@ -216,17 +216,21 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _cdiv(re, im, r):
+    """(re + i im) / r, r > 0, on floats or arrays as CPython up to 3.13 divides: Smith's way."""
+    return (re + im * 0.0) / r, (im - re * 0.0) / r
+
+
 def _c1_parts(dx, dy, r, cos_half):
     """Real and imaginary part of c1 = (dx - i dy) / r * cos(theta / 2), on floats or arrays.
 
-    The operations of ``complex(dx, -dy) / r * cos_half`` in CPython up to 3.13: a
-    division by the complex (r, 0.0), Smith's way, then a product with the complex
-    (cos_half, 0.0).  The scalar path and the array core both take this formula, so
-    they agree to the bit, -0.0 parts too, on any interpreter: CPython 3.14 mixes
-    floats into complex arithmetic by C99's rules, which sign zero parts otherwise.
+    The operations of ``complex(dx, -dy) / r * cos_half`` in CPython up to 3.13:
+    ``_cdiv``, then a product with the complex (cos_half, 0.0).  The scalar path
+    and the array core both take this formula, so they agree to the bit, -0.0
+    parts too, on any interpreter: CPython 3.14 mixes floats into complex
+    arithmetic by C99's rules, which sign zero parts otherwise.
     """
-    re, im = (dx + -dy * 0.0) / r, (-dy - dx * 0.0) / r
-    return _cmul(re, im, cos_half, 0.0)
+    return _cmul(*_cdiv(dx, -dy, r), cos_half, 0.0)
 
 
 def _polar_pairs(dz: float, U: float) -> list[NonlinearEigenpair]:

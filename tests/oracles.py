@@ -16,7 +16,8 @@ expansion with ``spectrum.nonlinear_spectra``, and
 ``spectrum._iii_residual`` and ``spectrum.iii_epsilon``.  Loop versions
 of batched package code are kept as references: the pumped-charge loop on a stacked (2, n) state, the
 trajectory loop that builds each record as it samples, the per-sample
-spectra of a trajectory and the csv.writer loops of
+spectra of a trajectory, the mean energy and projections of one sample
+on Python complex scalars, and the csv.writer loops of
 ``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
 """
 
@@ -710,6 +711,30 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     return -float(Q.mean()), tuple(map(float, Q)), dt, n_steps
 
 
+def mean_energy_reference(params, k, psi):
+    """<psi| H(k, psi) |psi> of one state through Python's complex operators, the
+    reference of the elementwise ``dynamics.mean_energy``, with d(k) from ``_bloch``."""
+    c1, c2 = psi.c1, psi.c2
+    n1 = c1.real * c1.real + c1.imag * c1.imag
+    n2 = c2.real * c2.real + c2.imag * c2.imag
+    cross = c1.conjugate() * c2
+    sx = 2.0 * cross.real
+    sy = 2.0 * cross.imag
+    sz = n1 - n2
+    dx, dy, dz = _bloch(params, k)
+    return dx * sx + dy * sy + dz * sz + params.U * (n1 * n1 + n2 * n2)
+
+
+def projections_reference(psi, pairs):
+    """P_i = |<chi_i|psi>|^2 against the eigenpairs ``pairs`` of one k through Python's
+    complex operators, the reference of the elementwise ``dynamics.instantaneous_projections``."""
+    out = []
+    for pair in pairs:
+        ov = pair.state.c1.conjugate() * psi.c1 + pair.state.c2.conjugate() * psi.c2
+        out.append(ov.real * ov.real + ov.imag * ov.imag)
+    return tuple(out)
+
+
 def evolve_interleaved(params, drive, initial, sample_every):
     """``evolve`` records from a loop that builds each record as it samples.
 
@@ -723,8 +748,6 @@ def evolve_interleaved(params, drive, initial, sample_every):
         NORM_ABORT,
         NumericalHealthError,
         TrajectoryRecord,
-        instantaneous_projections,
-        mean_energy,
         norm_squared,
         rk4_step,
         rk4_weights,
@@ -751,7 +774,7 @@ def evolve_interleaved(params, drive, initial, sample_every):
         if abs(norm - 1.0) > NORM_ABORT:
             raise NumericalHealthError(f"norm drift |{norm} - 1| > {NORM_ABORT} at t={t:.4g}")
         psi = Spinor(p1 / norm, p2 / norm)
-        fields = (t, k, Spinor(p1, p2), norm, mean_energy(params, k, psi))
+        fields = (t, k, Spinor(p1, p2), norm, mean_energy_reference(params, k, psi))
         pending.append((fields, psi))
         if len(pending) == _SPECTRUM_BLOCK:
             flush()
@@ -761,7 +784,7 @@ def evolve_interleaved(params, drive, initial, sample_every):
         ds = [bloch_vector(params, k) for k in ks]
         spectra = nonlinear_spectra([(d.dx, d.dy, d.dz) for d in ds], U).pairs()
         for (fields, psi), k, pairs in zip(pending, ks, spectra):
-            records.append(TrajectoryRecord(*fields, instantaneous_projections(psi, pairs)))
+            records.append(TrajectoryRecord(*fields, projections_reference(psi, pairs)))
         pending.clear()
 
     def drive_at(t):
@@ -786,14 +809,14 @@ def evolve_interleaved(params, drive, initial, sample_every):
 
 def evolve_per_sample(params, drive, initial, sample_every):
     """``evolve`` records with projections from one ``physical_spectrum`` call per sample."""
-    from nlchern.dynamics import TrajectoryRecord, evolve, instantaneous_projections
+    from nlchern.dynamics import TrajectoryRecord, evolve
     from nlchern.model import Spinor
     from nlchern.spectrum import physical_spectrum
 
     out = []
     for rec in evolve(params, drive, initial, sample_every=sample_every):
         psi = Spinor(rec.psi.c1 / rec.norm, rec.psi.c2 / rec.norm)
-        proj = instantaneous_projections(psi, physical_spectrum(params, rec.k))
+        proj = projections_reference(psi, physical_spectrum(params, rec.k))
         out.append(TrajectoryRecord(rec.t, rec.k, rec.psi, rec.norm, rec.energy, proj))
     return out
 

@@ -264,7 +264,8 @@ def test_criterion_9_projection_sum(ground_sweep_u1_U4):
         k = KPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
         raw = rng.normal(size=4)
         psi = Spinor(complex(raw[0], raw[1]), complex(raw[2], raw[3])).normalized()
-        worst_linear = max(worst_linear, abs(sum(instantaneous_projections(psi, physical_spectrum(params, k))) - 1.0))
+        chi1, chi2 = np.array([pair.state.as_array() for pair in physical_spectrum(params, k)]).T
+        worst_linear = max(worst_linear, abs(sum(instantaneous_projections(psi.c1, psi.c2, chi1, chi2)) - 1.0))
 
     records, _ = ground_sweep_u1_U4
     max_dev = max(abs(sum(r.projections) - 1.0) for r in records)

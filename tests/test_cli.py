@@ -168,6 +168,9 @@ def test_dynamics_trajectory_summary(tmp_path):
     with open(out / "trajectory.csv") as fh:
         norms = [float(r["norm"]) for r in csv.DictReader(fh)]
     summary = json.loads((out / "trajectory_summary.json").read_text())
+    # the health of the 72 sample spectra, one path per sample
+    health = summary.pop("diagnostics")
+    assert sum(health["paths"].values()) == 72 and health["max_residual"] < 1e-12
     # 500 steps give 71 samples after the one at t = 0; %.17g round-trips each norm
     assert summary == {
         "steps": 500,

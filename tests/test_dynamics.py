@@ -1,6 +1,8 @@
+import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,14 +24,16 @@ from nlchern.dynamics import (
     rk4_step,
     rk4_weights,
 )
-from nlchern.model import KPoint, ModelParams, Spinor, _kerr_row
-from nlchern.spectrum import physical_spectrum
+from nlchern.model import KPoint, ModelParams, Spinor, _kerr_row, bloch_vector
+from nlchern.spectrum import Spectra, _path, physical_spectrum
 
 from oracles import (
     evolve_interleaved,
     evolve_per_sample,
     hamiltonian,
     linear_propagate,
+    mean_energy_reference,
+    projections_reference,
     ray_distance,
     write_trajectory_csv,
 )
@@ -47,14 +51,24 @@ def test_drivespec_validation():
         DriveSpec(k0, (0.0, 0.0), 0.001, 0.01)
 
 
+def _d(params, k):
+    return astuple(bloch_vector(params, k))
+
+
+def _projections(psi, pairs):
+    """``instantaneous_projections`` of psi on the states of ``pairs``, one array call."""
+    chi1, chi2 = np.array([pair.state.as_array() for pair in pairs]).T
+    return instantaneous_projections(psi.c1, psi.c2, chi1, chi2)
+
+
 def test_mean_energy_examples():
     p = ModelParams(u=3.0, U=5.0)
     k = KPoint(math.pi, math.pi)
-    assert mean_energy(p, k, Spinor(1.0, 0.0)) == pytest.approx(1.0 + 5.0, abs=1e-12)
+    assert mean_energy(_d(p, k), p.U, 1.0, 0.0) == pytest.approx(1.0 + 5.0, abs=1e-12)
     # d = (1, 0, 0) at u=-2, k=(pi/2, 0): equal superposition gives dx + U/2
     p2 = ModelParams(u=-2.0, U=3.0)
     s = 1.0 / math.sqrt(2.0)
-    assert mean_energy(p2, KPoint(math.pi / 2, 0.0), Spinor(s, s)) == pytest.approx(
+    assert mean_energy(_d(p2, KPoint(math.pi / 2, 0.0)), p2.U, s, s) == pytest.approx(
         1.0 + 1.5, abs=1e-12
     )
     # U=0 reduces to the linear expectation
@@ -63,7 +77,59 @@ def test_mean_energy_examples():
     k3 = KPoint(0.8, 2.0)
     H = hamiltonian(p3, k3, psi)
     v = psi.as_array()
-    assert mean_energy(p3, k3, psi) == pytest.approx((v.conj() @ H @ v).real, abs=1e-12)
+    assert mean_energy(_d(p3, k3), p3.U, psi.c1, psi.c2) == pytest.approx((v.conj() @ H @ v).real, abs=1e-12)
+
+
+def test_elementwise_formulas_equal_scalar_references_bit_for_bit():
+    # random states, states with +-0.0 parts, and the eigenstates at a generic,
+    # a polar and a dz = 0 contour momentum (dz = 6e-17 at (pi, pi/2), u = 1),
+    # each as psi and as chi
+    rng = np.random.default_rng(19)
+    p = ModelParams(u=1.0, U=4.0)
+    ks = [KPoint(2.9, 3.1), KPoint(0.0, 0.0), KPoint(math.pi, math.pi / 2)]
+    assert [_path(bloch_vector(p, k), p.U) for k in ks] == ["generic", "polar", "contour"]
+    states = [Spinor(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))).normalized() for _ in range(30)]
+    parts = (0.0, -0.0, 0.6, -0.8)
+    states += [Spinor(complex(a, b), complex(c, e)) for a, b, c, e in itertools.product(parts, repeat=4)]
+    for k in ks:
+        pairs = physical_spectrum(p, k)
+        psis = states + [pair.state for pair in pairs]
+        c1, c2 = np.array([psi.as_array() for psi in psis]).T
+        d = tuple(np.full(len(psis), x) for x in _d(p, k))
+        energies = mean_energy(d, p.U, c1, c2).tolist()
+        expected = [mean_energy_reference(p, k, psi) for psi in psis]
+        assert repr(energies) == repr(expected)  # == takes -0.0 for 0.0; repr does not
+        assert repr([mean_energy(_d(p, k), p.U, psi.c1, psi.c2) for psi in psis]) == repr(expected)
+        chi1, chi2 = np.array([pair.state.as_array() for pair in pairs]).T
+        projections = instantaneous_projections(
+            np.repeat(c1, len(pairs)), np.repeat(c2, len(pairs)), np.tile(chi1, len(psis)), np.tile(chi2, len(psis))
+        ).tolist()
+        expected = [x for psi in psis for x in projections_reference(psi, pairs)]
+        assert repr(projections) == repr(expected)
+
+
+def test_evolve_takes_no_bloch_vector_and_no_pair_objects(monkeypatch):
+    # every binding of bloch_vector, whichever module imported it, and
+    # Spectra.pairs count their calls while evolve runs
+    p = ModelParams(u=1.0, U=4.0)
+    drive = DriveSpec(KPoint(0.0, 0.0), (0.05, 0.02), 3.0, 0.01)
+    psi0 = physical_spectrum(p, drive.k0)[0].state
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nlchern" and hasattr(module, "bloch_vector"):
+            monkeypatch.setattr(module, "bloch_vector", counted("bloch_vector", module.bloch_vector))
+    monkeypatch.setattr(Spectra, "pairs", counted("pairs", Spectra.pairs))
+    records = evolve(p, drive, psi0, sample_every=2)
+    assert len(records) == 151 and all(rec.projections for rec in records)
+    assert calls == []
 
 
 def test_stationary_state_prediction():
@@ -145,7 +211,7 @@ def test_projections_linear_completeness():
         k = KPoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
         raw = rng.normal(size=4)
         psi = Spinor(complex(raw[0], raw[1]), complex(raw[2], raw[3])).normalized()
-        P = instantaneous_projections(psi, physical_spectrum(p, k))
+        P = _projections(psi, physical_spectrum(p, k))
         assert sum(P) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -155,11 +221,11 @@ def test_projections_pick_out_branch():
     pairs = physical_spectrum(p, k)
     assert len(pairs) >= 3
     for j, pair in enumerate(pairs):
-        P = instantaneous_projections(pair.state, pairs)
+        P = _projections(pair.state, pairs)
         assert P[j] == pytest.approx(1.0, abs=1e-9)
     # non-orthogonality: the projections of one branch onto the others
     # need not vanish and their sum exceeds one somewhere
-    sums = [sum(instantaneous_projections(pair.state, pairs)) for pair in pairs]
+    sums = [sum(_projections(pair.state, pairs)) for pair in pairs]
     assert any(abs(s - 1.0) > 1e-3 for s in sums)
 
 

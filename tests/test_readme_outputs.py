@@ -66,6 +66,7 @@ def pins(files: dict) -> dict:
     response = json.loads(by_name["response.json"].read_text())
     bands = json.loads(by_name["bands_summary.json"].read_text())
     trajectory = by_name["trajectory.csv"].read_text().splitlines()
+    dynamics = json.loads(by_name["trajectory_summary.json"].read_text())
     return {
         "response": {k: response[k] for k in ("nu", "nu_even_columns", "nu_odd_columns", "max_norm_drift")},
         "bands": {
@@ -75,6 +76,11 @@ def pins(files: dict) -> dict:
         },
         # t, kx, ky, norm and energy; the projections come from LAPACK
         "trajectory": {"lines": len(trajectory), "last_row": trajectory[-1].split(",")[:5]},
+        "trajectory_summary": {
+            "samples": dynamics["samples"],
+            "paths": dynamics["diagnostics"]["paths"],
+            "roots_discarded": dynamics["diagnostics"]["roots_discarded"],
+        },
     }
 
 
@@ -85,9 +91,11 @@ def test_readme_outputs_match_manifest(tmp_path):
     # from the polar start k = (0, 0) the trajectory depends on libm, the
     # drive and RK4, not on LAPACK: exact on every platform
     assert got["trajectory"] == want["trajectory"]
-    # counts are exact; a margin of 3.4e-15 (kept) against 0.031 (discarded)
-    # leaves no root whose fate round-off could change
+    # counts are exact; margins of 3.4e-15 and 1.9e-14 (kept) against 0.031
+    # and 0.012 (discarded), bands and dynamics, leave no root whose fate
+    # round-off could change
     assert got["bands"] == want["bands"]
+    assert got["trajectory_summary"] == want["trajectory_summary"]
     # nu sums 62,832 steps of 50 columns, whose round-off differs between
     # platforms by far less than 1e-9; the drift is round-off itself
     assert got["response"] == pytest.approx(want["response"], rel=1e-9, abs=1e-10)
