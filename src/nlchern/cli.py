@@ -23,12 +23,13 @@ import math
 import re
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import DriveSpec, NumericalHealthError, evolve
-from .effective import BracketError, gap_closing_search
+from .effective import gap_closing_search
 from .model import KPoint, ModelParams, Spinor, bloch_vector
 from .response import RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
 from .spectrum import (
@@ -161,7 +162,7 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=asdict) + "\n")
 
 
 def _write_csv(path: Path, header, row_format: str, rows) -> None:
@@ -206,7 +207,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
         "U": params.U,
         "grid": args.grid,
         "branch_count_nodes": {str(k): v for k, v in sorted(counts.items())},
-        "diagnostics": health.to_dict(),
+        "diagnostics": health,
     }
     if multi.any():
         kxs, kys = kx[multi].tolist(), ky[multi].tolist()
@@ -253,7 +254,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
         report = gap_closing_search(ModelParams(u=args.u, U=0.0), vary="U", bracket=bracket)
     else:
         report = gap_closing_search(ModelParams(u=0.0, U=args.U), vary="u", bracket=bracket)
-    _write_json(_outdir(args) / "gap.json", report.to_dict())
+    _write_json(_outdir(args) / "gap.json", report)
     return EXIT_OK
 
 
@@ -283,7 +284,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         "sample_every": args.sample_every,
         "samples": len(records),
         "max_sample_norm_drift": max(abs(r.norm - 1.0) for r in records),
-        "diagnostics": health.to_dict(),
+        "diagnostics": health,
     }
     _write_json(out / "trajectory_summary.json", summary)
     return EXIT_OK
@@ -295,7 +296,7 @@ def cmd_response(args: argparse.Namespace) -> int:
         raise ConfigError(f"response drives along k_y only; --F takes one rate, got {args.F}")
     summary = pumped_charge(params, band=args.band, F=args.F[0], n_kx=args.grid, dt=args.dt)
     out = _outdir(args)
-    _write_json(out / "response.json", summary.to_dict())
+    _write_json(out / "response.json", summary)
     rows = zip(kx_columns(summary.n_kx), summary.Q)
     _write_csv(out / "response_columns.csv", ("kx", "Q"), "%.17g,%.17g", rows)
     return EXIT_OK
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from exc
         return _SUBCOMMANDS[args.command][0](args)
-    except (ConfigError, BracketError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -39,11 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NORM_INPUT_TOL, KPoint, ModelParams, Spinor, _kerr_row
+from .model import NORM_INPUT_TOL, KPoint, ModelParams, Spinor, _bloch_parts, _kerr_row
 from .spectrum import SpectrumHealth, _cdiv, _cmul, nonlinear_spectra
 
 #: abort threshold on |norm - 1| during integration
 NORM_ABORT = 1e-5
+
+#: time span of ``detect_breakdown``'s sliding window (1/J)
+BREAKDOWN_WINDOW = 5.0
+
+#: peak-to-peak swing of max_i P_i within one window that ``detect_breakdown``
+#: reads as the onset of breakdown
+BREAKDOWN_THRESHOLD = 0.05
 
 # trajectory samples whose records ``evolve`` builds in one pass; one block
 # of all 3,142 samples of the README dynamics cycle raised its peak
@@ -220,16 +227,15 @@ def rk4_columns(U, w, like):
 def _drive_table(u, k0, F, t):
     """The drive coefficients (dz, dx - i dy) at the times ``t``, as Python scalar pairs.
 
-    dz = (u + cos kx) + cos ky and dx - i dy = sin kx - i sin ky at
-    k = k0 + F t, in float64 with the operations in that order; the
-    imaginary part is negated, not subtracted, so a zero sin ky gives -0.0.
+    d is ``model._bloch_parts`` at k = k0 + F t, taken as three arrays; the
+    imaginary part of dx - i dy is negated, not subtracted, so a zero sin ky
+    gives -0.0.
     """
-    kx = k0.kx + F[0] * t
-    ky = k0.ky + F[1] * t
+    dx, dy, dz = _bloch_parts(u, k0.kx + F[0] * t, k0.ky + F[1] * t, np)
     o = np.empty(t.shape, complex)
-    o.real = np.sin(kx)
-    o.imag = np.negative(np.sin(ky))
-    return list(zip(((u + np.cos(kx)) + np.cos(ky)).tolist(), o.tolist()))
+    o.real = dx
+    o.imag = np.negative(dy)
+    return list(zip(dz.tolist(), o.tolist()))
 
 
 def norm_squared(p1, p2):
@@ -292,7 +298,7 @@ def evolve(
         block = samples[i : i + _SPECTRUM_BLOCK]
         ks = [KPoint(k0.kx + F[0] * t, k0.ky + F[1] * t) for t, _, _, _ in block]
         kx, ky = np.array([(k.kx, k.ky) for k in ks]).T
-        d = np.sin(kx), np.sin(ky), (u + np.cos(kx)) + np.cos(ky)
+        d = _bloch_parts(u, kx, ky, np)
         spectra = nonlinear_spectra(np.column_stack(d), U, health)
         p = np.array([(p1, p2) for _, p1, p2, _ in block]).T
         psi = np.empty_like(p)  # the normalized states, one column per sample
@@ -306,31 +312,27 @@ def evolve(
     return records
 
 
-def detect_breakdown(
-    records: list[TrajectoryRecord],
-    window: float = 5.0,
-    threshold: float = 0.05,
-) -> float | None:
-    """Earliest time where max_i P_i develops oscillations beyond threshold.
+def detect_breakdown(records: list[TrajectoryRecord]) -> float | None:
+    """Earliest time where max_i P_i develops oscillations beyond ``BREAKDOWN_THRESHOLD``.
 
-    Scans a sliding window of the given time span over the uniformly
-    sampled trajectory and reports the start time of the first window
-    whose peak-to-peak amplitude of max_i P_i exceeds the threshold.
+    Scans a sliding window of ``BREAKDOWN_WINDOW`` time units over the
+    uniformly sampled trajectory and reports the start time of the first
+    window whose peak-to-peak amplitude of max_i P_i exceeds the threshold.
     """
     if len(records) < 2:
         raise ValueError("trajectory too short for breakdown analysis")
     dt_s = records[1].t - records[0].t
     span = records[-1].t - records[0].t
-    if span < window:
-        raise ValueError(f"trajectory span {span:.4g} shorter than window {window:.4g}")
+    if span < BREAKDOWN_WINDOW:
+        raise ValueError(f"trajectory span {span:.4g} shorter than window {BREAKDOWN_WINDOW:.4g}")
     for rec in records:
         if not rec.projections:
             raise ValueError("trajectory records carry no projections")
     signal = [max(rec.projections) for rec in records]
-    n_win = max(1, int(round(window / dt_s)))
+    n_win = max(1, int(round(BREAKDOWN_WINDOW / dt_s)))
     for i in range(len(signal) - n_win):
         seg = signal[i : i + n_win + 1]
-        if max(seg) - min(seg) > threshold:
+        if max(seg) - min(seg) > BREAKDOWN_THRESHOLD:
             return records[i].t
     return None
 

@@ -20,7 +20,7 @@ U_g = (w^4/4 + w)^(3/2) with w^3 = sqrt(33 - 16 u) - 1 (``_fold_merger``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .model import ModelParams
 from .spectrum import _real_roots
@@ -41,14 +41,6 @@ class GapClosingReport:
     critical_value: float
     roots_before: tuple[float, ...]
     roots_after: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self, dict_factory=_tuples_as_lists)
-
-
-def _tuples_as_lists(pairs) -> dict:
-    """``asdict`` factory: tuples become lists, the way they read back from JSON."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
 
 def count_iii_points(params: ModelParams) -> tuple[int, list[float]]:

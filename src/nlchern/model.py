@@ -109,13 +109,15 @@ class Spinor:
         return cls(complex(a[0]), complex(a[1]))
 
 
+def _bloch_parts(u, kx, ky, m):
+    """(dx, dy, dz) = (sin kx, sin ky, (u + cos kx) + cos ky), J = 1, by ``m``'s sin and cos,
+    elementwise: ``m`` is ``math`` on Python floats and ``np`` on numpy arrays."""
+    return m.sin(kx), m.sin(ky), (u + m.cos(kx)) + m.cos(ky)
+
+
 def bloch_vector(params: ModelParams, k: KPoint) -> BlochVector:
     """d(k) = (sin kx, sin ky, u + cos kx + cos ky), J = 1."""
-    return BlochVector(
-        math.sin(k.kx),
-        math.sin(k.ky),
-        params.u + math.cos(k.kx) + math.cos(k.ky),
-    )
+    return BlochVector(*_bloch_parts(params.u, k.kx, k.ky, math))
 
 
 def _kerr_row(D, O, U, p, q):

@@ -11,24 +11,19 @@ step together as one flat state [p1 by column, p2 by reversed column]
 through the stepper of ``dynamics.rk4_columns``, the RK4 and row formula
 that ``dynamics.evolve`` runs on scalars; reversing the vector pairs every
 entry with its partner component, so each numpy call of the loop runs on
-whole 1-D vectors.  The loop runs on buffers made once, so a step makes
-only its numpy calls: the stepper, a drive table whose column-independent
-shift (cos k_y, sin k_y) is refilled in place a block of steps at a time,
-and the RK4 output of each step of a block with the pieces of its norm,
-from which the block's spin ratios are formed in four calls and summed in
-one.  The response number nu averages Q
-over columns; its sign fixes the Brillouin zone orientation so that in
-the adiabatic linear limit nu reproduces the ground-band Chern number of
-``model.chern_number``.  Nonlinearity first
-shifts nu off the integer and, once the swept band develops cone or tube
-structures, destroys the quantization altogether; the phase diagram below
-labels those regimes from the analytic critical strengths.
+whole 1-D vectors.  The response number nu averages Q over columns; its
+sign fixes the Brillouin zone orientation so that in the adiabatic linear
+limit nu reproduces the ground-band Chern number of ``model.chern_number``.
+Nonlinearity first shifts nu off the integer and, once the swept band
+develops cone or tube structures, destroys the quantization altogether;
+the phase diagram below labels those regimes from the analytic critical
+strengths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +59,6 @@ class ResponseSummary:
     max_norm_drift: float
     nu_even_columns: float
     nu_odd_columns: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _velocity(cos_kx, sin_kx, cross, imbalance):

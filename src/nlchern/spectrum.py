@@ -47,7 +47,7 @@ import cmath
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .model import (
     KPoint,
     ModelParams,
     Spinor,
+    _bloch_parts,
     bloch_vector,
 )
 
@@ -451,12 +452,6 @@ class SpectrumHealth:
                 self.min_discarded_root_margin or math.inf, float(margins[discarded].min())
             )
 
-    def _record_states(self, dx, dy, dz, U: float, spectra: Spectra) -> None:
-        self.max_residual = max(self.max_residual, _max_residual(dx, dy, dz, U, spectra))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _generic_spectra(dx, dy, dz, U: float):
     """``nonlinear_spectra`` of rows that all take the generic path, with the root
@@ -538,7 +533,7 @@ def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spec
         n_polar, n_generic = int(polar.sum()), int(generic.sum())
         paths = {"polar": n_polar, "contour": len(dx) - n_polar - n_generic, "generic": n_generic}
         health._record_roots(paths, margins, uses)
-        health._record_states(dx, dy, dz, U, spectra)
+        health.max_residual = max(health.max_residual, _max_residual(dx, dy, dz, U, spectra))
     return spectra
 
 
@@ -611,7 +606,7 @@ def classify_degeneracies(params: ModelParams, resolution: int) -> list[Degenera
 
     for kx in (0.0, math.pi):
         for ky in (0.0, math.pi):
-            dz = u + math.cos(kx) + math.cos(ky)
+            dz = _bloch_parts(u, kx, ky, math)[2]
             points.append(
                 DegeneratePoint(DegeneracyKind.I, KPoint(kx, ky), 0.5 * U, 2.0 * abs(dz))
             )
@@ -666,9 +661,5 @@ def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = No
         raise ValueError("band surface needs at least a 2 x 2 grid")
     axis = np.linspace(0.0, 2.0 * math.pi, n)
     k = np.remainder(axis, TWO_PI)  # KPoint's reduction, 2 pi -> 0
-    sin, cos = np.sin(k), np.cos(k)
-    d = np.empty((n, n, 3))
-    d[..., 0] = sin[:, None]
-    d[..., 1] = sin
-    d[..., 2] = (params.u + cos[:, None]) + cos
+    d = np.stack(np.broadcast_arrays(*_bloch_parts(params.u, k[:, None], k, np)), axis=-1)
     return np.repeat(axis, n), np.tile(axis, n), nonlinear_spectra(d.reshape(-1, 3), params.U, health)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -285,7 +286,8 @@ def test_gap_json_round_trip(tmp_path):
         roots_before=tuple(payload["roots_before"]),
         roots_after=tuple(payload["roots_after"]),
     )
-    assert report.to_dict() == payload
+    # its tuples read back as lists
+    assert json.loads(json.dumps(dataclasses.asdict(report))) == payload
 
 
 def test_response_json_round_trip(tmp_path):
@@ -298,7 +300,7 @@ def test_response_json_round_trip(tmp_path):
     from nlchern.response import ResponseSummary
 
     summary = ResponseSummary(**payload)
-    assert summary.to_dict() == payload
+    assert dataclasses.asdict(summary) == payload
 
 
 def test_exit_code_mapping_regime_and_health(tmp_path, monkeypatch):

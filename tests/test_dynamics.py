@@ -326,7 +326,7 @@ def test_detect_breakdown_validation():
     pairs = physical_spectrum(p, KPoint(0.1, 0.2))
     recs = evolve(p, drive, pairs[0].state, sample_every=50)
     with pytest.raises(ValueError):
-        detect_breakdown(recs, window=5.0)
+        detect_breakdown(recs)
 
 
 def test_detect_breakdown_flat_signal_none():
@@ -334,7 +334,7 @@ def test_detect_breakdown_flat_signal_none():
     drive = DriveSpec(KPoint(0.4, 1.2), (0.01, 0.01), 20.0, 0.01)
     pairs = physical_spectrum(p, KPoint(0.4, 1.2))
     recs = evolve(p, drive, pairs[0].state, sample_every=20)
-    assert detect_breakdown(recs, window=5.0, threshold=0.05) is None
+    assert detect_breakdown(recs) is None
 
 
 def test_trajectory_csv_blank_padding(tmp_path):

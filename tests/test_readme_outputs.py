@@ -17,6 +17,7 @@ import platform
 import shlex
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +62,16 @@ def digests(files: dict) -> dict:
 
 
 def pins(files: dict) -> dict:
-    """The values the CI workflow pins, from the response, bands and dynamics files."""
+    """The values the CI workflow pins, from every command's files."""
     by_name = {name: path for written in files.values() for name, path in written.items()}
     response = json.loads(by_name["response.json"].read_text())
     bands = json.loads(by_name["bands_summary.json"].read_text())
     trajectory = by_name["trajectory.csv"].read_text().splitlines()
     dynamics = json.loads(by_name["trajectory_summary.json"].read_text())
+    # the two gap commands both write gap.json; each is keyed by its fixed parameter
+    gaps = [json.loads(w["gap.json"].read_text()) for w in files.values() if "gap.json" in w]
+    degeneracies = json.loads(by_name["degeneracies.json"].read_text())
+    labels = [row.rpartition(",")[2] for row in by_name["phase_diagram.csv"].read_text().splitlines()[1:]]
     return {
         "response": {k: response[k] for k in ("nu", "nu_even_columns", "nu_odd_columns", "max_norm_drift")},
         "bands": {
@@ -81,6 +86,19 @@ def pins(files: dict) -> dict:
             "paths": dynamics["diagnostics"]["paths"],
             "roots_discarded": dynamics["diagnostics"]["roots_discarded"],
         },
+        "gap": {
+            g["fixed_param"]: {
+                "critical_value": g["critical_value"],
+                "roots_before": len(g["roots_before"]),
+                "roots_after": len(g["roots_after"]),
+            }
+            for g in gaps
+        },
+        "degeneracies": {
+            "points": dict(Counter(p["kind"] for p in degeneracies["points"])),
+            "max_iii_residual": degeneracies["diagnostics"]["max_iii_residual"],
+        },
+        "phase_diagram": {"cells": len(labels), "nA": labels.count("nA")},
     }
 
 
@@ -99,6 +117,15 @@ def test_readme_outputs_match_manifest(tmp_path):
     # nu sums 62,832 steps of 50 columns, whose round-off differs between
     # platforms by far less than 1e-9; the drift is round-off itself
     assert got["response"] == pytest.approx(want["response"], rel=1e-9, abs=1e-10)
+    # closed forms, and counts of fold points at least 0.38 apart
+    assert got["gap"].keys() == want["gap"].keys()
+    for fixed, gap in want["gap"].items():
+        assert got["gap"][fixed] == pytest.approx(gap, rel=1e-12)
+    # the III residual is round-off of the locus formula; the counts are exact
+    assert got["degeneracies"].pop("max_iii_residual") <= 1e-12
+    assert got["degeneracies"]["points"] == want["degeneracies"]["points"]
+    # labels compare U with a closed-form critical strength
+    assert got["phase_diagram"] == want["phase_diagram"]
     if manifest["made_on"] == platform_id():
         assert digests(files) == manifest["sha256"]
     else:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
 from nlchern.spectrum import (
     _iii_residual,
+    _max_residual,
     _path,
     _spectrum,
     _theta_roots,
@@ -685,10 +686,9 @@ def test_spectrum_health_residual_matches_eigenpair_residual():
     spectra = nonlinear_spectra(d, params.U)
     shift = np.concatenate([0.1 * (np.arange(n) + 1) for n in np.diff(spectra.offsets)])
     spectra = dataclasses.replace(spectra, epsilon=spectra.epsilon + shift)
-    health = SpectrumHealth()
-    health._record_states(*d.T, params.U, spectra)
+    residual = _max_residual(*d.T, params.U, spectra)
     expect = max(eigenpair_residual(params, k, q) for k, pairs in zip(ks, spectra.pairs()) for q in pairs)
-    assert health.max_residual == pytest.approx(expect, abs=1e-12)
+    assert residual == pytest.approx(expect, abs=1e-12)
 
 
 def test_spectrum_health_linear_limit_has_no_discarded_roots():
