@@ -74,7 +74,7 @@ def check_norm_drift(drift: float, t: float, dt: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriveSpec:
     """Sweep protocol k(t) = k0 + F t over total time T with step dt."""
 
@@ -102,7 +102,7 @@ class DriveSpec:
         return int(round(self.T / self.dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
     t: float
     k: KPoint

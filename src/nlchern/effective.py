@@ -30,7 +30,7 @@ class BracketError(ValueError):
     """Bracket endpoints do not straddle the fold merger (4 -> 2 roots)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapClosingReport:
     """A gap-closing parameter value and the fold points at the bracket ends."""
 

@@ -31,7 +31,7 @@ class GaplessParameterError(ValueError):
     """Raised when a Chern number is requested at a gap-closing parameter."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """Physical parameters: topological parameter u, Kerr strength U, hopping J=1."""
 
@@ -55,7 +55,7 @@ def _reduce_angle(x: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KPoint:
     """Quasimomentum in the restricted Brillouin zone, components in [0, 2*pi)."""
 
@@ -67,7 +67,7 @@ class KPoint:
         object.__setattr__(self, "ky", _reduce_angle(self.ky))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochVector:
     """The real vector d(k) multiplying the Pauli matrices."""
 
@@ -84,7 +84,7 @@ class BlochVector:
         return math.sqrt(self.planar_sq + self.dz * self.dz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spinor:
     """Two-component complex amplitude (c1, c2)."""
 

@@ -11,7 +11,10 @@ step together as one flat state [p1 by column, p2 by reversed column]
 through the stepper of ``dynamics.rk4_columns``, the RK4 and row formula
 that ``dynamics.evolve`` runs on scalars; reversing the vector pairs every
 entry with its partner component, so each numpy call of the loop runs on
-whole 1-D vectors.  The response number nu averages Q over columns; its
+whole 1-D vectors.  The steps only integrate; the state is renormalized
+by its real norm once per block of ``_DRIVE_BLOCK`` steps, in one
+vectorized pass that also takes the block's spin ratios, each over its
+own step's norm^2.  The response number nu averages Q over columns; its
 sign fixes the Brillouin zone orientation so that in the adiabatic linear
 limit nu reproduces the ground-band Chern number of ``model.chern_number``.
 Nonlinearity first shifts nu off the integer and, once the swept band
@@ -32,8 +35,10 @@ from .model import GaplessParameterError, KPoint, ModelParams, chern_number
 from .spectrum import physical_spectrum
 
 # steps per block of ``pumped_charge``: its drive table (refilled in place
-# every block) and its per-step buffers hold one block; 256 raised the peak
-# resident memory of the README response command by 5.3 MB over 32
+# every block) and its state buffer hold one block; 256 raised the peak
+# resident memory of the README response command by 5.3 MB over 32.  Part
+# of the numerics: the state is renormalized once per block, so changing
+# it moves nu and max_norm_drift
 _DRIVE_BLOCK = 32
 
 
@@ -41,7 +46,7 @@ class RegimeError(RuntimeError):
     """A requested band branch does not exist at a sweep start point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseSummary:
     """Pumped charge of one drive cycle; ``Q`` holds the charge of each k_x column."""
 
@@ -57,7 +62,7 @@ class ResponseSummary:
     dt: float
     Q: tuple[float, ...]
     max_norm_drift: float
-    nu_even_columns: float
+    nu_even_columns: float | None
     nu_odd_columns: float | None
 
 
@@ -102,25 +107,25 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     cos k_y and sin k_y parts each block of ``_DRIVE_BLOCK`` steps rewrites
     in place.  The step is shrunk from ``dt`` to T / round(T / dt), so the
     steps add up to exactly one cycle T = 2*pi/F.
-    The state is renormalized after every step: a full cycle takes 2*pi/F
-    time units and the drift bound matters there; ``max_norm_drift`` is the
-    largest |norm^2 - 1| met before a renormalization, and a block of steps
-    whose drift fails ``dynamics.check_norm_drift`` aborts.  The velocity is
-    linear in Re(p1* p2) and |p1|^2 - |p2|^2, so the loop only sums those
-    two per entry (the first half of each sum is the columns'); the
-    trapezoid end weights and the velocity formula are applied once, after
-    the loop.
 
-    Each step writes its RK4 output, before the renormalization, into a
-    row of a ``_DRIVE_BLOCK``-row buffer, with its conjugate, conj * P and
-    norm^2 in three more; the renormalized state goes to one fixed P.  At
-    the end of a block the two spin ratios conj * P[::-1] / norm^2 and
-    (n - n[::-1]) / norm^2 are formed for all its rows at once, and one
+    Step j of a block reads row j of a ``_DRIVE_BLOCK + 1``-row state
+    buffer and writes its RK4 output, unnormalized, to row j + 1; row 0
+    holds the block's normalized start state.  At the end of a block one
+    vectorized pass takes, for all its rows at once, the real norm^2
+    |p1|^2 + |p2|^2 and the two spin ratios Re(p1* p2) / norm^2 and
+    (|p1|^2 - |p2|^2) / norm^2 of each row's columns, and writes the last
+    row divided by its real norm into row 0.  The velocity is linear in
+    the two ratios, so the loop only sums those per column: one
     ``np.add.accumulate`` over [running sums; the block's rows] adds them
-    strictly in step order, as a step-by-step loop does.
+    strictly in step order, as a step-by-step loop does, and the trapezoid
+    end weights and the velocity formula are applied once, after the loop.
+    ``max_norm_drift`` is the largest |norm^2 - 1| met since the last
+    renormalization, and a block whose drift fails
+    ``dynamics.check_norm_drift`` aborts.
     ``nu_even_columns`` and ``nu_odd_columns`` are nu over the even and
-    over the odd columns alone (None without an odd column); their spread
-    estimates how far nu is from converged in ``n_kx``.
+    over the odd columns alone, each then a uniform grid of n_kx / 2, and
+    None for an odd ``n_kx``; their spread estimates how far nu is from
+    converged in ``n_kx``.
     """
     if not (math.isfinite(F) and F > 0.0):
         raise ValueError("drive rate F must be positive and finite")
@@ -160,33 +165,32 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
         np.subtract(0.0, sy, out=Oi[:, :n_kx])  # +0.0, not -0.0, where sin ky = 0
         Oi[:, n_kx:] = sy
 
-    # per step of a block: the RK4 output before its renormalization, its
-    # conjugate, conj * output and norm^2; S holds the running spin sums in
-    # row 0 and the block's spin ratios after it, A their running sums
-    R, C, N, norms = np.empty((4, _DRIVE_BLOCK, 2 * n_kx), dtype=complex)
-    S, A = np.empty((2, _DRIVE_BLOCK + 1, 2, 2 * n_kx), dtype=complex)
+    # B holds a block's normalized start state in row 0 and step j's RK4
+    # output in row j + 1; S holds the columns' running spin sums in row 0
+    # and the block's spin ratios after it, A their running sums
+    B = np.empty((_DRIVE_BLOCK + 1, 2 * n_kx), dtype=complex)
+    S, A = np.empty((2, _DRIVE_BLOCK + 1, 2, n_kx))
     rows = tuple(zip(D, O))
-    steps = tuple(zip(rows[0::2], rows[1::2], rows[2::2], R, C, N, N[:, ::-1], norms))
-    root = np.empty_like(P)
+    steps = tuple(zip(rows[0::2], rows[1::2], rows[2::2], B[:-1], B[1:]))
 
-    def spin(m):
-        """p1* p2 and |p1|^2 - |p2|^2 over the norm^2 of the first m rows, into S[1:m + 1].
+    def renormalize(lo, m):
+        """Spin ratios of rows lo .. m of B into S, row m normalized into row 0.
 
-        The first halves belong to the columns, and their real parts are
-        the two spin components the velocity needs.
+        Each row's Re(p1* p2) and |p1|^2 - |p2|^2 are divided by that row's
+        own norm^2; returns the largest |norm^2 - 1| among the rows.
         """
-        cross, imbalance = S[1 : m + 1, 0], S[1 : m + 1, 1]
-        np.divide(np.multiply(C[:m], R[:m, ::-1], cross), norms[:m], cross)
-        np.divide(np.subtract(N[:m], N[:m, ::-1], imbalance), norms[:m], imbalance)
+        p1, p2 = B[lo : m + 1, :n_kx], B[lo : m + 1, ::-1][:, :n_kx]
+        n1, n2 = p1.real**2 + p1.imag**2, p2.real**2 + p2.imag**2
+        norm = n1 + n2
+        np.divide(p1.real * p2.real + p1.imag * p2.imag, norm, S[lo : m + 1, 0])
+        np.divide(n1 - n2, norm, S[lo : m + 1, 1])
+        root = np.sqrt(norm[-1])
+        np.divide(B[m], np.concatenate([root, root[::-1]]), B[0])
+        return np.abs(norm - 1.0).max()
 
-    conjugate, multiply, add, divide, sqrt = np.conjugate, np.multiply, np.add, np.divide, np.sqrt
-    R[0] = P
-    conjugate(P, C[0])
-    multiply(C[0], P, N[0])
-    add(N[0], N[0, ::-1], norms[0])
-    divide(R[0], sqrt(norms[0], root), P)
-    spin(1)
-    S[0] = xz0 = S[1].copy()
+    B[0] = P
+    renormalize(0, 0)
+    xz0 = S[0].copy()
     drifts = []
     refill(0, [0.0])
     for j0 in range(0, n_steps, _DRIVE_BLOCK):
@@ -194,29 +198,24 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
         times = [t for j in js for t in (j * dt + half, j * dt + dt)]
         refill(1, times)
         m = len(times) // 2
-        for a, b, c, r, conj, n, n_rev, norm in steps[:m]:
-            step(a, b, c, P, r)
-            conjugate(r, conj)
-            multiply(conj, r, n)
-            add(n, n_rev, norm)
-            divide(r, sqrt(norm, root), P)
+        for a, b, c, p, out in steps[:m]:
+            step(a, b, c, p, out)
         # the next block starts from this one's last t + dt row
         D[0], O[0] = D[2 * m], O[2 * m]
+        drifts.append(renormalize(1, m))
         # one sequential accumulate adds the steps one by one, in step order
-        spin(m)
-        add.accumulate(S[: m + 1], axis=0, out=A[: m + 1])
+        np.add.accumulate(S[: m + 1], axis=0, out=A[: m + 1])
         S[0] = A[m]
-        drifts.append(np.abs(norms[:m].real - 1.0).max())
         check_norm_drift(drifts[-1], times[-1], dt)
     # trapezoid rule: the end points carry half weight
     S[0] -= 0.5 * (xz0 + S[m])
-    X, Z = S[0, :, :n_kx].real
+    X, Z = S[0]
     Q = dt * _velocity(cos_kx, sin_kx, X, Z)
 
     # Zone orientation fixed so the linear adiabatic limit returns the
     # ground-band Chern number (and its negative for the excited band).
     nu = -float(Q.mean())
-    nu_even, nu_odd = (-float(Q[j::2].mean()) if n_kx > j else None for j in (0, 1))
+    nu_even, nu_odd = (-float(Q[j::2].mean()) if n_kx % 2 == 0 else None for j in (0, 1))
 
     try:
         nu_linear = _band(band)[2] * chern_number(params.u)
@@ -290,7 +289,7 @@ def is_adiabatic(params: ModelParams, band: str) -> bool:
     return not params.U > _band(band)[1](params.u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseDiagram:
     band: str
     u_values: tuple[float, ...]

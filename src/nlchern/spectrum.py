@@ -92,7 +92,7 @@ class DegeneracyKind(str, enum.Enum):
     III = "III"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonlinearEigenpair:
     """One self-consistent stationary solution at fixed k."""
 
@@ -102,7 +102,7 @@ class NonlinearEigenpair:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegeneratePoint:
     kind: DegeneracyKind
     k: KPoint
@@ -358,7 +358,7 @@ def _no_state():
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class Spectra:
     """The stationary states of many Bloch vectors, as flat arrays.
 

@@ -592,13 +592,16 @@ def tube_strength_scan(u, n=2001):
 # pumped charge with two separate component columns
 # ---------------------------------------------------------------------------
 
-def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0):
+def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0, renormalize_every=1):
     """nu from the two-column RK4 loop: p1, p2 held apart, d(t) rebuilt per stage.
 
-    ``psi0`` holds the normalized start state of each k_x column, one row
-    per column, on the grid kx = 2 pi j / n.  Same cycle closure, per-step
-    renormalization and trapezoid rule as the package, written with real
-    operands and the velocity accumulated step by step.
+    ``psi0`` holds the start state of each k_x column, one row per column,
+    on the grid kx = 2 pi j / n.  Same cycle closure and trapezoid rule as
+    the package, written with real operands and the velocity accumulated
+    step by step.  Each step's velocity is divided by that step's norm^2,
+    and the state is renormalized at the start and after every
+    ``renormalize_every`` steps: 1 renormalizes every step, the package's
+    ``_DRIVE_BLOCK`` gives its schedule.
     """
     n_kx = len(psi0)
     kxs = 2.0 * math.pi * np.arange(n_kx) / n_kx
@@ -620,12 +623,16 @@ def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0):
         return -1j * h1, -1j * h2
 
     def velocity(q1, q2):
+        """The velocity of the normalized state, and the norm^2 of (q1, q2)."""
+        n1 = q1.real**2 + q1.imag**2
+        n2 = q2.real**2 + q2.imag**2
         sigx = 2.0 * (q1.conjugate() * q2).real
-        sigz = (q1.real**2 + q1.imag**2) - (q2.real**2 + q2.imag**2)
-        return cx * sigx - sx * sigz
+        return (cx * sigx - sx * (n1 - n2)) / (n1 + n2), n1 + n2
 
     Q = np.zeros(n_kx)
-    v_prev = velocity(p1, p2)
+    v_prev, norm = velocity(p1, p2)
+    p1 /= np.sqrt(norm)
+    p2 /= np.sqrt(norm)
     half = 0.5 * dt
     for n in range(n_steps):
         t = n * dt
@@ -635,10 +642,10 @@ def pumped_charge_reference(u, U, psi0, F, dt, ky0=0.0):
         d1, d2 = rhs(t + dt, p1 + dt * c1, p2 + dt * c2)
         p1 = p1 + dt / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         p2 = p2 + dt / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        norm = np.sqrt(p1.real**2 + p1.imag**2 + p2.real**2 + p2.imag**2)
-        p1 /= norm
-        p2 /= norm
-        v_new = velocity(p1, p2)
+        v_new, norm = velocity(p1, p2)
+        if (n + 1) % renormalize_every == 0:
+            p1 /= np.sqrt(norm)
+            p2 /= np.sqrt(norm)
         Q += 0.5 * dt * (v_prev + v_new)
         v_prev = v_new
     return -float(Q.mean())
@@ -654,11 +661,13 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     The time loop of ``response.pumped_charge`` before its state became one
     flat vector: each column's [p1, p2] is a column of P, the drive
     coefficients come from a ``drive(t)`` closure at t + dt/2 and t + dt,
-    and the spin sums index the two rows.  The stepper, the cycle closure,
-    the per-step renormalization and the trapezoid rule are the package's.
+    the spin sums index the two rows, and the state is renormalized after
+    each step whose count is a multiple of ``_DRIVE_BLOCK``.  The stepper,
+    the cycle closure, the spin ratios over each step's own norm^2 and the
+    trapezoid rule are the package's.
     """
     from nlchern.dynamics import rk4_columns, rk4_weights
-    from nlchern.response import _velocity, kx_columns, sweep_initial_states
+    from nlchern.response import _DRIVE_BLOCK, _velocity, kx_columns, sweep_initial_states
 
     kxs = kx_columns(n_kx)
     P = np.ascontiguousarray(sweep_initial_states(params, band, kxs).T)
@@ -682,19 +691,18 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
         return DO[0], DO[1]
 
     def spin(P):
-        conj = P.conjugate()
-        n = conj * P
-        norm = n + n[::-1]
-        cross = conj[0] * P[1] / norm[0]
-        imbalance = (n[0] - n[1]) / norm[0]
-        P /= np.sqrt(norm)
-        return cross, imbalance
+        """Re(p1* p2) and |p1|^2 - |p2|^2 over the norm^2, and the norm^2."""
+        n1, n2 = P.real**2 + P.imag**2
+        norm = n1 + n2
+        cross = (P[0].real * P[1].real + P[0].imag * P[1].imag) / norm
+        return cross, (n1 - n2) / norm, norm
 
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
     half = 0.5 * dt
     step = rk4_columns(U, w, P)
-    x0, z0 = spin(P)
+    x0, z0, norm = spin(P)
+    P = P / np.sqrt(norm)
     X, Z = x0.copy(), z0.copy()
     a = drive(0.0)
     for n in range(n_steps):
@@ -702,12 +710,14 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
         b, c = drive(t + half), drive(t + dt)
         P = step(a, b, c, P, np.empty_like(P))
         a = c
-        x, z = spin(P)
+        x, z, norm = spin(P)
+        if (n + 1) % _DRIVE_BLOCK == 0:
+            P = P / np.sqrt(norm)
         X += x
         Z += z
     X -= 0.5 * (x0 + x)
     Z -= 0.5 * (z0 + z)
-    Q = dt * _velocity(cos_kx, sin_kx, X.real, Z.real)
+    Q = dt * _velocity(cos_kx, sin_kx, X, Z)
     return -float(Q.mean()), tuple(map(float, Q)), dt, n_steps
 
 

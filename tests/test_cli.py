@@ -337,7 +337,7 @@ def test_dynamics_rejects_missing_band_like_response(tmp_path, monkeypatch):
         # the state blows up to NaN, whose drift no ordered comparison flags
         (["dynamics", "--U", "4", "--F", "0.001", "--dt", "0.7", "--T", "2000",
           "--sample-every", "2000"], "trajectory.csv"),
-        # the per-step renormalization hides a drift of order 1e20 from the charge
+        # the spin ratios, each over its own step's norm^2, hide the drift from the charge
         (["response", "--U", "4", "--F", "0.01", "--grid", "8", "--dt", "0.6"], "response.json"),
         # the first run sampled only at t = 0: the check of its final state, step 2,857, sees the NaN
         (["dynamics", "--U", "4", "--F", "0.001", "--dt", "0.7", "--T", "2000",
