@@ -24,10 +24,10 @@ step.  The stepper owns its stage buffers, so a step allocates nothing.
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
 Kerr term is on, so the projection probabilities need not sum to one.
-The time loop of ``evolve`` only steps and keeps its samples; its drive
-coefficients come from a table that numpy builds a fixed block of steps
-at a time, as Python scalars, so the table never outgrows one block.  The
-records are built after it on arrays, a block of samples at a time: one
+Both driven loops take their drive a fixed block of steps at a time from
+``_drive`` at ``_block_times``, so it never outgrows one block.  The loop
+of ``evolve`` only steps and keeps its samples; the records are built
+after it on arrays, a block of samples at a time: one
 ``nonlinear_spectra`` call, the elementwise ``mean_energy`` and
 ``instantaneous_projections``, and no object but the records.
 """
@@ -224,18 +224,26 @@ def rk4_columns(U, w, like):
     return step
 
 
-def _drive_table(u, k0, F, t):
-    """The drive coefficients (dz, dx - i dy) at the times ``t``, as Python scalar pairs.
+def _block_times(j0, j1, dt):
+    """The 2 m + 1 drive times of steps j0 .. j1 - 1, m = j1 - j0: step i reads entries 2i .. 2i + 2.
 
-    d is ``model._bloch_parts`` at k = k0 + F t, taken as three arrays; the
-    imaginary part of dx - i dy is negated, not subtracted, so a zero sin ky
-    gives -0.0.
+    Entry 0 is (j0 - 1) dt + dt, the previous block's last time to the bit,
+    then t + dt/2 and t + dt for each step's t = j dt.
     """
-    dx, dy, dz = _bloch_parts(u, k0.kx + F[0] * t, k0.ky + F[1] * t, np)
-    o = np.empty(t.shape, complex)
+    return np.add.outer(np.arange(j0 - 1, j1) * dt, [0.5 * dt, dt]).ravel()[1:]
+
+
+def _drive(u, kx, ky):
+    """The drive coefficients (dz, dx - i dy) at the arrays (kx, ky), broadcast together.
+
+    d is ``model._bloch_parts``; the imaginary part of dx - i dy is
+    negated, not subtracted, so a zero sin ky gives -0.0.
+    """
+    dx, dy, dz = _bloch_parts(u, kx, ky, np)
+    o = np.empty(dz.shape, complex)
     o.real = dx
     o.imag = np.negative(dy)
-    return list(zip(dz.tolist(), o.tolist()))
+    return dz, o
 
 
 def norm_squared(p1, p2):
@@ -253,14 +261,14 @@ def evolve(
     """Integrate the driven state and sample it every ``sample_every`` steps.
 
     Step n runs from t = n dt to t + dt with the scalar ``rk4_step``.  Its
-    drive coefficients at t + dt/2 and t + dt come from ``_drive_table``,
-    built for ``_DRIVE_BLOCK`` steps at a time, so the drive is written once
-    and its table stays one block long for any T.  Raises
+    drive coefficients at t, t + dt/2 and t + dt come from ``_drive`` at
+    ``_block_times``, built for ``_DRIVE_BLOCK`` steps at a time, so the
+    drive stays one block long for any T.  Raises
     NumericalHealthError when |norm - 1| at a sample, or at the final state
     when that is no sample, exceeds ``NORM_ABORT`` or is NaN (suggesting a
     smaller dt).  ``health`` is passed on to each block's ``nonlinear_spectra``.
     """
-    if abs(initial.norm - 1.0) > NORM_INPUT_TOL:
+    if not abs(initial.norm - 1.0) <= NORM_INPUT_TOL:
         raise ValueError("initial state must be normalized")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
@@ -273,17 +281,15 @@ def evolve(
     p1, p2 = complex(initial.c1), complex(initial.c2)
     samples = [(0.0, p1, p2, math.sqrt(norm_squared(p1, p2)))]
 
-    half = 0.5 * dt
     w = rk4_weights(dt)
-    (a,) = _drive_table(u, k0, F, np.zeros(1))
-    for start in range(0, n_steps, _DRIVE_BLOCK):
-        stop = min(start + _DRIVE_BLOCK, n_steps)
-        t = np.arange(start, stop) * dt
-        bs, cs = _drive_table(u, k0, F, t + half), _drive_table(u, k0, F, t + dt)
+    for j0 in range(0, n_steps, _DRIVE_BLOCK):
+        j1 = min(j0 + _DRIVE_BLOCK, n_steps)
+        t = _block_times(j0, j1, dt)
+        dz, o = _drive(u, k0.kx + F[0] * t, k0.ky + F[1] * t)
+        drive = list(zip(dz.tolist(), o.tolist()))
         # n counts the steps taken once this one is done
-        for n, b, c in zip(range(start + 1, stop + 1), bs, cs):
+        for n, a, b, c in zip(range(j0 + 1, j1 + 1), drive[0::2], drive[1::2], drive[2::2]):
             p1, p2 = rk4_step(U, w, a, b, c, p1, p2)
-            a = c
             if n % sample_every == 0:
                 t_n = n * dt
                 norm = math.sqrt(norm_squared(p1, p2))

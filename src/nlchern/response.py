@@ -30,15 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import check_norm_drift, rk4_columns, rk4_weights
+from .dynamics import _block_times, _drive, check_norm_drift, rk4_columns, rk4_weights
 from .model import GaplessParameterError, KPoint, ModelParams, chern_number
 from .spectrum import physical_spectrum
 
-# steps per block of ``pumped_charge``: its drive table (refilled in place
-# every block) and its state buffer hold one block; 256 raised the peak
-# resident memory of the README response command by 5.3 MB over 32.  Part
-# of the numerics: the state is renormalized once per block, so changing
-# it moves nu and max_norm_drift
+# steps per block of ``pumped_charge``: its drive and its state buffer
+# hold one block; 256 raised the peak resident memory of the README
+# response command by 5.3 MB over 32.  Part of the numerics: the state is
+# renormalized once per block, so changing it moves nu and max_norm_drift
 _DRIVE_BLOCK = 32
 
 
@@ -102,11 +101,11 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     the stepper of ``dynamics.rk4_columns`` as one flat state P = [p1, p2
     reversed], so ``P[::-1]`` is the partner component of every entry;
     D = [dz, -dz reversed] and O = [dx - i dy, (dx + i dy) reversed] are
-    laid out the same way.  The drive shift (cos k_y, sin k_y) is the same
-    for every column, so the loop takes D and O as rows of one table, whose
-    cos k_y and sin k_y parts each block of ``_DRIVE_BLOCK`` steps rewrites
-    in place.  The step is shrunk from ``dt`` to T / round(T / dt), so the
-    steps add up to exactly one cycle T = 2*pi/F.
+    laid out the same way.  Each block of ``_DRIVE_BLOCK`` steps takes
+    them from ``dynamics._drive`` at the block's ``dynamics._block_times``,
+    the drive and schedule of ``dynamics.evolve``.  The step is shrunk from
+    ``dt`` to T / round(T / dt), so the steps add up to exactly one cycle
+    T = 2*pi/F.
 
     Step j of a block reads row j of a ``_DRIVE_BLOCK + 1``-row state
     buffer and writes its RK4 output, unnormalized, to row j + 1; row 0
@@ -115,10 +114,10 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     |p1|^2 + |p2|^2 and the two spin ratios Re(p1* p2) / norm^2 and
     (|p1|^2 - |p2|^2) / norm^2 of each row's columns, and writes the last
     row divided by its real norm into row 0.  The velocity is linear in
-    the two ratios, so the loop only sums those per column: one
-    ``np.add.accumulate`` over [running sums; the block's rows] adds them
-    strictly in step order, as a step-by-step loop does, and the trapezoid
-    end weights and the velocity formula are applied once, after the loop.
+    the two ratios, so the loop only sums those per column: one sum over
+    [running sums; the block's rows] adds them strictly in step order, as
+    a step-by-step loop does, and the trapezoid end weights and the
+    velocity formula are applied once, after the loop.
     ``max_norm_drift`` is the largest |norm^2 - 1| met since the last
     renormalization, and a block whose drift fails
     ``dynamics.check_norm_drift`` aborts.
@@ -142,34 +141,18 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     dt = T / n_steps
     sin_kx = np.sin(kxs)
     cos_kx = np.cos(kxs)
-    dz0 = params.u + cos_kx
-    sin_flat = np.concatenate([sin_kx, sin_kx[::-1]])
 
     U = np.array(complex(params.U))
     w = tuple(map(np.array, rk4_weights(dt)))
     step = rk4_columns(U, w, P)
-    half = 0.5 * dt
-    # row 0 holds a block's start drive, rows 2j + 1 and 2j + 2 step j's
-    # drive at t + dt/2 and t + dt; D.imag and O.real are written once
+    # rows 2j .. 2j + 2 of D and O hold step j's drive at t, t + dt/2 and
+    # t + dt; B holds a block's normalized start state in row 0 and step
+    # j's RK4 output in row j + 1; S holds the columns' running spin sums in
+    # row 0 and the block's spin ratios after it
     D = np.zeros((2 * _DRIVE_BLOCK + 1, 2 * n_kx), dtype=complex)
     O = np.empty_like(D)
-    O.real = sin_flat
-
-    def refill(lo, times):
-        """Write the drive at each of ``times`` into the table from row ``lo`` on."""
-        cy = np.array([math.cos(F * t) for t in times])[:, None]
-        sy = np.array([math.sin(F * t) for t in times])[:, None]
-        Dr, Oi = D.real[lo : lo + len(times)], O.imag[lo : lo + len(times)]
-        np.add(dz0, cy, out=Dr[:, :n_kx])
-        np.add(-dz0[::-1], -cy, out=Dr[:, n_kx:])
-        np.subtract(0.0, sy, out=Oi[:, :n_kx])  # +0.0, not -0.0, where sin ky = 0
-        Oi[:, n_kx:] = sy
-
-    # B holds a block's normalized start state in row 0 and step j's RK4
-    # output in row j + 1; S holds the columns' running spin sums in row 0
-    # and the block's spin ratios after it, A their running sums
     B = np.empty((_DRIVE_BLOCK + 1, 2 * n_kx), dtype=complex)
-    S, A = np.empty((2, _DRIVE_BLOCK + 1, 2, n_kx))
+    S = np.empty((_DRIVE_BLOCK + 1, 2, n_kx))
     rows = tuple(zip(D, O))
     steps = tuple(zip(rows[0::2], rows[1::2], rows[2::2], B[:-1], B[1:]))
 
@@ -191,22 +174,24 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     B[0] = P
     renormalize(0, 0)
     xz0 = S[0].copy()
-    drifts = []
-    refill(0, [0.0])
-    for j0 in range(0, n_steps, _DRIVE_BLOCK):
-        js = range(j0, min(j0 + _DRIVE_BLOCK, n_steps))
-        times = [t for j in js for t in (j * dt + half, j * dt + dt)]
-        refill(1, times)
-        m = len(times) // 2
-        for a, b, c, p, out in steps[:m]:
-            step(a, b, c, p, out)
-        # the next block starts from this one's last t + dt row
-        D[0], O[0] = D[2 * m], O[2 * m]
-        drifts.append(renormalize(1, m))
-        # one sequential accumulate adds the steps one by one, in step order
-        np.add.accumulate(S[: m + 1], axis=0, out=A[: m + 1])
-        S[0] = A[m]
-        check_norm_drift(drifts[-1], times[-1], dt)
+    max_drift = 0.0
+    # a diverging state overflows or turns NaN before the block's drift
+    # check aborts the run, which says all that numpy's warnings would
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, n_steps, _DRIVE_BLOCK):
+            j1 = min(j0 + _DRIVE_BLOCK, n_steps)
+            t = _block_times(j0, j1, dt)
+            dz, o = _drive(params.u, kxs, (F * t)[:, None])
+            D.real[: len(t)] = np.concatenate([dz, -dz[:, ::-1]], axis=1)
+            O[: len(t)] = np.concatenate([o, o[:, ::-1].conjugate()], axis=1)
+            m = j1 - j0
+            for a, b, c, p, out in steps[:m]:
+                step(a, b, c, p, out)
+            drift = renormalize(1, m)
+            max_drift = max(max_drift, drift)
+            # a sum over the outer axis adds the rows one by one, in step order
+            S[0] = S[: m + 1].sum(axis=0)
+            check_norm_drift(drift, t[-1], dt)
     # trapezoid rule: the end points carry half weight
     S[0] -= 0.5 * (xz0 + S[m])
     X, Z = S[0]
@@ -234,7 +219,7 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
         steps=n_steps,
         dt=dt,
         Q=tuple(map(float, Q)),
-        max_norm_drift=float(np.max(drifts)),
+        max_norm_drift=float(max_drift),
         nu_even_columns=nu_even,
         nu_odd_columns=nu_odd,
     )

@@ -79,7 +79,9 @@ _ROOT_TOL = 1e-6
 
 
 def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
-    """Real roots in [lo, hi] of the polynomial ``coeffs``, a near-double root once."""
+    """Real roots in [lo, hi] of the finite polynomial ``coeffs``, a near-double root once."""
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError("u or U is too large: the fold-point polynomial overflows float64")
     r = np.roots(coeffs)
     r = np.sort(r.real[(abs(r.imag) <= _ROOT_TOL) & (r.real >= lo) & (r.real <= hi)])
     clusters = np.split(r, np.flatnonzero(np.diff(r) > _ROOT_TOL) + 1)

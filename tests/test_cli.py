@@ -371,12 +371,25 @@ def test_non_finite_drive_rejected(tmp_path, args):
         (["phase-diagram", "--U-max", "inf", "--grid", "3"], "bounds must be finite"),
         (["phase-diagram", "--grid", "0"], "at least a 2 x 2 grid"),
         (["phase-diagram", "--U-min", "-2", "--U-max", "1", "--grid", "3"], "U must be a finite nonnegative"),
+        # finite, but the fold-point polynomials overflow float64
+        (["gap", "--U", "1e308", "--bracket", "0,1"], "u or U is too large"),
+        (["gap", "--u", "1", "--bracket", "1e308,1.5e308"], "u or U is too large"),
+        (["degeneracies", "--u", "1", "--U", "1e300", "--grid", "16"], "u or U is too large"),
     ],
 )
 def test_non_finite_model_and_diagram_inputs_rejected(tmp_path, capsys, args, message):
     assert run([*args, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_response_abort_prints_no_numpy_warnings(tmp_path, capsys):
+    # one step of a whole cycle overflows the state; the block's drift check aborts
+    args = ["response", "--u", "1", "--U", "0.5", "--F", "1", "--grid", "1", "--dt", "1"]
+    assert run([*args, "--out", str(tmp_path)]) == 4
+    assert "norm drift nan" in capsys.readouterr().err
+    assert not (tmp_path / "response.json").exists()
 
 
 def test_response_empty_grid_rejected(tmp_path):

@@ -51,6 +51,14 @@ def test_drivespec_validation():
         DriveSpec(k0, (0.0, 0.0), 0.001, 0.01)
 
 
+@pytest.mark.parametrize("c1", [complex(math.nan), complex(math.inf), 2.0 + 0j])
+def test_evolve_rejects_unnormalized_start(c1):
+    # a NaN norm fails no ordered comparison: the start check must not let it through
+    drive = DriveSpec(KPoint(0.0, 0.0), (0.01, 0.01), 1.0, 0.01)
+    with pytest.raises(ValueError, match="normalized"):
+        evolve(ModelParams(u=1.0, U=0.5), drive, Spinor(c1, 0j), sample_every=10)
+
+
 def _d(params, k):
     return astuple(bloch_vector(params, k))
 
