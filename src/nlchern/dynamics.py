@@ -90,6 +90,8 @@ class DriveSpec:
             raise ValueError("dt must be positive")
         if self.T < self.dt:
             raise ValueError("total time must cover at least one step")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError("the step count T / dt must be finite")
         fmag = math.hypot(self.F[0], self.F[1])
         if fmag * self.dt > 1e-3:
             raise ValueError(

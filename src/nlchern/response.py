@@ -130,13 +130,15 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
         raise ValueError("drive rate F must be positive and finite")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
+    T = 2.0 * math.pi / F
+    if not math.isfinite(T / dt):
+        raise ValueError("the step count of one cycle, 2 pi / (F dt), must be finite")
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
     kxs = kx_columns(n_kx)
     psi0 = sweep_initial_states(params, band, kxs)
     P = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
 
-    T = 2.0 * math.pi / F
     n_steps = max(1, round(T / dt))
     dt = T / n_steps
     sin_kx = np.sin(kxs)

@@ -25,7 +25,11 @@ vectors at one U, each by one of three paths:
 
 ``nonlinear_spectra`` is the array core: it returns the states of all its
 vectors as flat numpy arrays with an offset per vector (``Spectra``), and
-``band_surface`` calls it once for its whole grid.  ``NonlinearEigenpair``
+``band_surface`` calls it once for its whole grid.  It assembles that result
+in one place: every state is tagged with its vector's row, the generic rows'
+states and the polar and contour rows' states (from ``_spectrum``) are
+concatenated, and one stable sort of the tags puts them in row order, each
+row's states still in their (epsilon, kappa) order.  ``NonlinearEigenpair``
 objects are built only at the API edge: ``physical_spectrum`` solves one k
 on Python scalars (``_spectrum``), faster for one vector, and
 ``Spectra.pairs`` turns rows into pair lists; every row of the array core
@@ -208,10 +212,16 @@ def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
     cos(theta) and eps = U/2 + sqrt(s) sin(theta) + h kappa, h = dz + U kappa / 2.
     """
     r = math.sqrt(d.planar_sq)
-    kappa = math.cos(theta)
-    eps = 0.5 * U + r * math.sin(theta) + (d.dz + 0.5 * U * kappa) * kappa
+    eps, kappa = _theta_energy(theta, d.dz, r, U, math)
     c1 = complex(*_c1_parts(d.dx, d.dy, r, math.cos(0.5 * theta)))
     return NonlinearEigenpair(eps, kappa, Spinor(c1, complex(math.sin(0.5 * theta))))
+
+
+def _theta_energy(theta, dz, r, U, m):
+    """(eps, kappa) of the state of ``_pair`` at a root theta of (dz, sqrt(s)) = (dz, r), by ``m``'s
+    sin and cos, elementwise: ``m`` is ``math`` on Python floats and ``np`` on numpy arrays."""
+    kappa = m.cos(theta)
+    return 0.5 * U + r * m.sin(theta) + (dz + 0.5 * U * kappa) * kappa, kappa
 
 
 def _cmul(ar, ai, br, bi):
@@ -440,13 +450,13 @@ class SpectrumHealth:
     min_discarded_root_margin: float | None = None
     max_residual: float = 0.0
 
-    def _record_roots(self, paths: dict[str, int], margins: np.ndarray, uses: np.ndarray) -> None:
+    def _record_roots(self, paths: dict[str, int], margins: np.ndarray, inverse: np.ndarray) -> None:
         """Add path counts, and the margins (one row per distinct quartic) of the roots of
-        ``uses[j]`` generic vectors per row j."""
+        the generic vectors, vector j solving quartic ``inverse[j]``."""
         for path, count in paths.items():
             self.paths[path] += count
         kept, discarded = margins <= _ON_CIRCLE_TOL, margins > _ON_CIRCLE_TOL
-        self.roots_discarded += int(discarded.sum(axis=1) @ uses)
+        self.roots_discarded += int(discarded[inverse].sum())
         if kept.any():
             self.max_kept_root_margin = max(self.max_kept_root_margin or 0.0, float(margins[kept].max()))
         if discarded.any():
@@ -455,12 +465,68 @@ class SpectrumHealth:
             )
 
 
-def _generic_spectra(dx, dy, dz, U: float):
-    """``nonlinear_spectra`` of rows that all take the generic path, with the root
-    margins of each distinct (dz, sqrt(s)) and the number of rows that share it."""
-    r = np.sqrt(dx * dx + dy * dy)
-    key = np.empty(len(dz), dtype=complex)
-    key.real, key.imag = dz, r
+def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spectra:
+    """All physical stationary solutions of each raw Bloch vector at Kerr U, as flat arrays.
+
+    ``d`` holds one vector (dx, dy, dz) per row.  Each row takes the polar, the
+    contour or the generic path, chosen as ``_path`` chooses; the few polar and
+    contour rows are solved by ``_spectrum``, the generic rows by
+    ``_generic_states``.  Every state is tagged with its row: the generic rows'
+    states, then the edge rows' states, are concatenated and put in row order by
+    one stable sort of the tags, which keeps each row's states in their (epsilon,
+    kappa) order.  So row i of the result is ``_spectrum`` of row i of ``d``, to
+    the bit, and a grid pays no object per node.  ``health``, when given,
+    accumulates the paths taken, the root margins of every generic row and the
+    largest residual.
+    """
+    dx, dy, dz = np.asarray(d, dtype=float).reshape(-1, 3).T
+    spectra = _assemble(dx, dy, dz, U, health)
+    if health is not None:
+        # _assemble's arrays are freed by now; the residual's are the call's largest
+        health.max_residual = max(health.max_residual, _max_residual(dx, dy, dz, U, spectra))
+    return spectra
+
+
+def _assemble(dx, dy, dz, U: float, health: SpectrumHealth | None) -> Spectra:
+    """The ``Spectra`` of ``nonlinear_spectra``, its paths and root margins added to ``health``."""
+    s = dx * dx + dy * dy
+    # zero * zero is inf at a huge U or |d|, as in the scalar _path
+    with np.errstate(over="ignore"):
+        zero = _ROUNDOFF_REL * np.maximum(max(1.0, U), np.sqrt(s + dz * dz))
+        polar = s <= zero * zero
+    generic = ~(polar | (np.abs(dz) <= zero))
+    rows = np.flatnonzero(generic)
+    columns, margins, inverse = _generic_states(dx, dy, dz, s, rows, U)
+    edge = np.flatnonzero(~generic)
+    edge_states = [
+        (i, p.epsilon, p.kappa, p.state.c1, p.state.c2, p.multiplicity)
+        for i, x, y, z in zip(*(a.tolist() for a in (edge, dx[edge], dy[edge], dz[edge])))
+        for p in _spectrum(BlochVector(x, y, z), U)
+    ]
+    edge_columns = list(zip(*edge_states)) or [()] * len(columns)
+    tag, *columns = (np.concatenate((a, np.array(b, dtype=a.dtype))) for a, b in zip(columns, edge_columns))
+    in_rows = np.argsort(tag, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(tag, minlength=len(dx)))))
+    if health is not None:
+        n_polar = int(polar.sum())
+        paths = {"polar": n_polar, "contour": len(dx) - n_polar - len(rows), "generic": len(rows)}
+        health._record_roots(paths, margins, inverse)
+    return Spectra(offsets, *(a[in_rows] for a in columns))
+
+
+def _generic_states(dx, dy, dz, s, rows, U: float):
+    """The states of the generic-path rows ``rows`` of the vectors (dx, dy, dz), s = dx^2 + dy^2.
+
+    A generic row's theta-quartic, and so its energies and populations, depend
+    on d only through (dz, sqrt(s)): each distinct key goes once to one stacked
+    solve (``_theta_roots``), its states are formed and sorted once, and only
+    c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes each row's own phase, by the
+    scalar path's formula (``_c1_parts``).  Returns the columns (row, epsilon,
+    kappa, c1, c2, multiplicity), each row's states in (epsilon, kappa) order,
+    with the root margins of each key and the key of each row.
+    """
+    key = np.empty(len(rows), dtype=complex)
+    key.real, key.imag = dz[rows], np.sqrt(s[rows])
     keys, inverse = np.unique(key, return_inverse=True)
     roots = _theta_roots(keys.real, keys.imag, U)
     margins = np.abs(np.hypot(roots.real, roots.imag) - 1.0)  # | |z| - 1 |, abs as CPython takes it
@@ -471,72 +537,18 @@ def _generic_spectra(dx, dy, dz, U: float):
     # the kept roots' states, formed and sorted by key, then by (epsilon, kappa), once per key
     key_of = np.nonzero(kept)[0]
     theta = np.array([cmath.phase(z) for z in roots[kept].tolist()])
-    kappa = np.cos(theta)
-    eps = 0.5 * U + keys.imag[key_of] * np.sin(theta) + (keys.real[key_of] + 0.5 * U * kappa) * kappa
+    eps, kappa = _theta_energy(theta, keys.real[key_of], keys.imag[key_of], U, np)
     order = np.lexsort((kappa, eps, key_of))
-    # state i of a row is state i of its key
-    count = per_key[inverse]
-    shift = (np.cumsum(per_key) - per_key)[inverse] - (np.cumsum(count) - count)
-    src = order[np.arange(count.sum()) + np.repeat(shift, count)]
-    x, y, r = (np.repeat(a, count) for a in (dx, dy, r))
+    # each key's states in that order, laid in the slots of its kept roots; a
+    # row takes its key's slots
+    by_slot = np.empty(kept.shape, dtype=np.intp)
+    by_slot[kept] = order
+    src, tag = by_slot[inverse][kept[inverse]], np.repeat(rows, per_key[inverse])
     half = 0.5 * theta[src]
-    c1, c2 = np.empty(len(src), dtype=complex), np.zeros(len(src), dtype=complex)
-    c1.real, c1.imag = _c1_parts(x, y, r, np.cos(half))
-    c2.real = np.sin(half)
-    offsets = np.concatenate(([0], np.cumsum(count)))
-    spectra = Spectra(offsets, eps[src], kappa[src], c1, c2, np.ones(len(src), dtype=np.intp))
-    return spectra, margins, np.bincount(inverse, minlength=len(keys))
-
-
-def _with_edge_rows(spectra: Spectra, generic: np.ndarray, edge_pairs) -> Spectra:
-    """``spectra`` of the rows where ``generic`` holds, with the pair lists of the
-    other rows, in order, put in their places."""
-    count = np.empty(len(generic), dtype=np.intp)
-    count[generic] = np.diff(spectra.offsets)
-    count[~generic] = [len(pairs) for pairs in edge_pairs]
-    offsets = np.concatenate(([0], np.cumsum(count)))
-    at = np.repeat(generic, count)
-    columns = (spectra.epsilon, spectra.kappa, spectra.c1, spectra.c2, spectra.multiplicity)
-    merged = Spectra(offsets, *(np.empty(offsets[-1], dtype=a.dtype) for a in columns))
-    for new, old in zip((merged.epsilon, merged.kappa, merged.c1, merged.c2, merged.multiplicity), columns):
-        new[at] = old
-    for start, pairs in zip(offsets[:-1][~generic].tolist(), edge_pairs):
-        for i, p in enumerate(pairs, start):
-            merged.epsilon[i], merged.kappa[i] = p.epsilon, p.kappa
-            merged.c1[i], merged.c2[i], merged.multiplicity[i] = p.state.c1, p.state.c2, p.multiplicity
-    return merged
-
-
-def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spectra:
-    """All physical stationary solutions of each raw Bloch vector at Kerr U, as flat arrays.
-
-    ``d`` holds one vector (dx, dy, dz) per row.  Each row takes the polar, the
-    contour or the generic path, chosen as ``_path`` chooses; the few polar and
-    contour rows are solved by ``_spectrum``.  A generic row's theta-quartic, and
-    so its energies and populations, depend on d only through (dz, sqrt(s)): each
-    distinct key goes once to one stacked solve (``_theta_roots``), its states are
-    formed and sorted once, and only c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes
-    each row's own phase, by the scalar path's formula (``_c1_parts``).  So row i
-    of the result is ``_spectrum`` of row i of ``d``, to the bit, and a grid pays
-    no object per node.  ``health``, when given, accumulates the paths taken, the
-    root margins of every generic row and the largest residual.
-    """
-    dx, dy, dz = np.asarray(d, dtype=float).reshape(-1, 3).T
-    s = dx * dx + dy * dy
-    zero = _ROUNDOFF_REL * np.maximum(max(1.0, U), np.sqrt(s + dz * dz))
-    polar = s <= zero * zero
-    generic = ~(polar | (np.abs(dz) <= zero))
-    spectra, margins, uses = _generic_spectra(dx[generic], dy[generic], dz[generic], U)
-    if not generic.all():
-        edge = ~generic
-        rows = zip(dx[edge].tolist(), dy[edge].tolist(), dz[edge].tolist())
-        spectra = _with_edge_rows(spectra, generic, [_spectrum(BlochVector(*row), U) for row in rows])
-    if health is not None:
-        n_polar, n_generic = int(polar.sum()), int(generic.sum())
-        paths = {"polar": n_polar, "contour": len(dx) - n_polar - n_generic, "generic": n_generic}
-        health._record_roots(paths, margins, uses)
-        health.max_residual = max(health.max_residual, _max_residual(dx, dy, dz, U, spectra))
-    return spectra
+    c1 = np.empty(len(src), dtype=complex)
+    c1.real, c1.imag = _c1_parts(dx[tag], dy[tag], np.sqrt(s[tag]), np.cos(half))
+    columns = (tag, eps[src], kappa[src], c1, np.sin(half).astype(complex), np.ones(len(src), dtype=np.intp))
+    return columns, margins, inverse
 
 
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:

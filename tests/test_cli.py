@@ -356,6 +356,11 @@ def test_norm_drift_aborts_both_driven_runs(tmp_path, capsys, args, output):
         ["dynamics", "--T", "inf"],
         ["response", "--grid", "4", "--F", "inf"],
         ["response", "--grid", "4", "--dt", "inf"],
+        # finite, but the step count overflows to inf
+        ["response", "--F", "1e-310", "--grid", "2"],
+        ["response", "--dt", "1e-320", "--grid", "2"],
+        ["dynamics", "--dt", "1e-320"],
+        ["dynamics", "--F", "0", "--T", "1e300", "--dt", "1e-300"],
     ],
 )
 def test_non_finite_drive_rejected(tmp_path, args):

@@ -238,7 +238,7 @@ def test_pump_matches_stacked_loop_bit_for_bit(u, U, band, n_kx):
 def test_pump_block_edges_match_stacked_loop_bit_for_bit(U, F, n_kx, steps):
     # the block buffers hold a step's output until its block ends: one
     # step, a single partial block, whole blocks only, one column, and odd
-    # columns with a partial third block that starts from a refilled table
+    # columns with a partial third block, whose drive rows are only partly rewritten
     params = ModelParams(u=1.0, U=U)
     dt = TWO_PI / F / steps
     rs = pumped_charge(params, "ground", F=F, n_kx=n_kx, dt=dt)

@@ -390,6 +390,39 @@ def test_list_form_equals_batch_of_one(batch):
             assert row[: len(ref)] == ref and all(map(cmath.isnan, row[len(ref) :]))
 
 
+def test_empty_batch_has_one_offset_and_empty_columns():
+    # Hypothesis draws at least one vector; a (0, 3) batch merges no state at all
+    spectra = nonlinear_spectra(np.empty((0, 3)), 2.5)
+    assert spectra.offsets.tolist() == [0]
+    columns = (spectra.epsilon, spectra.kappa, spectra.c1, spectra.c2, spectra.multiplicity)
+    assert [a.dtype for a in columns] == [np.float64, np.float64, np.complex128, np.complex128, np.intp]
+    assert all(a.size == 0 for a in columns)
+    assert spectra.pairs() == [] and spectra.branch_counts().size == 0
+
+
+def test_batch_without_generic_rows_equals_scalar_path():
+    # polar and contour rows only, in mixed order: every state is an edge row's
+    U = 2.5
+    ds = [BlochVector(0.6, 0.8, 0.0), BlochVector(0.0, 0.0, 0.4), BlochVector(0.0, 0.0, -2.0),
+          BlochVector(1.5, -2.0, 0.0), BlochVector(0.0, 0.0, 0.4)]
+    health = SpectrumHealth()
+    spectra = nonlinear_spectra(as_rows(ds), U, health)
+    assert spectra.pairs() == [_spectrum(d, U) for d in ds]
+    assert spectra.offsets.tolist() == [0, 4, 7, 9, 11, 14]
+    assert health.paths == {"polar": 3, "contour": 2, "generic": 0} and health.roots_discarded == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_path_rule_at_huge_kerr_strength_is_silent():
+    # a polar, a contour and a generic d at a moderate U; the round-off bound
+    # squared is inf at U = 1e308, so all three are polar here, and the scalar
+    # _path compares that inf silently, as the array core must
+    U = 1e308
+    ds = [BlochVector(0.0, 0.0, 0.5), BlochVector(0.3, 0.4, 0.0), BlochVector(0.3, 0.4, 0.5)]
+    assert [_path(d, U) for d in ds] == ["polar"] * 3
+    assert nonlinear_spectra(as_rows(ds), U).pairs() == [_spectrum(d, U) for d in ds]
+
+
 @pytest.mark.parametrize("U", [1e-20, 1e-120, 5e-324])
 def test_round_off_kerr_strength_keeps_two_states(U):
     # U/4 below round-off next to |d|: the 4 x 4 companion lost the unit-circle
