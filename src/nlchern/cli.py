@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DriveSpec, NumericalHealthError, evolve
+from .dynamics import DriveSpec, NumericalHealthError, evolve, step_schedule
 from .effective import gap_closing_search
 from .model import KPoint, ModelParams, Spinor, bloch_vector
 from .response import RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
@@ -86,7 +86,7 @@ _OPTIONS = {
         type=_force, default="0.01", help="drive rate; dynamics also takes Fx,Fy, Fx < 0 as --F=-0.02,0.01"
     ),
     "T": dict(type=float, help="total evolution time (1/J); unset: 2 pi / max|F|, or 100 at F = 0"),
-    "dt": dict(type=float, default=0.01, help="integration step (1/J)"),
+    "dt": dict(type=float, default=0.01, help="integration step (1/J), shrunk so that whole steps span the run exactly"),
     "band": dict(choices=("ground", "excited"), default="ground", help="band branch"),
     "sample-every": dict(type=int, default=20, help="steps between trajectory samples"),
     "u-min": dict(type=float, default=-3.0, help="lowest u"),
@@ -278,9 +278,10 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     row_format = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s"
     out = _outdir(args)
     _write_csv(out / "trajectory.csv", header, row_format, rows())
+    steps, dt = step_schedule(drive.T, drive.dt)
     summary = {
-        "steps": drive.steps,
-        "dt": drive.dt,
+        "steps": steps,
+        "dt": dt,
         "sample_every": args.sample_every,
         "samples": len(records),
         "max_sample_norm_drift": max(abs(r.norm - 1.0) for r in records),

@@ -24,12 +24,14 @@ step.  The stepper owns its stage buffers, so a step allocates nothing.
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
 Kerr term is on, so the projection probabilities need not sum to one.
-Both driven loops take their drive a fixed block of steps at a time from
-``_drive`` at ``_block_times``, so it never outgrows one block.  The loop
-of ``evolve`` only steps and keeps its samples; the records are built
-after it on arrays, a block of samples at a time: one
-``nonlinear_spectra`` call, the elementwise ``mean_energy`` and
-``instantaneous_projections``, and no object but the records.
+Both driven runs last exactly their time T: ``step_schedule`` takes the
+whole number n of steps nearest T / dt, each T / n long.  Both loops take
+their drive a fixed block of steps at a time from ``_drive`` at the times
+that ``_blocks`` yields, so it never outgrows one block.  The loop of
+``evolve`` only steps and keeps its samples; the records are built after
+it on arrays, a block of samples at a time: one ``nonlinear_spectra``
+call, the elementwise ``mean_energy`` and ``instantaneous_projections``,
+and no object but the records.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ _SPECTRUM_BLOCK = 128
 # table holds one block, whatever the run length
 _DRIVE_BLOCK = 512
 
+#: most steps a driven run may take: 40 times the 251,327 of one cycle at
+#: F = dt = 0.005; a larger T / dt is a configuration error, not a hang
+MAX_STEPS = 10**7
+
 
 class NumericalHealthError(RuntimeError):
     """Integration produced an unhealthy state (norm drift beyond tolerance)."""
@@ -74,9 +80,36 @@ def check_norm_drift(drift: float, t: float, dt: float) -> None:
         )
 
 
+def step_schedule(T: float, dt: float) -> tuple[int, float]:
+    """The steps of a driven run of time T: n = max(1, round(T / dt)) steps of exactly T / n.
+
+    dt must be positive and finite, and T / dt at most ``MAX_STEPS``, so
+    finite; otherwise raises ValueError.  Returns (n, T / n).
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not T / dt <= MAX_STEPS:
+        raise ValueError(f"the step count T / dt = {T / dt:.3g} exceeds MAX_STEPS = {MAX_STEPS:.0e}")
+    n = max(1, round(T / dt))
+    return n, T / n
+
+
+def _blocks(n_steps, dt, size):
+    """The steps 0 .. n_steps - 1 of dt in blocks of at most ``size``, as (j0, j1, t).
+
+    A block holds steps j0 .. j1 - 1, and t their 2 m + 1 drive times,
+    m = j1 - j0: step j0 + i reads entries 2i .. 2i + 2.  Entry 0 is
+    (j0 - 1) dt + dt, the previous block's last time to the bit, then
+    t + dt/2 and t + dt for each step's t = j dt.
+    """
+    for j0 in range(0, n_steps, size):
+        j1 = min(j0 + size, n_steps)
+        yield j0, j1, np.add.outer(np.arange(j0 - 1, j1) * dt, [0.5 * dt, dt]).ravel()[1:]
+
+
 @dataclass(frozen=True, slots=True)
 class DriveSpec:
-    """Sweep protocol k(t) = k0 + F t over total time T with step dt."""
+    """Sweep protocol k(t) = k0 + F t over total time T, in the steps ``step_schedule(T, dt)``."""
 
     k0: KPoint
     F: tuple[float, float]
@@ -84,14 +117,11 @@ class DriveSpec:
     dt: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.T, self.dt, *self.F))):
-            raise ValueError("T, dt and F must be finite")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not all(map(math.isfinite, (self.T, *self.F))):
+            raise ValueError("T and F must be finite")
         if self.T < self.dt:
             raise ValueError("total time must cover at least one step")
-        if not math.isfinite(self.T / self.dt):
-            raise ValueError("the step count T / dt must be finite")
+        step_schedule(self.T, self.dt)
         fmag = math.hypot(self.F[0], self.F[1])
         if fmag * self.dt > 1e-3:
             raise ValueError(
@@ -100,8 +130,8 @@ class DriveSpec:
 
     @property
     def steps(self) -> int:
-        """The number of dt steps ``evolve`` takes, round(T / dt)."""
-        return int(round(self.T / self.dt))
+        """The number of steps ``evolve`` takes, from ``step_schedule``."""
+        return step_schedule(self.T, self.dt)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,15 +256,6 @@ def rk4_columns(U, w, like):
     return step
 
 
-def _block_times(j0, j1, dt):
-    """The 2 m + 1 drive times of steps j0 .. j1 - 1, m = j1 - j0: step i reads entries 2i .. 2i + 2.
-
-    Entry 0 is (j0 - 1) dt + dt, the previous block's last time to the bit,
-    then t + dt/2 and t + dt for each step's t = j dt.
-    """
-    return np.add.outer(np.arange(j0 - 1, j1) * dt, [0.5 * dt, dt]).ravel()[1:]
-
-
 def _drive(u, kx, ky):
     """The drive coefficients (dz, dx - i dy) at the arrays (kx, ky), broadcast together.
 
@@ -262,10 +283,12 @@ def evolve(
 ) -> list[TrajectoryRecord]:
     """Integrate the driven state and sample it every ``sample_every`` steps.
 
-    Step n runs from t = n dt to t + dt with the scalar ``rk4_step``.  Its
-    drive coefficients at t, t + dt/2 and t + dt come from ``_drive`` at
-    ``_block_times``, built for ``_DRIVE_BLOCK`` steps at a time, so the
-    drive stays one block long for any T.  Raises
+    The run takes the steps of ``step_schedule(drive.T, drive.dt)``, so it
+    lasts exactly T: n steps of dt = T / n, not ``drive.dt`` itself.  Step
+    j runs from t = j dt to t + dt with the scalar ``rk4_step``.  Its drive
+    coefficients at t, t + dt/2 and t + dt come from ``_drive`` at the
+    times of ``_blocks``, built for ``_DRIVE_BLOCK`` steps at a time, so
+    the drive stays one block long for any T.  Raises
     NumericalHealthError when |norm - 1| at a sample, or at the final state
     when that is no sample, exceeds ``NORM_ABORT`` or is NaN (suggesting a
     smaller dt).  ``health`` is passed on to each block's ``nonlinear_spectra``.
@@ -277,16 +300,13 @@ def evolve(
 
     u, U = params.u, params.U
     k0, F = drive.k0, drive.F
-    dt = drive.dt
-    n_steps = drive.steps
+    n_steps, dt = step_schedule(drive.T, drive.dt)
 
     p1, p2 = complex(initial.c1), complex(initial.c2)
     samples = [(0.0, p1, p2, math.sqrt(norm_squared(p1, p2)))]
 
     w = rk4_weights(dt)
-    for j0 in range(0, n_steps, _DRIVE_BLOCK):
-        j1 = min(j0 + _DRIVE_BLOCK, n_steps)
-        t = _block_times(j0, j1, dt)
+    for j0, j1, t in _blocks(n_steps, dt, _DRIVE_BLOCK):
         dz, o = _drive(u, k0.kx + F[0] * t, k0.ky + F[1] * t)
         drive = list(zip(dz.tolist(), o.tolist()))
         # n counts the steps taken once this one is done

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _block_times, _drive, check_norm_drift, rk4_columns, rk4_weights
+from .dynamics import _blocks, _drive, check_norm_drift, rk4_columns, rk4_weights, step_schedule
 from .model import GaplessParameterError, KPoint, ModelParams, chern_number
 from .spectrum import physical_spectrum
 
@@ -102,10 +102,11 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     reversed], so ``P[::-1]`` is the partner component of every entry;
     D = [dz, -dz reversed] and O = [dx - i dy, (dx + i dy) reversed] are
     laid out the same way.  Each block of ``_DRIVE_BLOCK`` steps takes
-    them from ``dynamics._drive`` at the block's ``dynamics._block_times``,
-    the drive and schedule of ``dynamics.evolve``.  The step is shrunk from
-    ``dt`` to T / round(T / dt), so the steps add up to exactly one cycle
-    T = 2*pi/F.
+    them from ``dynamics._drive`` at the times of ``dynamics._blocks``, the
+    drive and blocks of ``dynamics.evolve``.  The steps are those of
+    ``dynamics.step_schedule``, as in ``evolve``: the whole number n of
+    steps nearest T / dt, each T / n long, so they add up to exactly one
+    cycle T = 2*pi/F.
 
     Step j of a block reads row j of a ``_DRIVE_BLOCK + 1``-row state
     buffer and writes its RK4 output, unnormalized, to row j + 1; row 0
@@ -128,19 +129,14 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     """
     if not (math.isfinite(F) and F > 0.0):
         raise ValueError("drive rate F must be positive and finite")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive and finite")
     T = 2.0 * math.pi / F
-    if not math.isfinite(T / dt):
-        raise ValueError("the step count of one cycle, 2 pi / (F dt), must be finite")
+    n_steps, dt = step_schedule(T, dt)
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
     kxs = kx_columns(n_kx)
     psi0 = sweep_initial_states(params, band, kxs)
     P = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
 
-    n_steps = max(1, round(T / dt))
-    dt = T / n_steps
     sin_kx = np.sin(kxs)
     cos_kx = np.cos(kxs)
 
@@ -180,9 +176,7 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     # a diverging state overflows or turns NaN before the block's drift
     # check aborts the run, which says all that numpy's warnings would
     with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, n_steps, _DRIVE_BLOCK):
-            j1 = min(j0 + _DRIVE_BLOCK, n_steps)
-            t = _block_times(j0, j1, dt)
+        for j0, j1, t in _blocks(n_steps, dt, _DRIVE_BLOCK):
             dz, o = _drive(params.u, kxs, (F * t)[:, None])
             D.real[: len(t)] = np.concatenate([dz, -dz[:, ::-1]], axis=1)
             O[: len(t)] = np.concatenate([o, o[:, ::-1].conjugate()], axis=1)

@@ -768,8 +768,9 @@ def evolve_interleaved(params, drive, initial, sample_every):
     u, U = params.u, params.U
     kx0, ky0 = drive.k0.kx, drive.k0.ky
     fx, fy = drive.F
-    dt = drive.dt
-    n_steps = int(round(drive.T / dt))
+    # the whole number of steps nearest T / dt, each T / n_steps long
+    n_steps = max(1, round(drive.T / drive.dt))
+    dt = drive.T / n_steps
 
     p1 = complex(initial.c1)
     p2 = complex(initial.c2)

@@ -13,7 +13,7 @@ from nlchern import cli
 from nlchern.cli import _band_rows
 from nlchern.dynamics import DriveSpec, evolve
 from nlchern.model import KPoint, ModelParams, Spinor
-from nlchern.response import phase_diagram, sweep_initial_states
+from nlchern.response import phase_diagram, pumped_charge, sweep_initial_states
 from nlchern.spectrum import band_surface
 
 from oracles import write_bands_csv, write_phase_diagram_csv, write_trajectory_csv
@@ -361,6 +361,9 @@ def test_norm_drift_aborts_both_driven_runs(tmp_path, capsys, args, output):
         ["response", "--dt", "1e-320", "--grid", "2"],
         ["dynamics", "--dt", "1e-320"],
         ["dynamics", "--F", "0", "--T", "1e300", "--dt", "1e-300"],
+        # finite, but more steps than MAX_STEPS: 6e302 and 1e8
+        ["response", "--F", "1e-300", "--grid", "2"],
+        ["dynamics", "--F", "0", "--T", "1e6"],
     ],
 )
 def test_non_finite_drive_rejected(tmp_path, args):
@@ -431,6 +434,17 @@ def test_sample_every_from_config_or_flag(tmp_path):
     args = ["--u", "3", "--U", "5", "--T", "1", "--sample-every", "25"]
     assert run(["dynamics", *args, "--out", str(tmp_path / "f")]) == 0
     assert len((tmp_path / "f" / "trajectory.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_one_schedule_serves_both_driven_runs(tmp_path):
+    # at F = dt = 0.01, T = 2 pi / F is no multiple of dt: pumped_charge and
+    # the README dynamics run both take 62,832 steps of T / 62,832, not of dt
+    rs = pumped_charge(ModelParams(u=1.0, U=0.5), "ground", F=0.01, n_kx=1, dt=0.01)
+    assert (rs.steps, rs.dt) == (62832, 0.009999976615704715)
+    assert run(["dynamics", "--u", "1", "--U", "4", "--F", "0.01", "--dt", "0.01", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "trajectory_summary.json").read_text())
+    assert (summary["steps"], summary["dt"]) == (rs.steps, rs.dt)
+    assert summary["dt"] == 2.0 * math.pi / 0.01 / summary["steps"]
 
 
 def test_response_rejects_two_component_drive(tmp_path, capsys):

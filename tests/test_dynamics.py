@@ -271,6 +271,8 @@ def test_norm_abort_on_coarse_step():
         ((0.4, 0.0), (0.05, 0.0), 12.0, 9),
         # off the diagonal, with F_x != F_y and one rate negative
         ((2.0, 1.0), (-0.02, 0.04), 15.0, 11),
+        # T no multiple of dt: 1,235 steps of T / 1235, not of 0.01
+        ((0.0, 0.0), (0.05, 0.05), 12.3456, 20),
     ],
 )
 def test_evolve_matches_interleaved_loop(k0, F, T, sample_every):

@@ -82,6 +82,8 @@ def pins(files: dict) -> dict:
         # t, kx, ky, norm and energy; the projections come from LAPACK
         "trajectory": {"lines": len(trajectory), "last_row": trajectory[-1].split(",")[:5]},
         "trajectory_summary": {
+            "steps": dynamics["steps"],
+            "dt": dynamics["dt"],
             "samples": dynamics["samples"],
             "paths": dynamics["diagnostics"]["paths"],
             "roots_discarded": dynamics["diagnostics"]["roots_discarded"],
@@ -109,7 +111,7 @@ def test_readme_outputs_match_manifest(tmp_path):
     # from the polar start k = (0, 0) the trajectory depends on libm, the
     # drive and RK4, not on LAPACK: exact on every platform
     assert got["trajectory"] == want["trajectory"]
-    # counts are exact; margins of 3.4e-15 and 1.9e-14 (kept) against 0.031
+    # counts are exact; margins of 3.4e-15 and 2.0e-14 (kept) against 0.031
     # and 0.012 (discarded), bands and dynamics, leave no root whose fate
     # round-off could change
     assert got["bands"] == want["bands"]
