@@ -46,7 +46,7 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_NUMERICS = 4
 
-# bands.csv rows turned into Python numbers at a time
+# grid CSV rows taken into text at a time
 _ROW_BLOCK = 1024
 
 
@@ -174,20 +174,34 @@ def _write_csv(path: Path, header, row_format: str, rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
+def _text_rows(*columns):
+    """Rows of the columns' entries as text: %.17g for a float, %d for an integer,
+    %s for a string.  Each distinct entry of a column is formatted once, numbers
+    told apart by their bits, not by value, so that 0.0 and -0.0 keep their own
+    text; the text is taken back into row order a block of rows at a time."""
+    taken = []
+    for column in columns:
+        kind = column.dtype.kind
+        distinct, inverse = np.unique(column.view(np.uint64) if kind in "fi" else column, return_inverse=True)
+        form = {"f": "%.17g", "i": "%d"}.get(kind, "%s")
+        taken.append((np.array([form % v for v in distinct.view(column.dtype).tolist()], dtype=object), inverse))
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        yield from zip(*(text[inverse[block]].tolist() for text, inverse in taken))
+
+
 def _band_rows(kx, ky, spectra: Spectra):
-    """Flatten to CSV rows: one row per branch per node (kx[i], ky[i]), a
+    """Flatten to CSV text rows: one row per branch per node (kx[i], ky[i]), a
     population-split degenerate pair once per unit of its multiplicity; the
-    columns are indexed as arrays, and turned into Python numbers a block of
-    rows at a time."""
+    columns are indexed as arrays."""
     branches = spectra.branch_counts()
     node = np.repeat(np.arange(len(branches)), branches)
     index = np.arange(len(node)) - np.repeat(np.cumsum(branches) - branches, branches)
     state = np.repeat(np.arange(len(spectra.multiplicity)), spectra.multiplicity)
     c1, c2 = spectra.c1[state], spectra.c2[state]
-    columns = (kx[node], ky[node], index, spectra.epsilon[state], spectra.kappa[state])
-    columns += (c1.real, c1.imag, c2.real, c2.imag)
-    for start in range(0, len(node), _ROW_BLOCK):
-        yield from zip(*(column[start : start + _ROW_BLOCK].tolist() for column in columns))
+    return _text_rows(
+        kx[node], ky[node], index, spectra.epsilon[state], spectra.kappa[state], c1.real, c1.imag, c2.real, c2.imag
+    )
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
@@ -196,8 +210,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     kx, ky, spectra = band_surface(params, args.grid, health)
     out = _outdir(args)
     header = ("kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2")
-    row_format = "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-    _write_csv(out / "bands.csv", header, row_format, _band_rows(kx, ky, spectra))
+    _write_csv(out / "bands.csv", header, ",".join(["%s"] * len(header)), _band_rows(kx, ky, spectra))
 
     branches = spectra.branch_counts()
     counts = Counter(branches.tolist())
@@ -307,12 +320,9 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     diagram = phase_diagram(
         (args.u_min, args.u_max), (args.U_min, args.U_max), band=args.band, resolution=args.grid
     )
-    rows = (
-        (u, U, label)
-        for u, labels in zip(diagram.u_values, diagram.labels)
-        for U, label in zip(diagram.U_values, labels)
-    )
-    _write_csv(_outdir(args) / "phase_diagram.csv", ("u", "U", "label"), "%.17g,%.17g,%s", rows)
+    u, U = np.meshgrid(diagram.u_values, diagram.U_values, indexing="ij")
+    rows = _text_rows(u.ravel(), U.ravel(), np.ravel(diagram.labels))
+    _write_csv(_outdir(args) / "phase_diagram.csv", ("u", "U", "label"), "%s,%s,%s", rows)
     return EXIT_OK
 
 

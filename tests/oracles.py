@@ -17,8 +17,9 @@ expansion with ``spectrum.nonlinear_spectra``, and
 of batched package code are kept as references: the pumped-charge loop on a stacked (2, n) state, the
 trajectory loop that builds each record as it samples, the per-sample
 spectra of a trajectory, the mean energy and projections of one sample
-on Python complex scalars, and the csv.writer loops of
-``bands.csv``, ``trajectory.csv`` and ``phase_diagram.csv``.
+on Python complex scalars, the rows of ``bands.csv`` node by node, and the
+csv.writer loops of ``bands.csv``, ``trajectory.csv``, ``response_columns.csv``
+and ``phase_diagram.csv``.
 """
 
 import csv
@@ -832,14 +833,41 @@ def evolve_per_sample(params, drive, initial, sample_every):
     return out
 
 
-def write_bands_csv(rows, path):
-    """``bands.csv`` written row by row through csv.writer, 17 significant digits per float."""
-    header = ["kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2"]
+def write_csv(header, rows, path):
+    """A CSV written row by row through csv.writer, 17 significant digits per float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def band_rows(kx, ky, spectra):
+    """``bands.csv``'s rows as Python numbers, node by node from the flat arrays of
+    ``band_surface``: one row per branch, a state repeated once per unit of its
+    multiplicity, branch_index counting from 0 at each node."""
+    kx, ky, eps, kappa, c1, c2, mult = (
+        a.tolist() for a in (kx, ky, spectra.epsilon, spectra.kappa, spectra.c1, spectra.c2, spectra.multiplicity)
+    )
+    bounds = spectra.offsets.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        branch = 0
+        for s in range(lo, hi):
+            for _ in range(mult[s]):
+                yield (kx[i], ky[i], branch, eps[s], kappa[s], c1[s].real, c1[s].imag, c2[s].real, c2[s].imag)
+                branch += 1
+
+
+def write_bands_csv(rows, path):
+    """``bands.csv`` written row by row through csv.writer, 17 significant digits per float."""
+    header = ["kx", "ky", "branch_index", "epsilon", "kappa", "re_c1", "im_c1", "re_c2", "im_c2"]
+    write_csv(header, rows, path)
+
+
+def write_response_columns_csv(summary, path):
+    """``response_columns.csv`` through csv.writer: each column's k_x = 2 pi j / n and its Q."""
+    n = len(summary.Q)
+    write_csv(["kx", "Q"], ((2.0 * math.pi * j / n, q) for j, q in enumerate(summary.Q)), path)
 
 
 def write_trajectory_csv(records, path):

@@ -5,18 +5,28 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlchern import cli
-from nlchern.cli import _band_rows
 from nlchern.dynamics import DriveSpec, evolve
 from nlchern.model import KPoint, ModelParams, Spinor
 from nlchern.response import phase_diagram, pumped_charge, sweep_initial_states
 from nlchern.spectrum import band_surface
 
-from oracles import write_bands_csv, write_phase_diagram_csv, write_trajectory_csv
+from oracles import (
+    band_rows,
+    write_bands_csv,
+    write_csv,
+    write_phase_diagram_csv,
+    write_response_columns_csv,
+    write_trajectory_csv,
+)
 
 # the options each subcommand reads, besides --config, with their defaults
 OPTIONS = {
@@ -64,8 +74,43 @@ def test_bands_writes_table_and_summary(tmp_path):
 def test_bands_csv_matches_csv_writer_loop(tmp_path, u, U, n):
     out = tmp_path / "b"
     assert run(["bands", "--u", str(u), "--U", str(U), "--grid", str(n), "--out", str(out)]) == 0
-    write_bands_csv(_band_rows(*band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
+    write_bands_csv(band_rows(*band_surface(ModelParams(u=u, U=U), n)), tmp_path / "ref.csv")
     assert (out / "bands.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# lengths around one block of rows, and floats whose text is easy to get wrong
+_LENGTHS = (0, 1, cli._ROW_BLOCK - 1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1)
+_EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 1e308, -1e308)
+
+
+@st.composite
+def _columns(draw):
+    """A float, an integer and a label column of one length, each entry picked
+    from a few values so that entries repeat; 0.0 and -0.0 are among the floats."""
+    n = draw(st.sampled_from(_LENGTHS))
+    floats = [0.0, -0.0, *draw(st.lists(st.sampled_from(_EDGES) | st.floats(), min_size=1, max_size=6))]
+    ints = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers
+    return (
+        [floats[i] for i in pick(len(floats), size=n)],
+        [ints[i] for i in pick(len(ints), size=n)],
+        [("A", "nA")[i] for i in pick(2, size=n)],
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(_columns())
+@example(([0.0, -0.0, 0.0], [0, -1, 0], ["A", "nA", "A"]))
+def test_text_rows_match_csv_writer(columns):
+    # each distinct entry is formatted once and keyed by its bits: a dedupe
+    # keyed by value would write 0.0 and -0.0 alike, which the example catches
+    floats, ints, labels = columns
+    with tempfile.TemporaryDirectory() as tmp:
+        got, ref = Path(tmp, "got.csv"), Path(tmp, "ref.csv")
+        rows = cli._text_rows(np.array(floats, dtype=float), np.array(ints, dtype=np.int64), np.array(labels, dtype=str))
+        cli._write_csv(got, ("x", "n", "label"), "%s,%s,%s", rows)
+        write_csv(("x", "n", "label"), zip(floats, ints, labels), ref)
+        assert got.read_bytes() == ref.read_bytes()
 
 
 def test_trajectory_csv_matches_csv_writer_loop(tmp_path):
@@ -79,6 +124,14 @@ def test_trajectory_csv_matches_csv_writer_loop(tmp_path):
     assert {len(r.projections) for r in records} == {2, 4}
     write_trajectory_csv(records, tmp_path / "ref.csv")
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_response_columns_csv_matches_csv_writer_loop(tmp_path):
+    args = ["--u", "1", "--U", "0.5", "--F", "0.2", "--grid", "6", "--dt", "0.01"]
+    assert run(["response", *args, "--out", str(tmp_path / "r")]) == 0
+    summary = pumped_charge(ModelParams(u=1.0, U=0.5), "ground", F=0.2, n_kx=6, dt=0.01)
+    write_response_columns_csv(summary, tmp_path / "ref.csv")
+    assert (tmp_path / "r" / "response_columns.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_phase_diagram_csv_matches_csv_writer_loop(tmp_path):
