@@ -44,7 +44,8 @@ import numpy as np
 from .model import NORM_INPUT_TOL, KPoint, ModelParams, Spinor, _bloch_parts, _kerr_row
 from .spectrum import SpectrumHealth, _cdiv, _cmul, nonlinear_spectra
 
-#: abort threshold on |norm - 1| during integration
+#: abort threshold of ``check_norm_drift``, on | ||psi|| - 1 | at each sample of
+#: ``evolve`` and on | ||psi||^2 - 1 | within each block of ``response.pumped_charge``
 NORM_ABORT = 1e-5
 
 #: time span of ``detect_breakdown``'s sliding window (1/J)
@@ -73,7 +74,12 @@ class NumericalHealthError(RuntimeError):
 
 
 def check_norm_drift(drift: float, t: float, dt: float) -> None:
-    """Raise NumericalHealthError unless drift <= NORM_ABORT; a NaN drift fails too."""
+    """Raise NumericalHealthError unless drift <= NORM_ABORT; a NaN drift fails too.
+
+    The caller measures the drift: ``evolve`` passes | ||psi|| - 1 | of a sample or
+    of its final state, ``response.pumped_charge`` the largest | ||psi||^2 - 1 | of a
+    block of steps.
+    """
     if not drift <= NORM_ABORT:
         raise NumericalHealthError(
             f"norm drift {drift:.3g} > {NORM_ABORT} by t={t:.4g}; reduce dt (currently {dt})"

@@ -7,8 +7,9 @@ changes of the locus residual on the edges of an n x n zone grid, each
 bisected, Chern numbers from a lattice plaquette-link calculation, and
 time evolution from midpoint matrix exponentials of the linear
 Hamiltonian.  The dense-matrix Hamiltonian with its eigenpair residual,
-the linear bands, the coefficients of the energy quartic and the
-velocity expectation are written out from their formulas.  Two
+the linear bands, the coefficients of the energy quartic, the squared
+linearized frequency of a stationary state and the velocity expectation
+are written out from their formulas.  Two
 references call package code: ``effective_spectrum`` solves the (pi, pi)
 expansion with ``spectrum.nonlinear_spectra``, and
 ``bifurcation_correction`` takes the kind of a degenerate point from
@@ -203,6 +204,19 @@ def quartic_coefficients(params, d):
         U * z2 + 2.0 * U * s - 1.5 * U**3,
         0.25 * U**4 - 0.25 * U * U * z2 - U * U * s,
     ]
+
+
+def omega_squared(epsilon, kappa, U):
+    """Squared linearized frequency 4 lam (lam - (U/2)(1 - kappa^2)), lam = epsilon - U/2, of a
+    stationary state; elementwise on floats or arrays.
+
+    In the spin picture S = psi^dagger sigma psi the Kerr flow is dS/dt = 2 grad(E) x S with
+    E(S) = d.S + (U/4) S_z^2, whose stationary states are the critical points of E on the unit
+    sphere, grad(E) = lam S.  omega^2 > 0 marks an extremum and omega^2 < 0 a saddle; at U = 0,
+    omega = 2 |d|.
+    """
+    lam = epsilon - 0.5 * U
+    return 4.0 * lam * (lam - 0.5 * U * (1.0 - kappa * kappa))
 
 
 def velocity_expectation(k, psi):

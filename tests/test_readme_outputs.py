@@ -1,23 +1,28 @@
 """The files of the README's CLI commands against ``tests/readme_outputs.json``.
 
 The manifest holds the SHA-256 of every file the ``nlchern`` commands of the
-README's CLI block write, each command run into its own directory, with the
-numpy version and CPU features it was made on, and the values that the CI
-workflow pins.  On that platform every output is reproduced byte for byte,
-so the digests are compared there; elsewhere LAPACK and numpy's vector loops
-may move last bits, and only the pinned values are compared.  A declared
-change of an output rewrites the manifest, for review as a diff:
+README's CLI block write, with the numpy version and CPU features it was made
+on, and values pinned from those files.  ``check_outputs`` is the one check:
+each pin by its one policy, and the digests on the manifest's platform only,
+since elsewhere LAPACK and numpy's vector loops may move last bits.  The test
+runs the commands in-process; CI runs them through the installed ``nlchern``
+script, ``run_commands(out, console_script)``, and makes the same check.  A
+declared change of an output rewrites the manifest, for review as a diff:
 
     PYTHONPATH=src python tests/test_readme_outputs.py
 """
 
 import hashlib
 import json
+import math
+import operator
 import platform
 import shlex
+import subprocess
 import tempfile
 import warnings
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,33 @@ from nlchern import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MANIFEST = Path(__file__).with_name("readme_outputs.json")
+
+
+def close(rel: float):
+    return lambda got, want: math.isclose(got, want, rel_tol=rel)
+
+
+# Each pin's one policy; every pin not named here is compared exactly.  Those
+# are counts, where margins of 3.3e-15 and 2.0e-14 (kept) against 0.031 and
+# 0.012 (discarded), bands and dynamics, leave no root whose fate round-off
+# could change, and fold points lie at least 0.38 apart; the step T / steps,
+# pure IEEE arithmetic; and the trajectory's last t, k, norm and energy: from
+# the polar start k = (0, 0) they depend on libm, the drive and RK4, not on LAPACK.
+POLICY = {
+    # 48 of the 50 start states come from np.linalg.eigvals and the drive from
+    # numpy's sin and cos; moving every start state or every drive value by one
+    # ulp moves nu and its column means by at most 9e-14 relative, and the
+    # drift, a 1e-10 difference of sums near 1, by up to 5.4e-6 relative
+    "response.nu": close(1e-9),
+    "response.nu_even_columns": close(1e-9),
+    "response.nu_odd_columns": close(1e-9),
+    "response.max_norm_drift": close(1e-4),
+    # closed forms
+    "gap.u.critical_value": close(1e-12),
+    "gap.U.critical_value": close(1e-12),
+    # round-off of the locus formula, under a bound
+    "degeneracies.max_iii_residual": lambda got, want: got <= 1e-12,
+}
 
 
 def readme_commands() -> list[str]:
@@ -44,12 +76,22 @@ def platform_id() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine(), "cpu_features": features}
 
 
-def run_commands(out: Path) -> dict:
-    """{command: {file name: path}}, each command run in-process into its own directory."""
+def load_manifest() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+def console_script(args: list[str]) -> int:
+    """The exit code of the installed ``nlchern`` script run on ``args``."""
+    return subprocess.run(["nlchern", *args]).returncode
+
+
+def run_commands(out: Path, main) -> dict:
+    """{command: {file name: path}}, each command run into its own directory by ``main``,
+    ``cli.main`` or ``console_script``: the arguments after ``nlchern`` to the exit code."""
     files = {}
     for i, command in enumerate(readme_commands()):
         directory = out / str(i)
-        assert cli.main([*shlex.split(command)[1:], "--out", str(directory)]) == 0, command
+        assert main([*shlex.split(command)[1:], "--out", str(directory)]) == 0, command
         files[command] = {path.name: path for path in sorted(directory.iterdir())}
     return files
 
@@ -62,40 +104,27 @@ def digests(files: dict) -> dict:
 
 
 def pins(files: dict) -> dict:
-    """The values the CI workflow pins, from every command's files."""
+    """The pinned values, from every command's files."""
     by_name = {name: path for written in files.values() for name, path in written.items()}
-    response = json.loads(by_name["response.json"].read_text())
-    bands = json.loads(by_name["bands_summary.json"].read_text())
+    response, bands, dynamics, degeneracies = (
+        json.loads(by_name[name].read_text())
+        for name in ("response.json", "bands_summary.json", "trajectory_summary.json", "degeneracies.json")
+    )
     trajectory = by_name["trajectory.csv"].read_text().splitlines()
-    dynamics = json.loads(by_name["trajectory_summary.json"].read_text())
     # the two gap commands both write gap.json; each is keyed by its fixed parameter
     gaps = [json.loads(w["gap.json"].read_text()) for w in files.values() if "gap.json" in w]
-    degeneracies = json.loads(by_name["degeneracies.json"].read_text())
     labels = [row.rpartition(",")[2] for row in by_name["phase_diagram.csv"].read_text().splitlines()[1:]]
+    health, ends = ("paths", "roots_discarded"), ("roots_before", "roots_after")
     return {
         "response": {k: response[k] for k in ("nu", "nu_even_columns", "nu_odd_columns", "max_norm_drift")},
-        "bands": {
-            "branch_count_nodes": bands["branch_count_nodes"],
-            "paths": bands["diagnostics"]["paths"],
-            "roots_discarded": bands["diagnostics"]["roots_discarded"],
-        },
+        "bands": {"branch_count_nodes": bands["branch_count_nodes"], **{k: bands["diagnostics"][k] for k in health}},
         # t, kx, ky, norm and energy; the projections come from LAPACK
         "trajectory": {"lines": len(trajectory), "last_row": trajectory[-1].split(",")[:5]},
         "trajectory_summary": {
-            "steps": dynamics["steps"],
-            "dt": dynamics["dt"],
-            "samples": dynamics["samples"],
-            "paths": dynamics["diagnostics"]["paths"],
-            "roots_discarded": dynamics["diagnostics"]["roots_discarded"],
+            **{k: dynamics[k] for k in ("steps", "dt", "samples")}, **{k: dynamics["diagnostics"][k] for k in health}
         },
-        "gap": {
-            g["fixed_param"]: {
-                "critical_value": g["critical_value"],
-                "roots_before": len(g["roots_before"]),
-                "roots_after": len(g["roots_after"]),
-            }
-            for g in gaps
-        },
+        # fold points at the bracket's ends
+        "gap": {g["fixed_param"]: {"critical_value": g["critical_value"], **{k: len(g[k]) for k in ends}} for g in gaps},
         "degeneracies": {
             "points": dict(Counter(p["kind"] for p in degeneracies["points"])),
             "max_iii_residual": degeneracies["diagnostics"]["max_iii_residual"],
@@ -104,38 +133,67 @@ def pins(files: dict) -> dict:
     }
 
 
-def test_readme_outputs_match_manifest(tmp_path):
-    manifest = json.loads(MANIFEST.read_text())
-    files = run_commands(tmp_path)
-    got, want = pins(files), manifest["pins"]
-    # from the polar start k = (0, 0) the trajectory depends on libm, the
-    # drive and RK4, not on LAPACK: exact on every platform
-    assert got["trajectory"] == want["trajectory"]
-    # counts are exact; margins of 3.4e-15 and 2.0e-14 (kept) against 0.031
-    # and 0.012 (discarded), bands and dynamics, leave no root whose fate
-    # round-off could change
-    assert got["bands"] == want["bands"]
-    assert got["trajectory_summary"] == want["trajectory_summary"]
-    # nu sums 62,832 steps of 50 columns, whose round-off differs between
-    # platforms by far less than 1e-9; the drift is round-off itself
-    assert got["response"] == pytest.approx(want["response"], rel=1e-9, abs=1e-10)
-    # closed forms, and counts of fold points at least 0.38 apart
-    assert got["gap"].keys() == want["gap"].keys()
-    for fixed, gap in want["gap"].items():
-        assert got["gap"][fixed] == pytest.approx(gap, rel=1e-12)
-    # the III residual is round-off of the locus formula; the counts are exact
-    assert got["degeneracies"].pop("max_iii_residual") <= 1e-12
-    assert got["degeneracies"]["points"] == want["degeneracies"]["points"]
-    # labels compare U with a closed-form critical strength
-    assert got["phase_diagram"] == want["phase_diagram"]
+def leaves(tree: dict, prefix: str = "") -> dict:
+    """{dotted path: value} of every value in the nested dicts of ``tree``."""
+    flat = {}
+    for key, value in tree.items():
+        flat.update(leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else {prefix + key: value})
+    return flat
+
+
+def check_outputs(files: dict, manifest: dict) -> None:
+    """Raise AssertionError naming every way the README commands' files differ from the
+    manifest: other commands, a pin outside its policy, or on its platform a digest."""
+    if sorted(files) != sorted(manifest["sha256"]):
+        raise AssertionError(f"the README runs {sorted(files)}; the manifest pins {sorted(manifest['sha256'])}")
+    got, want = leaves(pins(files)), leaves(manifest["pins"])
+    failed = [
+        f"{name}: {got.get(name)!r}, pinned {want.get(name)!r}"
+        for name in sorted(got.keys() | want.keys())
+        if name not in got.keys() & want.keys() or not POLICY.get(name, operator.eq)(got[name], want[name])
+    ]
     if manifest["made_on"] == platform_id():
-        assert digests(files) == manifest["sha256"]
+        failed += [f"sha256 of the files of {c}" for c, d in digests(files).items() if d != manifest["sha256"][c]]
     else:
         warnings.warn(f"digests not compared: the manifest was made on {manifest['made_on']}")
+    if failed:
+        raise AssertionError("not the manifest's values:\n" + "\n".join(failed))
+
+
+@pytest.fixture(scope="module")
+def readme_files(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("readme"), cli.main)
+
+
+def test_readme_outputs_match_manifest(readme_files):
+    check_outputs(readme_files, load_manifest())
+
+
+@pytest.mark.parametrize(
+    "name, move",
+    [("response.nu", 1e-8), ("response.max_norm_drift", 1e-3), ("gap.u.critical_value", 1e-11),
+     ("trajectory_summary.dt", 1e-15), ("bands.roots_discarded", 1), ("phase_diagram.nA", 1)],
+)
+def test_moved_pin_fails(readme_files, name, move):
+    # a float pin moved relatively, a count by one
+    manifest = load_manifest()
+    *path, key = name.split(".")
+    tree = reduce(dict.__getitem__, path, manifest["pins"])
+    tree[key] = tree[key] + 1 if isinstance(move, int) else tree[key] * (1.0 + move)
+    with pytest.raises(AssertionError, match=name.replace(".", r"\.") + ":"):
+        check_outputs(readme_files, manifest)
+
+
+@pytest.mark.parametrize("kept", [0, 6])
+def test_commands_other_than_the_manifests_fail(readme_files, kept):
+    # a README whose commands are not found, or one fewer of them, runs too little
+    files = dict(list(readme_files.items())[:kept])
+    with pytest.raises(AssertionError, match="the README runs"):
+        check_outputs(files, load_manifest())
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        files = run_commands(Path(tmp))
+        files = run_commands(Path(tmp), cli.main)
         manifest = {"made_on": platform_id(), "sha256": digests(files), "pins": pins(files)}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -33,6 +33,7 @@ from oracles import (
     hamiltonian,
     iii_points_scan,
     kappa_scan_spectrum,
+    omega_squared,
     quartic_coefficients,
     scalar_max_residual,
 )
@@ -690,6 +691,43 @@ def test_band_surface_invariants_on_every_node():
         k = KPoint(node.kx, node.ky)
         bound = 1e-9 * max(1.0, params.U, bloch_vector(params, k).magnitude)
         assert max(eigenpair_residual(params, k, q) for q in node.pairs) <= bound
+
+
+# ---------------------------------------------------------------------------
+# Poincare-Hopf index sum of the stationary states
+# ---------------------------------------------------------------------------
+
+def index_sum_checked(spectra, U):
+    """Assert that each row of ``spectra`` has extrema minus saddles = 2; returns the rows checked.
+
+    The stationary states are the critical points of the spin energy on the
+    sphere, and by Poincare-Hopf their indices sum to its Euler characteristic
+    2 wherever they are isolated and nondegenerate.  An extremum has
+    omega^2 > 0, a saddle omega^2 < 0.  Skipped are the rows where that need
+    not hold: a state of multiplicity 2 (the polar ring at epsilon = U/2), or
+    a state with |omega^2| <= 1e-9 max(1, U) (a fold, or a cone or tube onset).
+    """
+    w2 = omega_squared(spectra.epsilon, spectra.kappa, U)
+    n = len(spectra.offsets) - 1
+    row = np.repeat(np.arange(n), np.diff(spectra.offsets))
+    degenerate = (spectra.multiplicity > 1) | (np.abs(w2) <= 1e-9 * max(1.0, U))
+    checked = np.bincount(row, degenerate, minlength=n) == 0
+    index = np.bincount(row, np.sign(w2), minlength=n)
+    assert (index[checked] == 2).all(), spectra.pairs()[np.flatnonzero(checked & (index != 2))[0]]
+    return int(checked.sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(st.one_of(st.tuples(st.floats(-3.5, 3.5), st.floats(0.0, 7.0), ANGLE, ANGLE), polar_points(), contour_points()))
+def test_index_sum_is_two(point):
+    u, U, kx, ky = point
+    d = bloch_vector(ModelParams(u=u, U=U), KPoint(kx, ky))
+    index_sum_checked(nonlinear_spectra([(d.dx, d.dy, d.dz)], U), U)
+
+
+def test_index_sum_is_two_on_readme_band_surface():
+    # only (pi, pi) is skipped, where U = 5 > 2 |dz| = 2 opens the polar ring
+    assert index_sum_checked(band_surface(ModelParams(u=3.0, U=5.0), 81)[2], 5.0) == 81 * 81 - 1
 
 
 def test_spectrum_health_counts_and_margins():
