@@ -363,6 +363,13 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     return pairs
 
 
+def _check_energies(U: float, d: float) -> None:
+    """Raise ValueError unless U + d is a finite float, where d bounds |dz| + sqrt(s) of a
+    call's vectors: U + |dz| + sqrt(s) bounds |epsilon| of every state."""
+    if not math.isfinite(U + d):
+        raise ValueError("u or U is too large: the stationary energies overflow float64")
+
+
 def _no_state():
     raise AssertionError(
         "internal error: no physical root survived; the self-consistent "
@@ -477,7 +484,8 @@ def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spec
     kappa) order.  So row i of the result is ``_spectrum`` of row i of ``d``, to
     the bit, and a grid pays no object per node.  ``health``, when given,
     accumulates the paths taken, the root margins of every generic row and the
-    largest residual.
+    largest residual.  Raises ValueError when U + |dz| + sqrt(s) of a row, a bound
+    on its energies, overflows float64.
     """
     dx, dy, dz = np.asarray(d, dtype=float).reshape(-1, 3).T
     spectra = _assemble(dx, dy, dz, U, health)
@@ -490,6 +498,7 @@ def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spec
 def _assemble(dx, dy, dz, U: float, health: SpectrumHealth | None) -> Spectra:
     """The ``Spectra`` of ``nonlinear_spectra``, its paths and root margins added to ``health``."""
     s = dx * dx + dy * dy
+    _check_energies(U, float(np.abs(dz).max(initial=0.0)) + math.sqrt(s.max(initial=0.0)))
     # zero * zero is inf at a huge U or |d|, as in the scalar _path
     with np.errstate(over="ignore"):
         zero = _ROUNDOFF_REL * np.maximum(max(1.0, U), np.sqrt(s + dz * dz))
@@ -552,8 +561,11 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
 
 
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:
-    """Physical self-consistent eigenpairs at k, sorted by (epsilon, kappa)."""
-    return _spectrum(bloch_vector(params, k), params.U)
+    """Physical self-consistent eigenpairs at k, sorted by (epsilon, kappa); ValueError where
+    u or U is so large that an energy overflows float64, as in ``nonlinear_spectra``."""
+    d = bloch_vector(params, k)
+    _check_energies(params.U, abs(d.dz) + 1.5)  # sqrt(s) <= sqrt(2): |dx|, |dy| <= 1
+    return _spectrum(d, params.U)
 
 
 def branch_count(pairs: list[NonlinearEigenpair]) -> int:

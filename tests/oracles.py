@@ -886,29 +886,18 @@ def write_response_columns_csv(summary, path):
 
 def write_trajectory_csv(records, path):
     """``trajectory.csv`` through csv.writer: t, kx, ky, norm, energy, P1..P4 (blank where absent)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "kx", "ky", "norm", "energy", "P1", "P2", "P3", "P4"])
-        for rec in records:
-            proj = [f"{p:.17g}" for p in rec.projections[:4]]
-            proj += [""] * (4 - len(proj))
-            writer.writerow(
-                [
-                    f"{rec.t:.17g}",
-                    f"{rec.k.kx:.17g}",
-                    f"{rec.k.ky:.17g}",
-                    f"{rec.norm:.17g}",
-                    f"{rec.energy:.17g}",
-                    *proj,
-                ]
-            )
+    rows = (
+        (rec.t, rec.k.kx, rec.k.ky, rec.norm, rec.energy, *rec.projections[:4], *[""] * (4 - len(rec.projections)))
+        for rec in records
+    )
+    write_csv(["t", "kx", "ky", "norm", "energy", "P1", "P2", "P3", "P4"], rows, path)
 
 
 def write_phase_diagram_csv(diagram, path):
     """``phase_diagram.csv`` through csv.writer, one u, U, label row per cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "U", "label"])
-        for i, u in enumerate(diagram.u_values):
-            for j, U in enumerate(diagram.U_values):
-                writer.writerow([f"{u:.17g}", f"{U:.17g}", diagram.labels[i][j]])
+    rows = (
+        (u, U, diagram.labels[i][j])
+        for i, u in enumerate(diagram.u_values)
+        for j, U in enumerate(diagram.U_values)
+    )
+    write_csv(["u", "U", "label"], rows, path)

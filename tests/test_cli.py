@@ -70,7 +70,8 @@ def test_bands_writes_table_and_summary(tmp_path):
     assert box["kx_min"] <= math.pi <= box["kx_max"]
 
 
-@pytest.mark.parametrize("u, U, n", [(3.0, 5.0, 21), (1.2, 3.0, 41), (3.0, 0.0, 15)])
+# (0, 3, 41) writes -0 fields; (3, 5, 81), the README's setting, spans 53 blocks of rows
+@pytest.mark.parametrize("u, U, n", [(3.0, 5.0, 21), (1.2, 3.0, 41), (3.0, 0.0, 15), (0.0, 3.0, 41), (3.0, 5.0, 81)])
 def test_bands_csv_matches_csv_writer_loop(tmp_path, u, U, n):
     out = tmp_path / "b"
     assert run(["bands", "--u", str(u), "--U", str(U), "--grid", str(n), "--out", str(out)]) == 0
@@ -107,8 +108,8 @@ def test_text_rows_match_csv_writer(columns):
     floats, ints, labels = columns
     with tempfile.TemporaryDirectory() as tmp:
         got, ref = Path(tmp, "got.csv"), Path(tmp, "ref.csv")
-        rows = cli._text_rows(np.array(floats, dtype=float), np.array(ints, dtype=np.int64), np.array(labels, dtype=str))
-        cli._write_csv(got, ("x", "n", "label"), "%s,%s,%s", rows)
+        lines = cli._text_rows(np.array(floats, dtype=float), np.array(ints, dtype=np.int64), np.array(labels, dtype=str))
+        cli._write_csv(got, ("x", "n", "label"), lines)
         write_csv(("x", "n", "label"), zip(floats, ints, labels), ref)
         assert got.read_bytes() == ref.read_bytes()
 
@@ -135,11 +136,13 @@ def test_response_columns_csv_matches_csv_writer_loop(tmp_path):
 
 
 def test_phase_diagram_csv_matches_csv_writer_loop(tmp_path):
-    out = tmp_path / "p"
-    args = ["--u-min", "0", "--u-max", "4", "--U-min", "0", "--U-max", "6", "--grid", "60"]
-    assert run(["phase-diagram", *args, "--band", "excited", "--out", str(out)]) == 0
-    write_phase_diagram_csv(phase_diagram((0.0, 4.0), (0.0, 6.0), "excited", 60), tmp_path / "ref.csv")
-    assert (out / "phase_diagram.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the excited band at u >= 0, and the ground band at negative, zero and positive u
+    for band, u_range, n in (("excited", (0.0, 4.0), 60), ("ground", (-3.0, 3.0), 61)):
+        out = tmp_path / band
+        args = ["--u-min", str(u_range[0]), "--u-max", str(u_range[1]), "--U-min", "0", "--U-max", "6"]
+        assert run(["phase-diagram", *args, "--grid", str(n), "--band", band, "--out", str(out)]) == 0
+        write_phase_diagram_csv(phase_diagram(u_range, (0.0, 6.0), band, n), tmp_path / "ref.csv")
+        assert (out / "phase_diagram.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_bands_summary_diagnostics(tmp_path):
@@ -436,6 +439,8 @@ def test_non_finite_drive_rejected(tmp_path, args):
         (["gap", "--U", "1e308", "--bracket", "0,1"], "u or U is too large"),
         (["gap", "--u", "1", "--bracket", "1e308,1.5e308"], "u or U is too large"),
         (["degeneracies", "--u", "1", "--U", "1e300", "--grid", "16"], "u or U is too large"),
+        # finite, but the stationary energy U + dz overflows float64
+        (["bands", "--u", "1e308", "--U", "1e308", "--grid", "3"], "u or U is too large"),
     ],
 )
 def test_non_finite_model_and_diagram_inputs_rejected(tmp_path, capsys, args, message):

@@ -5,9 +5,11 @@ README's CLI block write, with the numpy version and CPU features it was made
 on, and values pinned from those files.  ``check_outputs`` is the one check:
 each pin by its one policy, and the digests on the manifest's platform only,
 since elsewhere LAPACK and numpy's vector loops may move last bits.  The test
-runs the commands in-process; CI runs them through the installed ``nlchern``
-script, ``run_commands(out, console_script)``, and makes the same check.  A
-declared change of an output rewrites the manifest, for review as a diff:
+runs the commands in-process, a numpy warning or a deprecation raised as an
+error; CI runs them through the installed ``nlchern`` script,
+``run_commands(out, console_script)``, which fails on any output to stderr,
+and makes the same check.  A declared change of an output rewrites the
+manifest, for review as a diff:
 
     PYTHONPATH=src python tests/test_readme_outputs.py
 """
@@ -16,6 +18,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import platform
 import shlex
 import subprocess
@@ -81,8 +84,12 @@ def load_manifest() -> dict:
 
 
 def console_script(args: list[str]) -> int:
-    """The exit code of the installed ``nlchern`` script run on ``args``."""
-    return subprocess.run(["nlchern", *args]).returncode
+    """The exit code of the installed ``nlchern`` script run on ``args``, every warning
+    shown; it must write nothing to stderr."""
+    env = {**os.environ, "PYTHONWARNINGS": "default"}
+    done = subprocess.run(["nlchern", *args], stderr=subprocess.PIPE, text=True, env=env)
+    assert not done.stderr, f"nlchern {shlex.join(args)} wrote to stderr:\n{done.stderr}"
+    return done.returncode
 
 
 def run_commands(out: Path, main) -> dict:
@@ -162,7 +169,12 @@ def check_outputs(files: dict, manifest: dict) -> None:
 
 @pytest.fixture(scope="module")
 def readme_files(tmp_path_factory):
-    return run_commands(tmp_path_factory.mktemp("readme"), cli.main)
+    # silent, as console_script asks of the installed script: a numpy warning or a
+    # deprecation is an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        return run_commands(tmp_path_factory.mktemp("readme"), cli.main)
 
 
 def test_readme_outputs_match_manifest(readme_files):

@@ -424,6 +424,25 @@ def test_path_rule_at_huge_kerr_strength_is_silent():
     assert nonlinear_spectra(as_rows(ds), U).pairs() == [_spectrum(d, U) for d in ds]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("u, U, overflows", [
+    (1e308, 1e308, True), (-1e308, 1e308, True), (1.7e308, 1.4e308, True),
+    (1.0, 1e308, False), (1e308, 0.0, False), (0.5, 1.7976931348623157e308, False),
+])
+def test_overflowing_energies_raise_on_both_paths(u, U, overflows):
+    # U + |dz| + sqrt(s) bounds |epsilon|; where it overflows float64, the scalar
+    # path returned epsilon = inf and the array core warned, both without error
+    params = ModelParams(u=u, U=U)
+    if overflows:
+        for solve in (lambda: physical_spectrum(params, KPoint(0.3, 0.7)), lambda: band_surface(params, 3)):
+            with pytest.raises(ValueError, match="u or U is too large"):
+                solve()
+    else:
+        kx, ky, spectra = band_surface(params, 5)
+        assert np.isfinite(spectra.epsilon).all()
+        assert spectra.pairs() == [physical_spectrum(params, KPoint(*k)) for k in zip(kx.tolist(), ky.tolist())]
+
+
 @pytest.mark.parametrize("U", [1e-20, 1e-120, 5e-324])
 def test_round_off_kerr_strength_keeps_two_states(U):
     # U/4 below round-off next to |d|: the 4 x 4 companion lost the unit-circle
