@@ -18,6 +18,7 @@ band branch), 4 numerical-health abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -365,7 +366,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by every
+    ``main`` call: a parse keeps no state in it but ``_Parser._tokens``, which
+    each parse overwrites before it can be read."""
     parser = _Parser(prog="nlchern", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, options, defaults) in _SUBCOMMANDS.items():

@@ -283,8 +283,9 @@ def phase_diagram(
 ) -> PhaseDiagram:
     """Label each (u, U) cell A (adiabatic) or nA over the given ranges."""
     critical_strength = _band(band)[1]
-    if not all(map(math.isfinite, (*u_range, *U_range))):
-        raise ValueError("phase diagram bounds must be finite")
+    # hi - lo is finite only if both bounds are and their span does not overflow
+    if not all(math.isfinite(hi - lo) for lo, hi in (u_range, U_range)):
+        raise ValueError("phase diagram bounds must be finite, and so must the span between them")
     if min(U_range) < 0:
         raise ValueError("U must be a finite nonnegative Kerr strength")
     if resolution < 2:

@@ -83,13 +83,23 @@ _ROOT_TOL = 1e-6
 
 
 def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
-    """Real roots in [lo, hi] of the finite polynomial ``coeffs``, a near-double root once."""
+    """Real roots in [lo, hi] of the finite polynomial ``coeffs``, a near-double root once.
+
+    ``np.roots`` gives the roots; they are filtered, sorted and clustered as Python
+    floats, which costs less than numpy calls on arrays this small.  Neighbours at
+    most ``_ROOT_TOL`` apart are one root, their ``np.mean``.  A lone root is itself
+    plus 0.0, its ``np.mean`` too: numpy's sum starts from +0.0, so -0.0 gives 0.0.
+    """
     if not all(map(math.isfinite, coeffs)):
         raise ValueError("u or U is too large: the fold-point polynomial overflows float64")
-    r = np.roots(coeffs)
-    r = np.sort(r.real[(abs(r.imag) <= _ROOT_TOL) & (r.real >= lo) & (r.real <= hi)])
-    clusters = np.split(r, np.flatnonzero(np.diff(r) > _ROOT_TOL) + 1)
-    return [float(x.mean()) for x in clusters if x.size]
+    roots = sorted(z.real for z in np.roots(coeffs).tolist() if abs(z.imag) <= _ROOT_TOL and lo <= z.real <= hi)
+    clusters = []
+    for x in roots:
+        if clusters and x - clusters[-1][-1] <= _ROOT_TOL:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [c[0] + 0.0 if len(c) == 1 else float(np.mean(c)) for c in clusters]
 
 
 class DegeneracyKind(str, enum.Enum):

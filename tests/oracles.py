@@ -20,7 +20,8 @@ trajectory loop that builds each record as it samples, the per-sample
 spectra of a trajectory, the mean energy and projections of one sample
 on Python complex scalars, the rows of ``bands.csv`` node by node, and the
 csv.writer loops of ``bands.csv``, ``trajectory.csv``, ``response_columns.csv``
-and ``phase_diagram.csv``.
+and ``phase_diagram.csv``.  The numpy-array filter of ``np.roots``' real roots
+is kept as the reference of ``spectrum._real_roots``, which filters Python floats.
 """
 
 import csv
@@ -329,6 +330,15 @@ def fold_points_scan(u, U, n_grid=20001, touch_tol=1e-5):
 
     roots.sort()
     return len(roots), roots
+
+
+def real_roots(coeffs, lo, hi):
+    """Real roots in [lo, hi] of ``coeffs``, filtered, sorted and clustered as numpy
+    arrays: neighbours at most 1e-6 apart are one root, their mean."""
+    r = np.roots(coeffs)
+    r = np.sort(r.real[(abs(r.imag) <= 1e-6) & (r.real >= lo) & (r.real <= hi)])
+    clusters = np.split(r, np.flatnonzero(np.diff(r) > 1e-6) + 1)
+    return [float(x.mean()) for x in clusters if x.size]
 
 
 def fold_merger_bisection(n_folds, four, fewer, tol=1e-9):

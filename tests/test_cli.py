@@ -441,8 +441,11 @@ def test_non_finite_drive_rejected(tmp_path, args):
         (["degeneracies", "--u", "1", "--U", "1e300", "--grid", "16"], "u or U is too large"),
         # finite, but the stationary energy U + dz overflows float64
         (["bands", "--u", "1e308", "--U", "1e308", "--grid", "3"], "u or U is too large"),
+        # finite bounds whose span overflows float64
+        (["phase-diagram", "--u-min=-1e308", "--u-max=1e308", "--grid", "3"], "so must the span"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_model_and_diagram_inputs_rejected(tmp_path, capsys, args, message):
     assert run([*args, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
@@ -629,6 +632,40 @@ def test_value_read_as_flag_names_the_one_token_form(tmp_path, capsys, args, val
     # and argparse takes that form's value
     run([*args[:-2], value, "--out", str(tmp_path / "o")])
     assert "expected one argument" not in capsys.readouterr().err
+
+
+def _outcomes(commands, capsys, fresh):
+    """Exit code, stderr and output files of each command, run in turn in this
+    process, the i-th into out<i>; with ``fresh``, each parses with a new parser."""
+    outcomes = []
+    for i, args in enumerate(commands):
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = run([*args, "--out", f"out{i}"])
+        files = {f.name: f.read_bytes() for f in Path(f"out{i}").glob("*")}
+        outcomes.append((code, capsys.readouterr().err, files))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["gap", "--U", "4", "--bracket", "-0.5,1.2"], ["gap", "--config", "bad.conf"]],
+    ids=["one-token-hint", "unknown-config-key"],
+)
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys, bad):
+    # main parses every call with one parser; a failing command before or after a
+    # good one gives what it gives with a new parser for each command
+    assert cli._build_parser() is cli._build_parser()
+    good = ["gap", "--config", "good.conf"]
+    seen = []
+    for fresh in (False, True):
+        (tmp_path / str(fresh)).mkdir()
+        monkeypatch.chdir(tmp_path / str(fresh))
+        Path("good.conf").write_text("U=3\nbracket=1.3,1.6\n")
+        Path("bad.conf").write_text("U=4\nbracket=-0.5,1.2\nband=ground\n")
+        seen.append(_outcomes([good, bad, good], capsys, fresh))
+    assert seen[0] == seen[1]
+    assert [(code, bool(files)) for code, _, files in seen[0]] == [(0, True), (2, False), (0, True)]
 
 
 def test_module_entry_point_exits_with_config_error(tmp_path):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
 from nlchern.spectrum import (
+    _ROOT_TOL,
     _iii_residual,
     _max_residual,
     _path,
+    _real_roots,
     _spectrum,
     _theta_roots,
     DegeneracyKind,
@@ -35,6 +37,7 @@ from oracles import (
     kappa_scan_spectrum,
     omega_squared,
     quartic_coefficients,
+    real_roots,
     scalar_max_residual,
 )
 
@@ -97,6 +100,43 @@ def test_solve_quartic_random_contract():
 def test_solve_quartic_requires_monic():
     with pytest.raises(ValueError):
         solve_quartic([2, 0, 0, 0, 1])
+
+
+@st.composite
+def root_polynomials(draw):
+    """Coefficients of a real polynomial of degree at most 6 built from drawn roots, and
+    a window [lo, hi] whose edges may be roots that ``np.roots`` computes."""
+    x = st.floats(-3.0, 3.0)
+    part = st.one_of(
+        x.map(lambda r: [r]),
+        st.sampled_from([[0.0], [-0.0]]),
+        x.map(lambda r: [r, r]),
+        # a pair 1e-9 to 1e-5 apart, on either side of _ROOT_TOL
+        st.tuples(x, st.floats(1e-9, 1e-5)).map(lambda t: [t[0], t[0] + t[1]]),
+        # a complex pair with |Im| near _ROOT_TOL
+        st.tuples(x, st.floats(0.5, 2.0)).map(lambda t: [complex(t[0], s * t[1] * _ROOT_TOL) for s in (1, -1)]),
+    )
+    roots = [r for p in draw(st.lists(part, min_size=1, max_size=3)) for r in p]
+    coeffs = np.poly(roots).real.tolist()
+    computed = [z.real for z in np.roots(coeffs).tolist()]
+    edge = st.one_of(st.sampled_from(computed), st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]))
+    return coeffs, draw(edge), draw(edge)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(root_polynomials())
+# three roots in one cluster, whose mean depends on the order of the sum:
+# a + (b + c) is one ulp off numpy's
+@example((np.poly([1.9e-7, 2.77e-7, 3.27e-7]).tolist(), -1.0, 1.0))
+# a conjugate pair at Re = -0.0 and 0.0, one cluster, with |Im| = _ROOT_TOL exactly
+@example(([1.0, 0.0, 1e-12], -1.0, 1.0))
+# roots 0.0 and 1e-6, _ROOT_TOL apart exactly: one cluster
+@example(([1.0, -1e-6, 0.0], -1.0, 1.0))
+# a lone root at -0.0
+@example(([1e300, 1e-300], -1.0, 1.0))
+def test_real_roots_match_numpy_filter(case):
+    coeffs, lo, hi = case
+    assert list(map(float.hex, _real_roots(coeffs, lo, hi))) == list(map(float.hex, real_roots(coeffs, lo, hi)))
 
 
 # ---------------------------------------------------------------------------
