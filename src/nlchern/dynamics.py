@@ -100,6 +100,25 @@ def step_schedule(T: float, dt: float) -> tuple[int, float]:
     return n, T / n
 
 
+def check_energy_scale(params: ModelParams, T: float) -> None:
+    """Raise ValueError where no step of at least T / ``MAX_STEPS`` is stable for classical RK4.
+
+    At every k and every normalized state, H(psi) has the eigenvalues U/2 +- R with
+    R >= |dz + U kappa / 2| >= |dz| - U/2 and |dz| >= |u| - 2, so one of modulus at
+    least E = max(U/2, |u| - 2).  RK4 amplifies a mode of frequency E once E dt
+    exceeds its stability limit 2 sqrt(2) on the imaginary axis, and every run of
+    time T that ``step_schedule`` allows has dt >= T / ``MAX_STEPS``: so where
+    E T / ``MAX_STEPS`` exceeds 2 sqrt(2), no step count can keep the norm, and u
+    or U, not dt, is at fault.
+    """
+    scale = max(0.5 * params.U, abs(params.u) - 2.0)
+    if scale * (T / MAX_STEPS) > 2.0 * math.sqrt(2.0):
+        raise ValueError(
+            f"u or U is too large: the energy scale max(U/2, |u| - 2) = {scale:.3g} leaves classical "
+            f"RK4's stability limit 2 sqrt(2) at every step of at least T / MAX_STEPS = {T / MAX_STEPS:.3g}"
+        )
+
+
 def _blocks(n_steps, dt, size):
     """The steps 0 .. n_steps - 1 of dt in blocks of at most ``size``, as (j0, j1, t).
 
@@ -297,7 +316,8 @@ def evolve(
     the drive stays one block long for any T.  Raises
     NumericalHealthError when |norm - 1| at a sample, or at the final state
     when that is no sample, exceeds ``NORM_ABORT`` or is NaN (suggesting a
-    smaller dt).  ``health`` is passed on to each block's ``nonlinear_spectra``.
+    smaller dt); raises ValueError where ``check_energy_scale`` says that no dt
+    can help.  ``health`` is passed on to each block's ``nonlinear_spectra``.
     """
     if not abs(initial.norm - 1.0) <= NORM_INPUT_TOL:
         raise ValueError("initial state must be normalized")
@@ -307,6 +327,7 @@ def evolve(
     u, U = params.u, params.U
     k0, F = drive.k0, drive.F
     n_steps, dt = step_schedule(drive.T, drive.dt)
+    check_energy_scale(params, drive.T)
 
     p1, p2 = complex(initial.c1), complex(initial.c2)
     samples = [(0.0, p1, p2, math.sqrt(norm_squared(p1, p2)))]

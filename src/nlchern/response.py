@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _blocks, _drive, check_norm_drift, rk4_columns, rk4_weights, step_schedule
+from .dynamics import _blocks, _drive, check_energy_scale, check_norm_drift, rk4_columns, rk4_weights, step_schedule
 from .model import GaplessParameterError, KPoint, ModelParams, chern_number
 from .spectrum import physical_spectrum
 
@@ -131,6 +131,7 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
         raise ValueError("drive rate F must be positive and finite")
     T = 2.0 * math.pi / F
     n_steps, dt = step_schedule(T, dt)
+    check_energy_scale(params, T)
     if n_kx < 1:
         raise ValueError("n_kx must be at least 1")
     kxs = kx_columns(n_kx)

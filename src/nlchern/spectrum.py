@@ -18,10 +18,15 @@ vectors at one U, each by one of three paths:
   generic:          the states with kappa = cos(theta) for the real roots
                     theta of dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta),
                     which stay apart next to both sets above, where the
-                    roots of f crowd into double roots at U/2 and U.  The
-                    quartics in e^{i theta} of all generic d in the list are
-                    solved in one stacked eigenvalue call, once per distinct
-                    (dz, sqrt(s)).
+                    roots of f crowd into double roots at U/2 and U.  With
+                    t = tan((theta - phi) / 2) this is a real quartic in t,
+                    phi = 0 or -pi/2 chosen so that its leading coefficient
+                    is max(sqrt(s), |dz|), never zero, at any U down to 0.
+                    The quartics of all generic d in the list are solved in
+                    one stacked real eigenvalue call, once per distinct
+                    (dz, sqrt(s)).  Each root t maps to
+                    z = e^{i phi} (1 + i t) / (1 - i t), on the unit circle,
+                    z = e^{i theta}, where t is real.
 
 ``nonlinear_spectra`` is the array core: it returns the states of all its
 vectors as flat numpy arrays with an offset per vector (``Spectra``), and
@@ -70,10 +75,13 @@ from .model import (
 # on the dz = 0 contour leaves a few 1e-16.
 _ROUNDOFF_REL = 1e-15
 
-# A root z of the generic-path quartic is a real angle when | |z| - 1 | is
-# at most this.  Floating point moves a double root (a fold or a critical
-# strength) off the unit circle by ~1e-8; a state built from a root
-# 1e-6 off the circle has a residual of order 1e-12.
+# A root t of the generic-path quartic, mapped to z = e^{i phi} (1 + i t) /
+# (1 - i t), is a real angle when | |z| - 1 | is at most this.  A real t
+# maps to the unit circle to round-off (2.2e-16 on the README grids), and
+# floating point splits a double root in t (a fold or a critical strength)
+# into a conjugate pair ~1e-8 off the real axis, which maps ~1e-8 off the
+# circle; a state built from a root 1e-6 off the circle has a residual of
+# order 1e-12.
 _ON_CIRCLE_TOL = 1e-6
 
 # A root of a real polynomial is real when |Im| is at most this, and roots
@@ -218,7 +226,7 @@ def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
 
     That is (e^{-i phi} cos(theta/2), sin(theta/2)) with e^{i phi} = (dx + i dy)
     / sqrt(s), the phase convention of the eigenvector ((dx - i dy), lam - h).
-    At a root theta of ``_theta_roots`` it is stationary with kappa =
+    At a real root theta of G (``_theta_roots``) it is stationary with kappa =
     cos(theta) and eps = U/2 + sqrt(s) sin(theta) + h kappa, h = dz + U kappa / 2.
     """
     r = math.sqrt(d.planar_sq)
@@ -297,56 +305,59 @@ def _path(d: BlochVector, U: float) -> str:
     return "generic"
 
 
-# rows 1 .. n-1 of an n x n companion matrix, the shifted identity of np.roots
-_SHIFT = {n: np.eye(n - 1, n, dtype=complex) for n in (2, 4)}
+# rows 1 .. 3 of a 4 x 4 companion matrix, the shifted identity of np.roots
+_SHIFT = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+
+
+def _turned(dz, r):
+    """Whether the half-angle quartic of (dz, sqrt(s)) = (dz, r) is taken about phi = -pi/2
+    (|dz| > sqrt(s)) rather than phi = 0, on floats or arrays: its leading coefficient is then
+    max(sqrt(s), |dz|) / 2 >= |d| / (2 sqrt(2)), never zero on the generic path."""
+    return r < abs(dz)
 
 
 def _theta_roots(dz: np.ndarray, r: np.ndarray, U: float) -> np.ndarray:
-    """Roots z = e^{i theta} of the generic-path quartic of each (dz, sqrt(s)) = (dz[j], r[j]).
+    """Roots t = tan((theta - phi) / 2) of the generic-path quartic of each (dz, sqrt(s)) = (dz[j], r[j]).
 
     G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta) = 0 says that the
-    state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).  With z = e^{i theta},
-    2i z^2 G is the quartic (U/4) z^4 + (dz - i sqrt(s)) z^3 - (dz + i sqrt(s)) z - U/4,
-    whose roots on the unit circle are the real theta.  Near the polar momenta and
-    the dz = 0 contour these roots stay apart, where the roots of f crowd into double
-    roots at U/2 or U.
+    state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).  The half-angle
+    substitution t = tan((theta - phi) / 2) turns (1 + t^2)^2 G into a real quartic:
+    about phi = 0,
+        sqrt(s) t^4 + (2 dz - U) t^3 + (2 dz + U) t - sqrt(s),
+    and about phi = -pi/2 (``_turned``),
+        dz t^4 + (U - 2 sqrt(s)) t^3 - (U + 2 sqrt(s)) t - dz,
+    here halved, so that no coefficient overflows where U + |d| does not.  Its real
+    roots are the real theta (theta = phi + pi is never one: G(pi) = sqrt(s) and
+    G(pi/2) = dz).  Near the polar momenta and the dz = 0 contour they stay apart,
+    where the roots of f crowd into double roots at U/2 or U, and as U goes to 0 the
+    quartic goes to (t^2 + 1) times the quadratic of U = 0, whose leading coefficient
+    is the quartic's: no row needs a separate quadratic.
 
-    One stacked eigenvalue solve of companions built as ``np.roots`` builds them
-    (first row -c[1:] / c[0] on complex coefficients), so each row is bit for bit
-    ``np.roots`` of its quartic.  Where U/4 is zero ``np.roots`` trims the end
-    coefficients, and so does this: the 2 x 2 companion of
-    (dz - i sqrt(s)) z^2 - (dz + i sqrt(s)), without the root z = 0 that
-    ``np.roots`` appends, its last two roots NaN.  A row whose U/4 is round-off
-    next to |d| takes that quadratic too: there the 4 x 4 companion, with entries
-    of size |d| / U, loses the unit-circle roots (from about U = 1e-17 |d| down,
-    leaving no state).  ``_spectrum`` builds the same coefficients for its one d on
-    Python scalars, which is faster for one.
+    One stacked eigenvalue solve of real companions built as ``np.roots`` builds them
+    (first row -c[1:] / c[0]), so each row is bit for bit ``np.roots`` of its quartic.
+    ``_spectrum`` builds the same companion for its one d on Python scalars, which
+    is faster for one; ``_circle_parts`` maps the roots back to z = e^{i theta}.
     """
-    q = 0.25 * U
-    c = np.zeros((len(dz), 5), dtype=complex)
-    c[:, 0], c[:, 4] = q, -q
-    c[:, 1].real, c[:, 1].imag = dz, -r
-    c[:, 3].real, c[:, 3].imag = -dz, -r
-    quadratic = _takes_quadratic(q, dz, r)
-    roots = np.full((len(c), 4), np.nan, dtype=complex)
-    roots[~quadratic] = _companion_roots(c[~quadratic])
-    roots[quadratic, :2] = _companion_roots(c[quadratic, 1:4])
-    return roots
-
-
-def _takes_quadratic(q, dz, r):
-    """Whether the theta-quartic of (dz, sqrt(s)) = (dz, r) with U/4 = q takes the quadratic
-    of U = 0: q is round-off next to |d|.  On floats or arrays."""
-    return q <= _ROUNDOFF_REL * np.sqrt(dz * dz + r * r)
-
-
-def _companion_roots(c: np.ndarray) -> np.ndarray:
-    """Roots of each row of polynomial coefficients ``c``, by stacked companion eigenvalues."""
-    n = c.shape[1] - 1
-    companion = np.empty((len(c), n, n), dtype=complex)
-    companion[:, 1:] = _SHIFT[n]
+    turn, h = _turned(dz, r), 0.5 * U
+    lead = 0.5 * np.where(turn, dz, r)
+    cubic, linear = np.where(turn, h - r, dz - h), np.where(turn, -(h + r), dz + h)
+    c = np.stack((lead, cubic, np.zeros_like(lead), linear, -lead), axis=1)
+    companion = np.empty((len(c), 4, 4))
+    companion[:, 1:] = _SHIFT
     np.divide(-c[:, 1:], c[:, :1], out=companion[:, 0])
     return np.linalg.eigvals(companion)
+
+
+def _circle_parts(tr, ti):
+    """(x, y, n) with (1 + i t) / (1 - i t) = (x + i y) / n for t = tr + i ti, on floats or arrays.
+
+    x + i y = (1 + i t) conj(1 - i t) and n = |1 - i t|^2, in real arithmetic, so that
+    both paths take the same bits.  A real t gives the point of angle 2 atan(t) on the
+    unit circle, with no cancellation but in 1 - t^2.  n is 0 only at t = -i, which
+    the callers take as z = infinity: at U = 0 the quartic is (t^2 + 1) times a
+    quadratic, so each generic vector has the roots t = +-i, z = 0 and infinity.
+    """
+    return 1.0 - tr * tr - ti * ti, tr + tr, (1.0 + ti) * (1.0 + ti) + tr * tr
 
 
 def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
@@ -362,11 +373,19 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     elif path == "contour":
         pairs = _contour_pairs(d, U)
     else:
-        # _theta_roots of one d, its coefficients built on Python scalars
-        r, q = math.sqrt(d.planar_sq), 0.25 * U
-        c = [q, complex(d.dz, -r), 0.0, -complex(d.dz, r), -q]
-        zs = _companion_roots(np.array([c[1:4] if _takes_quadratic(q, d.dz, r) else c]))[0].tolist()
-        pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
+        # _theta_roots and _generic_states of one d, on Python scalars: the first
+        # companion row -c[1:] / c[0] of the quartic c = (lead, cubic, 0, linear, -lead)
+        dz, r, h = d.dz, math.sqrt(d.planar_sq), 0.5 * U
+        turn = _turned(dz, r)
+        lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
+        top = [-cubic / lead, -0.0 / lead, -linear / lead, lead / lead]
+        pairs = []
+        for t in np.linalg.eigvals(np.array([top, *_SHIFT])).tolist():
+            x, y, n = _circle_parts(t.real, t.imag)
+            if n:  # e^{-i pi/2} takes (x, y) to (y, -x)
+                z = complex(y / n, -x / n) if turn else complex(x / n, y / n)
+                if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL:
+                    pairs.append(_pair(cmath.phase(z), d, U))
     if not pairs:
         _no_state()
     pairs.sort(key=lambda p: (p.epsilon, p.kappa))
@@ -454,10 +473,13 @@ def _max_residual(dx, dy, dz, U: float, spectra: Spectra) -> float:
 class SpectrumHealth:
     """Numerical health of the spectra ``nonlinear_spectra`` solved, summed over calls.
 
-    ``paths`` counts the Bloch vectors taken by each path.  A generic-path root z
-    is kept as a state when its margin | |z| - 1 | is at most ``_ON_CIRCLE_TOL``
-    and discarded otherwise; the largest kept and the smallest discarded margin
-    are None while there is no such root.  ``max_residual`` is the largest
+    ``paths`` counts the Bloch vectors taken by each path.  Each generic vector
+    has four roots t of its half-angle quartic, each mapped to z = e^{i phi}
+    (1 + i t) / (1 - i t).  A root is kept as a state when its margin | |z| - 1 |
+    is at most ``_ON_CIRCLE_TOL`` and discarded otherwise: at U = 0 two roots of
+    every generic vector are t = +-i, z = 0 and infinity, discarded with margins
+    of about 1 and above.  The largest kept and the smallest discarded margin are None while
+    there is no such root.  ``max_residual`` is the largest
     || H(state) state - epsilon state || of any pair.
     """
 
@@ -536,7 +558,7 @@ def _assemble(dx, dy, dz, U: float, health: SpectrumHealth | None) -> Spectra:
 def _generic_states(dx, dy, dz, s, rows, U: float):
     """The states of the generic-path rows ``rows`` of the vectors (dx, dy, dz), s = dx^2 + dy^2.
 
-    A generic row's theta-quartic, and so its energies and populations, depend
+    A generic row's half-angle quartic, and so its energies and populations, depend
     on d only through (dz, sqrt(s)): each distinct key goes once to one stacked
     solve (``_theta_roots``), its states are formed and sorted once, and only
     c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes each row's own phase, by the
@@ -547,7 +569,13 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     key = np.empty(len(rows), dtype=complex)
     key.real, key.imag = dz[rows], np.sqrt(s[rows])
     keys, inverse = np.unique(key, return_inverse=True)
-    roots = _theta_roots(keys.real, keys.imag, U)
+    t = _theta_roots(keys.real, keys.imag, U)
+    x, y, n = _circle_parts(t.real, t.imag)
+    turn = _turned(keys.real, keys.imag)[:, None]
+    # z = e^{i phi} (x + i y) / n, as _spectrum divides; z = inf at n = 0, t = -i
+    roots = np.full(t.shape, complex(math.inf, math.inf))
+    np.divide(np.where(turn, y, x), n, out=roots.real, where=n != 0)
+    np.divide(np.where(turn, -x, y), n, out=roots.imag, where=n != 0)
     margins = np.abs(np.hypot(roots.real, roots.imag) - 1.0)  # | |z| - 1 |, abs as CPython takes it
     kept = margins <= _ON_CIRCLE_TOL
     per_key = kept.sum(axis=1)
@@ -689,7 +717,7 @@ def band_surface(params: ModelParams, n: int, health: SpectrumHealth | None = No
     ``spectra``, one ``nonlinear_spectra`` call for the whole grid.  d is taken at
     k reduced as ``KPoint`` reduces it, so every row equals ``physical_spectrum``
     at its node.  A k_x <-> k_y transpose or a reflection k -> 2 pi - k whose
-    (dz, sqrt(s)) agrees to the bit shares its node's theta-quartic, which that
+    (dz, sqrt(s)) agrees to the bit shares its node's half-angle quartic, which that
     call solves once: 2,888 quartics for the 6,552 generic nodes at u = 3, U = 5,
     n = 81.  ``health`` is passed on to ``nonlinear_spectra``.
     """

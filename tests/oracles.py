@@ -21,9 +21,12 @@ spectra of a trajectory, the mean energy and projections of one sample
 on Python complex scalars, the rows of ``bands.csv`` node by node, and the
 csv.writer loops of ``bands.csv``, ``trajectory.csv``, ``response_columns.csv``
 and ``phase_diagram.csv``.  The numpy-array filter of ``np.roots``' real roots
-is kept as the reference of ``spectrum._real_roots``, which filters Python floats.
+is kept as the reference of ``spectrum._real_roots``, which filters Python floats,
+and the generic-path states from the complex quartic in e^{i theta}
+(``complex_quartic_spectrum``) as the reference of the half-angle quartic.
 """
 
+import cmath
 import csv
 import decimal
 import math
@@ -421,6 +424,60 @@ def iii_points_scan(u, U, n):
                         k = (ka[0] + t * (kb[0] - ka[0]), ka[1] + t * (kb[1] - ka[1]))
                         points.append(tuple(float(x % (2.0 * math.pi)) for x in k))
     return points
+
+
+# ---------------------------------------------------------------------------
+# the generic-path states from the complex quartic in z = e^{i theta}
+# ---------------------------------------------------------------------------
+
+# The package's solver before the half-angle quartic, kept as a reference: the
+# scalar path ``spectrum._spectrum`` with its helpers, their bodies as they were.
+# With z = e^{i theta}, 2i z^2 G is the complex quartic
+# (U/4) z^4 + (dz - i sqrt(s)) z^3 - (dz + i sqrt(s)) z - U/4, whose roots on the
+# unit circle are the real theta; where U/4 is round-off next to |d| it takes the
+# quadratic of U = 0.  Its companion has entries of size |d| / U, so its states
+# lose accuracy as U falls: residuals reach 5.9e-8 at U = 1e-12.
+
+# rows 1 .. n-1 of an n x n companion matrix, the shifted identity of np.roots
+_SHIFT = {n: np.eye(n - 1, n, dtype=complex) for n in (2, 4)}
+
+
+def _takes_quadratic(q, dz, r):
+    """Whether the theta-quartic of (dz, sqrt(s)) = (dz, r) with U/4 = q takes the quadratic
+    of U = 0: q is round-off next to |d|.  On floats or arrays."""
+    from nlchern.spectrum import _ROUNDOFF_REL
+
+    return q <= _ROUNDOFF_REL * np.sqrt(dz * dz + r * r)
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of each row of polynomial coefficients ``c``, by stacked companion eigenvalues."""
+    n = c.shape[1] - 1
+    companion = np.empty((len(c), n, n), dtype=complex)
+    companion[:, 1:] = _SHIFT[n]
+    np.divide(-c[:, 1:], c[:, :1], out=companion[:, 0])
+    return np.linalg.eigvals(companion)
+
+
+def complex_quartic_spectrum(d, U):
+    """The physical states of one d, sorted by (epsilon, kappa), on Python scalars."""
+    from nlchern.spectrum import _ON_CIRCLE_TOL, _contour_pairs, _no_state, _pair, _path, _polar_pairs
+
+    path = _path(d, U)
+    if path == "polar":
+        pairs = _polar_pairs(d.dz, U)
+    elif path == "contour":
+        pairs = _contour_pairs(d, U)
+    else:
+        # _theta_roots of one d, its coefficients built on Python scalars
+        r, q = math.sqrt(d.planar_sq), 0.25 * U
+        c = [q, complex(d.dz, -r), 0.0, -complex(d.dz, r), -q]
+        zs = _companion_roots(np.array([c[1:4] if _takes_quadratic(q, d.dz, r) else c]))[0].tolist()
+        pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
+    if not pairs:
+        _no_state()
+    pairs.sort(key=lambda p: (p.epsilon, p.kappa))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,9 @@ def test_non_finite_drive_rejected(tmp_path, args):
         (["bands", "--u", "1e308", "--U", "1e308", "--grid", "3"], "u or U is too large"),
         # finite bounds whose span overflows float64
         (["phase-diagram", "--u-min=-1e308", "--u-max=1e308", "--grid", "3"], "so must the span"),
+        # finite energies, but beyond RK4's stability limit at every step that MAX_STEPS allows
+        (["dynamics", "--u", "1", "--U", "1e308", "--T", "1"], "u or U is too large"),
+        (["response", "--u", "1", "--U", "1e308", "--grid", "2", "--F", "1"], "u or U is too large"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

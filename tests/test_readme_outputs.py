@@ -42,8 +42,8 @@ def close(rel: float):
 
 
 # Each pin's one policy; every pin not named here is compared exactly.  Those
-# are counts, where margins of 3.3e-15 and 2.0e-14 (kept) against 0.031 and
-# 0.012 (discarded), bands and dynamics, leave no root whose fate round-off
+# are counts, where margins of 2.2e-16 (kept) against 0.031 and 0.012
+# (discarded), bands and dynamics, leave no root whose fate round-off
 # could change, and fold points lie at least 0.38 apart; the step T / steps,
 # pure IEEE arithmetic; and the trajectory's last t, k, norm and energy: from
 # the polar start k = (0, 0) they depend on libm, the drive and RK4, not on LAPACK.
