@@ -45,9 +45,10 @@ dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
 cone/tube structures; ``classify_degeneracies`` finds them on each grid
 column as the roots of one quartic.
 
-``solve_quartic`` solves f itself.  Nothing in the package calls it; it
-stays only because the benchmark's per-layer trace (``bench/spans.py``)
-binds it by name.
+The generic path's half-angle quartic has one root solve per form: the array
+core solves the quartics of all its generic rows in one stacked call
+(``_theta_roots``), and the scalar path solves its one quartic, made monic, by
+``solve_quartic``.  Both are ``np.roots`` of that quartic to the bit.
 """
 
 from __future__ import annotations
@@ -132,93 +133,6 @@ class DegeneratePoint:
     k: KPoint
     epsilon: float
     critical_U: float | None = None
-
-
-def _horner(coeffs, x):
-    acc = 0.0 * x
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def solve_quartic(coeffs) -> list[complex]:
-    """All four roots (with multiplicity) of a monic quartic.
-
-    Companion-matrix eigenvalues followed by one Newton polish per root.
-    Conjugate pairs whose real part already satisfies the backward
-    residual bound are collapsed onto a real double root (companion
-    eigenvalues split exact double roots into spurious conjugate pairs);
-    collapsed roots are polished on f' instead, where they are simple.
-    """
-    c = [float(x) for x in coeffs]
-    if len(c) != 5:
-        raise ValueError("expected 5 quartic coefficients [c4, c3, c2, c1, c0]")
-    if c[0] != 1.0:
-        raise ValueError("quartic must be monic (c4 = 1)")
-    _, c3, c2, c1, c0 = c
-    companion = np.array(
-        [
-            [0.0, 0.0, 0.0, -c0],
-            [1.0, 0.0, 0.0, -c1],
-            [0.0, 1.0, 0.0, -c2],
-            [0.0, 0.0, 1.0, -c3],
-        ]
-    )
-    roots = list(np.linalg.eigvals(companion).astype(complex))
-
-    dcoeffs = [4.0, 3.0 * c3, 2.0 * c2, c1]
-    ddcoeffs = [12.0, 6.0 * c3, 2.0 * c2]
-    res_bound = 1e-9 * max(1.0, math.sqrt(sum(x * x for x in c)))
-
-    def polish_double(x: float) -> float:
-        for _ in range(3):  # double root of f is a simple root of f'
-            fp = _horner(dcoeffs, x)
-            fpp = _horner(ddcoeffs, x)
-            if fpp == 0.0:
-                break
-            step = fp / fpp
-            if abs(step) > 1e-2 * max(1.0, abs(x)):
-                break
-            x -= step
-        return x
-
-    # Companion eigenvalues split exact double roots into spurious pairs,
-    # either complex-conjugate or two nearby reals; collapse a pair onto
-    # one double root whenever its midpoint already satisfies the backward
-    # residual bound, i.e. it is a root to working precision.
-    roots.sort(key=lambda r: (r.real, r.imag))
-    out: list[complex] = []
-    i = 0
-    while i < len(roots):
-        r = roots[i]
-        if i + 1 < len(roots):
-            nxt = roots[i + 1]
-            mid = 0.5 * (r.real + nxt.real)
-            conj_pair = (
-                abs(r.imag) > 0.0
-                and abs(nxt.conjugate() - r) <= 1e-12 * max(1.0, abs(r))
-                and abs(r.imag) <= 1e-6 * max(1.0, abs(r.real))
-            )
-            real_pair = (
-                r.imag == 0.0
-                and nxt.imag == 0.0
-                and abs(nxt.real - r.real) <= 1e-6 * max(1.0, abs(mid))
-            )
-            if (conj_pair or real_pair) and abs(_horner(c, mid)) <= res_bound:
-                x = polish_double(mid)
-                out.extend([complex(x), complex(x)])
-                i += 2
-                continue
-        fp = _horner(dcoeffs, r)
-        if fp != 0.0:
-            step = _horner(c, r) / fp
-            if abs(step) < 1e-2 * max(1.0, abs(r)) and abs(
-                _horner(c, r - step)
-            ) < abs(_horner(c, r)):
-                r = r - step
-        out.append(r)
-        i += 1
-    return out
 
 
 def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
@@ -309,6 +223,24 @@ def _path(d: BlochVector, U: float) -> str:
 _SHIFT = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
 
 
+def solve_quartic(coeffs) -> list[complex]:
+    """All four roots of the monic quartic ``coeffs`` = [1, c3, c2, c1, c0], as ``np.roots`` gives them.
+
+    The eigenvalues of its companion, built as ``np.roots`` builds it (first row
+    -coeffs[1:], then ``_SHIFT``), on LAPACK's real path: bit for bit ``np.roots``,
+    floats where all four roots are real.  A double root comes back split as
+    ``np.roots`` splits it, into a conjugate pair or two nearby reals: the double
+    root 2.5 of [1, -15, 80.25, -182.5, 150] as 2.5 +- 1.4e-7 i.  ``_spectrum``
+    solves its generic-path quartic here.
+    """
+    top = [-x for x in coeffs]
+    if len(top) != 5:
+        raise ValueError("expected 5 quartic coefficients [c4, c3, c2, c1, c0]")
+    if top[0] != -1.0:
+        raise ValueError("quartic must be monic (c4 = 1)")
+    return np.linalg.eigvals(np.array([top[1:], *_SHIFT])).tolist()
+
+
 def _turned(dz, r):
     """Whether the half-angle quartic of (dz, sqrt(s)) = (dz, r) is taken about phi = -pi/2
     (|dz| > sqrt(s)) rather than phi = 0, on floats or arrays: its leading coefficient is then
@@ -335,8 +267,9 @@ def _theta_roots(dz: np.ndarray, r: np.ndarray, U: float) -> np.ndarray:
 
     One stacked eigenvalue solve of real companions built as ``np.roots`` builds them
     (first row -c[1:] / c[0]), so each row is bit for bit ``np.roots`` of its quartic.
-    ``_spectrum`` builds the same companion for its one d on Python scalars, which
-    is faster for one; ``_circle_parts`` maps the roots back to z = e^{i theta}.
+    ``_spectrum`` solves the same quartic of its one d, divided by its leading
+    coefficient, by ``solve_quartic``: the same companion, so the same roots, and
+    faster for one; ``_circle_parts`` maps the roots back to z = e^{i theta}.
     """
     turn, h = _turned(dz, r), 0.5 * U
     lead = 0.5 * np.where(turn, dz, r)
@@ -365,7 +298,8 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
 
     The path of ``physical_spectrum``, and of ``nonlinear_spectra``'s polar and
     contour rows: for one d it is faster than the array core, which holds each of
-    its rows equal to this.
+    its rows equal to this.  A generic d's half-angle quartic is solved by
+    ``solve_quartic``, once per call; the polar and contour paths solve none.
     """
     path = _path(d, U)
     if path == "polar":
@@ -373,14 +307,14 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     elif path == "contour":
         pairs = _contour_pairs(d, U)
     else:
-        # _theta_roots and _generic_states of one d, on Python scalars: the first
-        # companion row -c[1:] / c[0] of the quartic c = (lead, cubic, 0, linear, -lead)
+        # _theta_roots and _generic_states of one d, on Python scalars: the quartic
+        # c = (lead, cubic, 0, linear, -lead) divided by lead, whose negated entries
+        # are the companion row -c[1:] / c[0] of _theta_roots to the bit, -0.0 too
         dz, r, h = d.dz, math.sqrt(d.planar_sq), 0.5 * U
         turn = _turned(dz, r)
         lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
-        top = [-cubic / lead, -0.0 / lead, -linear / lead, lead / lead]
         pairs = []
-        for t in np.linalg.eigvals(np.array([top, *_SHIFT])).tolist():
+        for t in solve_quartic([1.0, cubic / lead, 0.0 / lead, linear / lead, -lead / lead]):
             x, y, n = _circle_parts(t.real, t.imag)
             if n:  # e^{-i pi/2} takes (x, y) to (y, -x)
                 z = complex(y / n, -x / n) if turn else complex(x / n, y / n)

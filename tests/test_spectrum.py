@@ -106,6 +106,23 @@ def test_solve_quartic_requires_monic():
         solve_quartic([2, 0, 0, 0, 1])
 
 
+def test_solve_quartic_is_np_roots_to_the_bit():
+    # random monic quartics with c0 != 0, whose roots np.roots does not strip, and
+    # the monic half-angle quartics of random generic d, about phi = -pi/2 (|dz| >
+    # sqrt(s)) and about phi = 0; repr tells every float apart, -0.0 from 0.0 too
+    rng = np.random.default_rng(29)
+    quartics = [[1.0, *rng.uniform(-8.0, 8.0, 3), rng.uniform(0.5, 8.0) * rng.choice([-1.0, 1.0])] for _ in range(200)]
+    turned = []
+    for _ in range(200):
+        dz, r, h = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 1.5), 0.5 * rng.uniform(0.0, 6.0)
+        turned.append(r < abs(dz))
+        lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turned[-1] else (0.5 * r, dz - h, dz + h)
+        quartics.append([1.0, cubic / lead, 0.0 / lead, linear / lead, -lead / lead])
+    assert any(turned) and not all(turned)
+    for c in quartics:
+        assert repr(solve_quartic(c)) == repr(np.roots(c).tolist())
+
+
 @st.composite
 def root_polynomials(draw):
     """Coefficients of a real polynomial of degree at most 6 built from drawn roots, and
