@@ -22,11 +22,9 @@ vectors at one U, each by one of three paths:
                     t = tan((theta - phi) / 2) this is a real quartic in t,
                     phi = 0 or -pi/2 chosen so that its leading coefficient
                     is max(sqrt(s), |dz|), never zero, at any U down to 0.
-                    The quartics of all generic d in the list are solved in
-                    one stacked real eigenvalue call, once per distinct
-                    (dz, sqrt(s)).  Each root t maps to
-                    z = e^{i phi} (1 + i t) / (1 - i t), on the unit circle,
-                    z = e^{i theta}, where t is real.
+                    Made monic it is t^4 + B t^3 + D t - 1, solved in closed
+                    form by ``solve_quartic``, once per distinct (dz, sqrt(s)).
+                    Each real root t gives theta = phi + 2 atan(t).
 
 ``nonlinear_spectra`` is the array core: it returns the states of all its
 vectors as flat numpy arrays with an offset per vector (``Spectra``), and
@@ -45,19 +43,20 @@ dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
 cone/tube structures; ``classify_degeneracies`` finds them on each grid
 column as the roots of one quartic.
 
-The generic path's half-angle quartic has one root solve per form: the array
-core solves the quartics of all its generic rows in one stacked call
-(``_theta_roots``), and the scalar path solves its one quartic, made monic, by
-``solve_quartic``.  Both are ``np.roots`` of that quartic to the bit.
+The generic path's half-angle quartic has one root solve, ``solve_quartic``:
+the resolvent cubic's root splits it into two real quadratics, on Python floats
+and ``math`` only.  The scalar path calls it for its one d and the array core
+once per distinct (dz, sqrt(s)), both through ``_angles``, so the two paths
+share one formula and agree to the bit by construction.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -78,11 +77,10 @@ _ROUNDOFF_REL = 1e-15
 
 # A root t of the generic-path quartic, mapped to z = e^{i phi} (1 + i t) /
 # (1 - i t), is a real angle when | |z| - 1 | is at most this.  A real t
-# maps to the unit circle to round-off (2.2e-16 on the README grids), and
-# floating point splits a double root in t (a fold or a critical strength)
-# into a conjugate pair ~1e-8 off the real axis, which maps ~1e-8 off the
-# circle; a state built from a root 1e-6 off the circle has a residual of
-# order 1e-12.
+# maps to the unit circle, and round-off can turn a double root in t (a fold
+# or a critical strength) into a conjugate pair ~1e-8 off the real axis,
+# which maps ~1e-8 off the circle; a state built from a root 1e-6 off the
+# circle has a residual of order 1e-12.
 _ON_CIRCLE_TOL = 1e-6
 
 # A root of a real polynomial is real when |Im| is at most this, and roots
@@ -140,7 +138,7 @@ def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
 
     That is (e^{-i phi} cos(theta/2), sin(theta/2)) with e^{i phi} = (dx + i dy)
     / sqrt(s), the phase convention of the eigenvector ((dx - i dy), lam - h).
-    At a real root theta of G (``_theta_roots``) it is stationary with kappa =
+    At a real root theta of G (``_angles``) it is stationary with kappa =
     cos(theta) and eps = U/2 + sqrt(s) sin(theta) + h kappa, h = dz + U kappa / 2.
     """
     r = math.sqrt(d.planar_sq)
@@ -219,78 +217,91 @@ def _path(d: BlochVector, U: float) -> str:
     return "generic"
 
 
-# rows 1 .. 3 of a 4 x 4 companion matrix, the shifted identity of np.roots
-_SHIFT = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+def solve_quartic(coeffs) -> list:
+    """The four roots of the half-angle quartic ``coeffs`` = [1, B, 0, D, -1], in closed form.
 
+    t^4 + B t^3 + D t - 1 = (t^2 + p t + q)(t^2 + r t - 1/q), where w = q - 1/q is a real
+    root of the resolvent cubic w^3 + (4 + B D) w + (B^2 - D^2) = 0: the one of largest
+    magnitude, which is simple wherever two roots of the quartic meet, and puts them in
+    t^2 + p t + q.  The cubic is formed from B and D divided by S = max(1, |B|, |D|), so
+    that B D and B^2 - D^2 do not overflow.  t^2 + r t - 1/q always has two real roots, of
+    opposite sign; t^2 + p t + q has two where p^2 >= 4 q (its discriminant changes sign
+    on the fold locus) and a conjugate pair elsewhere.  Each quadratic is solved by the
+    stable formula.  A Newton step on the quartic after it changed no state residual on
+    the README grid and cost a tenth of the array core's time, so none is taken.
 
-def solve_quartic(coeffs) -> list[complex]:
-    """All four roots of the monic quartic ``coeffs`` = [1, c3, c2, c1, c0], as ``np.roots`` gives them.
-
-    The eigenvalues of its companion, built as ``np.roots`` builds it (first row
-    -coeffs[1:], then ``_SHIFT``), on LAPACK's real path: bit for bit ``np.roots``,
-    floats where all four roots are real.  A double root comes back split as
-    ``np.roots`` splits it, into a conjugate pair or two nearby reals: the double
-    root 2.5 of [1, -15, 80.25, -182.5, 150] as 2.5 +- 1.4e-7 i.  ``_spectrum``
-    solves its generic-path quartic here.
+    Returns the roots of t^2 + p t + q, then those of t^2 + r t - 1/q, the real ones as
+    floats.  Python floats and ``math`` only, so that both spectrum paths, which solve
+    their quartics here, take the same bits.  On the generic path |B| and |D| stay below
+    1.5e15.  Far above that, with one of them beyond about 1e160 and the other many
+    orders smaller, the scaled cubic's terms underflow and the roots are wrong
+    (B = -1.3e177, D = 3.0e59).
     """
-    top = [-x for x in coeffs]
-    if len(top) != 5:
-        raise ValueError("expected 5 quartic coefficients [c4, c3, c2, c1, c0]")
-    if top[0] != -1.0:
-        raise ValueError("quartic must be monic (c4 = 1)")
-    return np.linalg.eigvals(np.array([top[1:], *_SHIFT])).tolist()
+    one, B, zero, D, minus_one = coeffs
+    if one != 1.0 or zero or minus_one != -1.0:
+        raise ValueError("expected a monic half-angle quartic [1, B, 0, D, -1]")
+    S = max(1.0, abs(B), abs(D))
+    b, d = B / S, D / S
+    h, c = 0.5 * (b - d) * (b + d) / S, (4.0 / S / S + b * d) / 3.0  # v = w / S: v^3 + 3 c v + 2 h = 0
+    if (disc := h * h + c * c * c) < 0.0:  # three real roots
+        m = math.sqrt(-c)
+        v = -math.copysign(2.0 * m * math.cos(math.acos(min(1.0, abs(h) / (m * m * m))) / 3.0), h)
+    else:  # one, by Cardano's formula as -2h / (a^2 + c + (c/a)^2), in which nothing cancels
+        a = math.cbrt(abs(h) + math.sqrt(disc))
+        v = -2.0 * h / (a * a + c + (c / a) * (c / a)) if a else 0.0
+    w = S * v
+    m = math.hypot(w, 2.0)  # q + 1/q
+    q, qi = (0.5 * (w + m), 2.0 / (w + m)) if w >= 0.0 else (2.0 / (m - w), 0.5 * (m - w))
+    B2, D2 = 0.5 * B / m, 0.5 * D / m
+    e, f = B2 * q - D2, D2 + B2 * qi  # p / 2 and r / 2
+    sq, ae = math.sqrt(q), abs(e)
+    gap = math.sqrt(abs(ae - sq)) * math.sqrt(ae + sq)  # |p^2 - 4 q|^(1/2) / 2
+    if ae >= sq:  # the root of larger size first, the other as q over it: no cancellation
+        t = -e - math.copysign(gap, e)
+        roots = [t, q / t]
+    else:
+        roots = [complex(-e, gap), complex(-e, -gap)]
+    t = -f - math.copysign(math.hypot(f, math.sqrt(qi)), f)
+    return roots + [t, -qi / t]
 
 
-def _turned(dz, r):
-    """Whether the half-angle quartic of (dz, sqrt(s)) = (dz, r) is taken about phi = -pi/2
-    (|dz| > sqrt(s)) rather than phi = 0, on floats or arrays: its leading coefficient is then
-    max(sqrt(s), |dz|) / 2 >= |d| / (2 sqrt(2)), never zero on the generic path."""
-    return r < abs(dz)
-
-
-def _theta_roots(dz: np.ndarray, r: np.ndarray, U: float) -> np.ndarray:
-    """Roots t = tan((theta - phi) / 2) of the generic-path quartic of each (dz, sqrt(s)) = (dz[j], r[j]).
+def _angles(dz: float, r: float, U: float) -> tuple[list[float], tuple[float, ...]]:
+    """The theta of the states of a generic d with (dz, sqrt(s)) = (dz, r), and the margins of
+    the four roots t = tan((theta - phi) / 2) of its half-angle quartic.
 
     G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta) = 0 says that the
     state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).  The half-angle
-    substitution t = tan((theta - phi) / 2) turns (1 + t^2)^2 G into a real quartic:
-    about phi = 0,
+    substitution turns (1 + t^2)^2 G into a real quartic: about phi = 0,
         sqrt(s) t^4 + (2 dz - U) t^3 + (2 dz + U) t - sqrt(s),
-    and about phi = -pi/2 (``_turned``),
+    and about phi = -pi/2 where |dz| > sqrt(s),
         dz t^4 + (U - 2 sqrt(s)) t^3 - (U + 2 sqrt(s)) t - dz,
-    here halved, so that no coefficient overflows where U + |d| does not.  Its real
-    roots are the real theta (theta = phi + pi is never one: G(pi) = sqrt(s) and
-    G(pi/2) = dz).  Near the polar momenta and the dz = 0 contour they stay apart,
-    where the roots of f crowd into double roots at U/2 or U, and as U goes to 0 the
-    quartic goes to (t^2 + 1) times the quadratic of U = 0, whose leading coefficient
-    is the quartic's: no row needs a separate quadratic.
-
-    One stacked eigenvalue solve of real companions built as ``np.roots`` builds them
-    (first row -c[1:] / c[0]), so each row is bit for bit ``np.roots`` of its quartic.
-    ``_spectrum`` solves the same quartic of its one d, divided by its leading
-    coefficient, by ``solve_quartic``: the same companion, so the same roots, and
-    faster for one; ``_circle_parts`` maps the roots back to z = e^{i theta}.
+    so that the leading coefficient, max(sqrt(s), |dz|) >= |d| / sqrt(2), is never zero
+    on the generic path.  Each is halved and then divided by it for ``solve_quartic``.  Its
+    real roots are the real theta (theta = phi + pi is never one: G(pi) = sqrt(s) and
+    G(pi/2) = dz).  Near the polar momenta and the dz = 0 contour they stay apart, where
+    the roots of f crowd into double roots at U/2 or U, and at U = 0 the quartic is
+    (t^2 + 1) times the quadratic of U = 0.  A root's margin is | |z| - 1 |, z = e^{i phi}
+    (1 + i t) / (1 - i t): 0 for a real t, infinity at t = -i.  A root gives a state,
+    theta = phi + 2 atan(Re t) wrapped into (-pi, pi], where its margin is at most
+    ``_ON_CIRCLE_TOL``: a real root, or the conjugate pair into which round-off splits
+    a double root at a fold.
     """
-    turn, h = _turned(dz, r), 0.5 * U
-    lead = 0.5 * np.where(turn, dz, r)
-    cubic, linear = np.where(turn, h - r, dz - h), np.where(turn, -(h + r), dz + h)
-    c = np.stack((lead, cubic, np.zeros_like(lead), linear, -lead), axis=1)
-    companion = np.empty((len(c), 4, 4))
-    companion[:, 1:] = _SHIFT
-    np.divide(-c[:, 1:], c[:, :1], out=companion[:, 0])
-    return np.linalg.eigvals(companion)
-
-
-def _circle_parts(tr, ti):
-    """(x, y, n) with (1 + i t) / (1 - i t) = (x + i y) / n for t = tr + i ti, on floats or arrays.
-
-    x + i y = (1 + i t) conj(1 - i t) and n = |1 - i t|^2, in real arithmetic, so that
-    both paths take the same bits.  A real t gives the point of angle 2 atan(t) on the
-    unit circle, with no cancellation but in 1 - t^2.  n is 0 only at t = -i, which
-    the callers take as z = infinity: at U = 0 the quartic is (t^2 + 1) times a
-    quadratic, so each generic vector has the roots t = +-i, z = 0 and infinity.
-    """
-    return 1.0 - tr * tr - ti * ti, tr + tr, (1.0 + ti) * (1.0 + ti) + tr * tr
+    h, turn = 0.5 * U, r < abs(dz)
+    lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
+    roots = solve_quartic([1.0, cubic / lead, 0.0, linear / lead, -1.0])
+    margins = (0.0, 0.0, 0.0, 0.0)
+    if type(roots[0]) is complex:
+        # t = a +- i b, b > 0: | |z| - 1 | = (|1 - i t| - |1 + i t|) / |1 -+ i t|, the second the larger
+        a, b = roots[0].real, roots[0].imag
+        near, far = math.hypot(1.0 - b, a), math.hypot(1.0 + b, a)
+        margins = ((far - near) / far, (far - near) / near if near else math.inf, 0.0, 0.0)
+        if margins[0] > _ON_CIRCLE_TOL:  # and so the second
+            roots = roots[2:]
+        else:  # a double root at a fold, split by round-off
+            roots = [a for m in margins[:2] if m <= _ON_CIRCLE_TOL] + roots[2:]
+    if turn:  # phi = -pi/2; 2 atan(t) <= -pi/2 where t <= -1
+        return [2.0 * math.atan(t) - (0.5 * math.pi if t > -1.0 else -1.5 * math.pi) for t in roots], margins
+    return [2.0 * math.atan(t) for t in roots], margins
 
 
 def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
@@ -300,6 +311,8 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     contour rows: for one d it is faster than the array core, which holds each of
     its rows equal to this.  A generic d's half-angle quartic is solved by
     ``solve_quartic``, once per call; the polar and contour paths solve none.
+    Every path gives at least two states: a generic d has the two real roots of
+    the quartic's factor t^2 + r t - 1/q.
     """
     path = _path(d, U)
     if path == "polar":
@@ -307,21 +320,7 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     elif path == "contour":
         pairs = _contour_pairs(d, U)
     else:
-        # _theta_roots and _generic_states of one d, on Python scalars: the quartic
-        # c = (lead, cubic, 0, linear, -lead) divided by lead, whose negated entries
-        # are the companion row -c[1:] / c[0] of _theta_roots to the bit, -0.0 too
-        dz, r, h = d.dz, math.sqrt(d.planar_sq), 0.5 * U
-        turn = _turned(dz, r)
-        lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
-        pairs = []
-        for t in solve_quartic([1.0, cubic / lead, 0.0 / lead, linear / lead, -lead / lead]):
-            x, y, n = _circle_parts(t.real, t.imag)
-            if n:  # e^{-i pi/2} takes (x, y) to (y, -x)
-                z = complex(y / n, -x / n) if turn else complex(x / n, y / n)
-                if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL:
-                    pairs.append(_pair(cmath.phase(z), d, U))
-    if not pairs:
-        _no_state()
+        pairs = [_pair(theta, d, U) for theta in _angles(d.dz, math.sqrt(d.planar_sq), U)[0]]
     pairs.sort(key=lambda p: (p.epsilon, p.kappa))
     return pairs
 
@@ -331,13 +330,6 @@ def _check_energies(U: float, d: float) -> None:
     call's vectors: U + |dz| + sqrt(s) bounds |epsilon| of every state."""
     if not math.isfinite(U + d):
         raise ValueError("u or U is too large: the stationary energies overflow float64")
-
-
-def _no_state():
-    raise AssertionError(
-        "internal error: no physical root survived; the self-consistent "
-        "Hermitian problem always admits at least two stationary states"
-    )
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -410,11 +402,11 @@ class SpectrumHealth:
     ``paths`` counts the Bloch vectors taken by each path.  Each generic vector
     has four roots t of its half-angle quartic, each mapped to z = e^{i phi}
     (1 + i t) / (1 - i t).  A root is kept as a state when its margin | |z| - 1 |
-    is at most ``_ON_CIRCLE_TOL`` and discarded otherwise: at U = 0 two roots of
-    every generic vector are t = +-i, z = 0 and infinity, discarded with margins
-    of about 1 and above.  The largest kept and the smallest discarded margin are None while
-    there is no such root.  ``max_residual`` is the largest
-    || H(state) state - epsilon state || of any pair.
+    is at most ``_ON_CIRCLE_TOL`` and discarded otherwise.  A real root's margin
+    is 0; at U = 0 two roots of every generic vector are t = +-i, z = 0 and
+    infinity, discarded with margins 1 and infinity.  The largest kept and the
+    smallest discarded margin are None while there is no such root.
+    ``max_residual`` is the largest || H(state) state - epsilon state || of any pair.
     """
 
     paths: dict[str, int] = field(default_factory=lambda: {"polar": 0, "contour": 0, "generic": 0})
@@ -493,8 +485,8 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     """The states of the generic-path rows ``rows`` of the vectors (dx, dy, dz), s = dx^2 + dy^2.
 
     A generic row's half-angle quartic, and so its energies and populations, depend
-    on d only through (dz, sqrt(s)): each distinct key goes once to one stacked
-    solve (``_theta_roots``), its states are formed and sorted once, and only
+    on d only through (dz, sqrt(s)): each distinct key is solved once, by the
+    scalar path's ``_angles``, its states are formed and sorted once, and only
     c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes each row's own phase, by the
     scalar path's formula (``_c1_parts``).  Returns the columns (row, epsilon,
     kappa, c1, c2, multiplicity), each row's states in (epsilon, kappa) order,
@@ -503,21 +495,13 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     key = np.empty(len(rows), dtype=complex)
     key.real, key.imag = dz[rows], np.sqrt(s[rows])
     keys, inverse = np.unique(key, return_inverse=True)
-    t = _theta_roots(keys.real, keys.imag, U)
-    x, y, n = _circle_parts(t.real, t.imag)
-    turn = _turned(keys.real, keys.imag)[:, None]
-    # z = e^{i phi} (x + i y) / n, as _spectrum divides; z = inf at n = 0, t = -i
-    roots = np.full(t.shape, complex(math.inf, math.inf))
-    np.divide(np.where(turn, y, x), n, out=roots.real, where=n != 0)
-    np.divide(np.where(turn, -x, y), n, out=roots.imag, where=n != 0)
-    margins = np.abs(np.hypot(roots.real, roots.imag) - 1.0)  # | |z| - 1 |, abs as CPython takes it
+    thetas, margins = list(zip(*map(_angles, keys.real.tolist(), keys.imag.tolist(), repeat(U)))) or [(), ()]
+    margins = np.fromiter(chain.from_iterable(margins), float, 4 * len(keys)).reshape(-1, 4)
     kept = margins <= _ON_CIRCLE_TOL
     per_key = kept.sum(axis=1)
-    if not per_key.all():
-        _no_state()
     # the kept roots' states, formed and sorted by key, then by (epsilon, kappa), once per key
     key_of = np.nonzero(kept)[0]
-    theta = np.array([cmath.phase(z) for z in roots[kept].tolist()])
+    theta = np.fromiter(chain.from_iterable(thetas), float, len(key_of))
     eps, kappa = _theta_energy(theta, keys.real[key_of], keys.imag[key_of], U, np)
     order = np.lexsort((kappa, eps, key_of))
     # each key's states in that order, laid in the slots of its kept roots; a

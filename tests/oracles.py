@@ -22,8 +22,10 @@ on Python complex scalars, the rows of ``bands.csv`` node by node, and the
 csv.writer loops of ``bands.csv``, ``trajectory.csv``, ``response_columns.csv``
 and ``phase_diagram.csv``.  The numpy-array filter of ``np.roots``' real roots
 is kept as the reference of ``spectrum._real_roots``, which filters Python floats,
-and the generic-path states from the complex quartic in e^{i theta}
-(``complex_quartic_spectrum``) as the reference of the half-angle quartic.
+the generic-path states from the complex quartic in e^{i theta}
+(``complex_quartic_spectrum``) as the reference of the half-angle quartic, and
+the half-angle quartic's roots by LAPACK (``lapack_half_angle_roots``,
+``lapack_half_angle_spectrum``) as the reference of its closed-form solve.
 """
 
 import cmath
@@ -459,9 +461,11 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def complex_quartic_spectrum(d, U):
-    """The physical states of one d, sorted by (epsilon, kappa), on Python scalars."""
-    from nlchern.spectrum import _ON_CIRCLE_TOL, _contour_pairs, _no_state, _pair, _path, _polar_pairs
+def _circle_spectrum(d, U, circle_roots):
+    """The physical states of one d, sorted by (epsilon, kappa), on Python scalars: the
+    generic path keeps a root z of ``circle_roots(dz, sqrt(s), U)`` as the state of angle
+    phase(z) where | |z| - 1 | is at most the package's ``_ON_CIRCLE_TOL``."""
+    from nlchern.spectrum import _ON_CIRCLE_TOL, _contour_pairs, _pair, _path, _polar_pairs
 
     path = _path(d, U)
     if path == "polar":
@@ -469,15 +473,64 @@ def complex_quartic_spectrum(d, U):
     elif path == "contour":
         pairs = _contour_pairs(d, U)
     else:
-        # _theta_roots of one d, its coefficients built on Python scalars
-        r, q = math.sqrt(d.planar_sq), 0.25 * U
-        c = [q, complex(d.dz, -r), 0.0, -complex(d.dz, r), -q]
-        zs = _companion_roots(np.array([c[1:4] if _takes_quadratic(q, d.dz, r) else c]))[0].tolist()
+        zs = circle_roots(d.dz, math.sqrt(d.planar_sq), U)
         pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
     if not pairs:
-        _no_state()
+        raise AssertionError("no physical root survived")
     pairs.sort(key=lambda p: (p.epsilon, p.kappa))
     return pairs
+
+
+def _complex_quartic_circle_roots(dz, r, U):
+    q = 0.25 * U
+    c = [q, complex(dz, -r), 0.0, -complex(dz, r), -q]
+    return _companion_roots(np.array([c[1:4] if _takes_quadratic(q, dz, r) else c]))[0].tolist()
+
+
+def complex_quartic_spectrum(d, U):
+    """The states of one d from the complex quartic in z = e^{i theta}."""
+    return _circle_spectrum(d, U, _complex_quartic_circle_roots)
+
+
+# ---------------------------------------------------------------------------
+# the half-angle quartic solved by LAPACK
+# ---------------------------------------------------------------------------
+
+# The package's solve before the closed form, kept as a reference: the monic
+# half-angle quartic [1, B, 0, D, -1] of ``spectrum._angles``, solved as the
+# eigenvalues of its companion by ``np.roots``, each root t mapped to
+# z = e^{i phi} (1 + i t) / (1 - i t), and the state's angle taken as phase(z).
+
+
+def half_angle_coefficients(dz, r, U):
+    """(B, D, turned) of the monic half-angle quartic t^4 + B t^3 + D t - 1 of a generic
+    d with (dz, sqrt(s)) = (dz, r), as ``spectrum._angles`` forms it: in t = tan((theta -
+    phi) / 2), phi = -pi/2 where ``turned`` and 0 elsewhere."""
+    h = 0.5 * U
+    if r < abs(dz):
+        return (h - r) / (0.5 * dz), -(h + r) / (0.5 * dz), True
+    return (dz - h) / (0.5 * r), (dz + h) / (0.5 * r), False
+
+
+def lapack_half_angle_roots(B, D):
+    """The roots of t^4 + B t^3 + D t - 1 by LAPACK, as the package took them before its closed form."""
+    return np.roots([1.0, B, 0.0, D, -1.0]).tolist()
+
+
+def circle_margin(t):
+    """| |z| - 1 | of z = (1 + i t) / (1 - i t): infinity at t = -i."""
+    return abs(abs((1.0 + 1j * t) / (1.0 - 1j * t)) - 1.0) if t != -1j else math.inf
+
+
+def _lapack_circle_roots(dz, r, U):
+    B, D, turned = half_angle_coefficients(dz, r, U)
+    ts = [t for t in lapack_half_angle_roots(B, D) if t != -1j]
+    return [(-1j if turned else 1.0) * (1.0 + 1j * t) / (1.0 - 1j * t) for t in ts]
+
+
+def lapack_half_angle_spectrum(d, U):
+    """The states of one d from the half-angle quartic solved by LAPACK."""
+    return _circle_spectrum(d, U, _lapack_circle_roots)
 
 
 # ---------------------------------------------------------------------------

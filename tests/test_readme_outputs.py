@@ -42,14 +42,14 @@ def close(rel: float):
 
 
 # Each pin's one policy; every pin not named here is compared exactly.  Those
-# are counts, where margins of 2.2e-16 (kept) against 0.031 and 0.012
+# are counts, where margins of 0 (kept) against 0.031 and 0.012
 # (discarded), bands and dynamics, leave no root whose fate round-off
 # could change, and fold points lie at least 0.38 apart; the step T / steps,
 # pure IEEE arithmetic; and the trajectory's last t, k, norm and energy: from
 # the polar start k = (0, 0) they depend on libm, the drive and RK4, not on LAPACK.
 POLICY = {
-    # 48 of the 50 start states come from np.linalg.eigvals and the drive from
-    # numpy's sin and cos; moving every start state or every drive value by one
+    # 48 of the 50 start states come from the closed-form theta-quartic solve
+    # (libm's cbrt, acos, cos and atan) and the drive from numpy's sin and cos; moving every start state or every drive value by one
     # ulp moves nu and its column means by at most 9e-14 relative, and the
     # drift, a 1e-10 difference of sums near 1, by up to 5.4e-6 relative
     "response.nu": close(1e-9),
@@ -125,7 +125,7 @@ def pins(files: dict) -> dict:
     return {
         "response": {k: response[k] for k in ("nu", "nu_even_columns", "nu_odd_columns", "max_norm_drift")},
         "bands": {"branch_count_nodes": bands["branch_count_nodes"], **{k: bands["diagnostics"][k] for k in health}},
-        # t, kx, ky, norm and energy; the projections come from LAPACK
+        # t, kx, ky, norm and energy; the projections come from the spectrum solve
         "trajectory": {"lines": len(trajectory), "last_row": trajectory[-1].split(",")[:5]},
         "trajectory_summary": {
             **{k: dynamics[k] for k in ("steps", "dt", "samples")}, **{k: dynamics["diagnostics"][k] for k in health}
