@@ -23,7 +23,7 @@ vectors at one U, each by one of three paths:
                     phi = 0 or -pi/2 chosen so that its leading coefficient
                     is max(sqrt(s), |dz|), never zero, at any U down to 0.
                     Made monic it is t^4 + B t^3 + D t - 1, solved in closed
-                    form by ``solve_quartic``, once per distinct (dz, sqrt(s)).
+                    form by ``solve_quartic``, each distinct (dz, sqrt(s)) once.
                     Each real root t gives theta = phi + 2 atan(t).
 
 ``nonlinear_spectra`` is the array core: it returns the states of all its
@@ -44,10 +44,14 @@ cone/tube structures; ``classify_degeneracies`` finds them on each grid
 column as the roots of one quartic.
 
 The generic path's half-angle quartic has one root solve, ``solve_quartic``:
-the resolvent cubic's root splits it into two real quadratics, on Python floats
-and ``math`` only.  The scalar path calls it for its one d and the array core
-once per distinct (dz, sqrt(s)), both through ``_angles``, so the two paths
-share one formula and agree to the bit by construction.
+the resolvent cubic's root splits it into two real quadratics.  The scalar path
+calls it on Python floats for its one d (``_angles``); the array core calls it
+once, on arrays of B and D, for all its distinct (dz, sqrt(s)) (``_key_angles``).
+The array body repeats the scalar body's operations in their order: numpy's
++, -, *, /, sqrt, abs, copysign, minimum and maximum, which round correctly and
+so give Python's bits, and every other function (cbrt, acos, cos, hypot, atan)
+from ``math`` through ``map`` (``_libm``), as numpy's own need not equal libm.
+So the two paths agree to the bit by construction.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -88,18 +92,54 @@ _ON_CIRCLE_TOL = 1e-6
 # into two ~1e-8 apart, real or conjugate.  So are III points in k.
 _ROOT_TOL = 1e-6
 
+# ``solve_quartic`` takes any half-angle quartic with max(|B|, |D|) up to this, beyond it
+# only those near the generic path's |B + D| <= 4 (``_in_domain``)
+_QUARTIC_BOUND = 1e16
+
+
+def _poly_roots(polys) -> list[list]:
+    """``np.roots`` of each finite polynomial in ``polys``, to the bit, in one eigenvalue call per degree.
+
+    As ``np.roots`` does, leading zeros are dropped, and trailing zeros are dropped
+    and each gives a root 0.0 after the others; the companion of the rest, with
+    first row -p[1:] / p[0] and ones below the diagonal, is built for every
+    polynomial, and those of one size are stacked into one ``eigvals`` call, which
+    solves each as its own call would.
+    """
+    if not all(map(math.isfinite, chain.from_iterable(polys))):
+        raise ValueError("u or U is too large: the fold-point polynomial overflows float64")
+    roots, by_size = [], {}
+    for i, p in enumerate(polys):
+        nonzero = [j for j, x in enumerate(p) if x]
+        roots.append([0.0] * (len(p) - 1 - nonzero[-1]) if nonzero else [])
+        if nonzero:
+            by_size.setdefault(nonzero[-1] + 1 - nonzero[0], []).append((i, p[nonzero[0] : nonzero[-1] + 1]))
+    for n, group in by_size.items():
+        if n > 1:
+            rows, p = zip(*group)
+            p = np.array(p, dtype=float)
+            companion = np.zeros((len(p), n - 1, n - 1))
+            companion[:, 1:, :-1] = np.eye(n - 2)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            for i, z in zip(rows, np.linalg.eigvals(companion).tolist()):
+                roots[i][:0] = z
+    return roots
+
 
 def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
-    """Real roots in [lo, hi] of the finite polynomial ``coeffs``, a near-double root once.
+    """Real roots in [lo, hi] of the finite polynomial ``coeffs``, a near-double root once."""
+    return _window(_poly_roots([coeffs])[0], lo, hi)
 
-    ``np.roots`` gives the roots; they are filtered, sorted and clustered as Python
-    floats, which costs less than numpy calls on arrays this small.  Neighbours at
-    most ``_ROOT_TOL`` apart are one root, their ``np.mean``.  A lone root is itself
-    plus 0.0, its ``np.mean`` too: numpy's sum starts from +0.0, so -0.0 gives 0.0.
+
+def _window(roots, lo: float, hi: float) -> list[float]:
+    """The real ones of ``roots`` in [lo, hi], a near-double root once.
+
+    They are filtered, sorted and clustered as Python floats, which costs less
+    than numpy calls on lists this small.  Neighbours at most ``_ROOT_TOL`` apart
+    are one root, their ``np.mean``.  A lone root is itself plus 0.0, its
+    ``np.mean`` too: numpy's sum starts from +0.0, so -0.0 gives 0.0.
     """
-    if not all(map(math.isfinite, coeffs)):
-        raise ValueError("u or U is too large: the fold-point polynomial overflows float64")
-    roots = sorted(z.real for z in np.roots(coeffs).tolist() if abs(z.imag) <= _ROOT_TOL and lo <= z.real <= hi)
+    roots = sorted(z.real for z in roots if abs(z.imag) <= _ROOT_TOL and lo <= z.real <= hi)
     clusters = []
     for x in roots:
         if clusters and x - clusters[-1][-1] <= _ROOT_TOL:
@@ -231,16 +271,26 @@ def solve_quartic(coeffs) -> list:
     the README grid and cost a tenth of the array core's time, so none is taken.
 
     Returns the roots of t^2 + p t + q, then those of t^2 + r t - 1/q, the real ones as
-    floats.  Python floats and ``math`` only, so that both spectrum paths, which solve
-    their quartics here, take the same bits.  On the generic path |B| and |D| stay below
-    1.5e15.  Far above that, with one of them beyond about 1e160 and the other many
-    orders smaller, the scaled cubic's terms underflow and the roots are wrong
-    (B = -1.3e177, D = 3.0e59).
+    floats, on Python floats and ``math`` only.  B and D may instead be float arrays, one
+    quartic per entry: ``_solve_quartics`` then solves them all by the same operations in
+    the same order, so each equals its scalar solve to the bit.
+
+    Raises ValueError outside ``_in_domain``: max(|B|, |D|) above 1e16, unless the quartic
+    lies near the line |B + D| <= 4 and max(|B|, |D|) is at most 1e306.  Within |B|, |D| <=
+    1e16 a root is off by at most about 4e-16 S max(1, |t|), a tenth of LAPACK's error on
+    the companion; near that line, where every generic-path quartic lies (B + D is 4 dz /
+    sqrt(s) or -4 sqrt(s) / dz) and |B|, |D| stay below 1.5e15, at round-off at any size.
+    Elsewhere beyond 1e16 the solve cancels or underflows: B = -1.3e177, D = 3.0e59 gave
+    two positive roots of t^2 + r t - 1/q.
     """
     one, B, zero, D, minus_one = coeffs
     if one != 1.0 or zero or minus_one != -1.0:
         raise ValueError("expected a monic half-angle quartic [1, B, 0, D, -1]")
+    if type(B) is np.ndarray:
+        return _solve_quartics(B, D)
     S = max(1.0, abs(B), abs(D))
+    if S > _QUARTIC_BOUND and not _in_domain(B, D, S):
+        raise ValueError("half-angle quartic outside the domain of its closed-form solve")
     b, d = B / S, D / S
     h, c = 0.5 * (b - d) * (b + d) / S, (4.0 / S / S + b * d) / 3.0  # v = w / S: v^3 + 3 c v + 2 h = 0
     if (disc := h * h + c * c * c) < 0.0:  # three real roots
@@ -265,13 +315,76 @@ def solve_quartic(coeffs) -> list:
     return roots + [t, -qi / t]
 
 
-def _angles(dz: float, r: float, U: float) -> tuple[list[float], tuple[float, ...]]:
-    """The theta of the states of a generic d with (dz, sqrt(s)) = (dz, r), and the margins of
-    the four roots t = tan((theta - phi) / 2) of its half-angle quartic.
+def _in_domain(B: float, D: float, S: float) -> bool:
+    """Whether [1, B, 0, D, -1], S = max(1, |B|, |D|), lies in ``solve_quartic``'s domain."""
+    return S <= _QUARTIC_BOUND or (S <= 1e306 and abs(B + D) <= 4.0 + 1e-15 * S)
+
+
+def _libm(f, *xs) -> np.ndarray:
+    """``f`` from ``math`` of each entry of the float arrays ``xs``: libm's bits, which numpy's
+    own cbrt, arccos, arctan and hypot do not give on every host."""
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
+
+
+def _solve_quartics(B, D) -> np.ndarray:
+    """``solve_quartic`` of the quartics [1, B[i], 0, D[i], -1], i < n, as a (4, n) complex array.
+
+    Row j holds the j-th root of each quartic; a real root has imaginary part 0.0, and
+    the conjugate pair of t^2 + p t + q a nonzero one.  Each step is the scalar solve's
+    in its order: numpy's +, -, *, /, sqrt, abs, copysign, minimum and maximum, which
+    round correctly and so give its bits, and libm's cbrt, acos, cos and hypot through
+    ``_libm``.  The trig and Cardano branches, Cardano's a = 0 and the real or
+    conjugate pair run on the quartics that take them only, so an untaken branch
+    raises no floating-point warning; q and 1/q are taken from w + m or m - w, both
+    at least 2, by the sign of w.
+    """
+    S = np.maximum(np.maximum(1.0, np.abs(B)), np.abs(D))
+    far = S > _QUARTIC_BOUND
+    if far.any() and not all(map(_in_domain, B[far].tolist(), D[far].tolist(), S[far].tolist())):
+        raise ValueError("half-angle quartic outside the domain of its closed-form solve")
+    b, d = B / S, D / S
+    h, c = 0.5 * (b - d) * (b + d) / S, (4.0 / S / S + b * d) / 3.0
+    disc = h * h + c * c * c
+    v = np.zeros(len(B))
+    trig = disc < 0.0
+    i = np.flatnonzero(trig)
+    m = np.sqrt(-c[i])
+    arc = _libm(math.acos, np.minimum(1.0, np.abs(h[i]) / (m * m * m))) / 3.0
+    v[i] = -np.copysign(2.0 * m * _libm(math.cos, arc), h[i])
+    i = np.flatnonzero(~trig)
+    a = _libm(math.cbrt, np.abs(h[i]) + np.sqrt(disc[i]))
+    i, a = i[a != 0.0], a[a != 0.0]
+    ci = c[i]
+    v[i] = -2.0 * h[i] / (a * a + ci + (ci / a) * (ci / a))
+    w = S * v
+    m = _libm(math.hypot, w, np.full(len(w), 2.0))
+    up = w >= 0.0
+    s = np.where(up, w + m, m - w)
+    q, qi = np.where(up, 0.5 * s, 2.0 / s), np.where(up, 2.0 / s, 0.5 * s)
+    B2, D2 = 0.5 * B / m, 0.5 * D / m
+    e, f = B2 * q - D2, D2 + B2 * qi
+    sq, ae = np.sqrt(q), np.abs(e)
+    gap = np.sqrt(np.abs(ae - sq)) * np.sqrt(ae + sq)
+    roots = np.zeros((4, len(B)), dtype=complex)
+    real = ae >= sq
+    i = np.flatnonzero(real)
+    t = -e[i] - np.copysign(gap[i], e[i])
+    roots[0, i], roots[1, i] = t, q[i] / t
+    i = np.flatnonzero(~real)
+    roots.real[:2, i] = -e[i]
+    roots.imag[0, i], roots.imag[1, i] = gap[i], -gap[i]
+    t = -f - np.copysign(_libm(math.hypot, f, np.sqrt(qi)), f)
+    roots[2], roots[3] = t, -qi / t
+    return roots
+
+
+def _angles(dz: float, r: float, U: float) -> list[float]:
+    """The theta of the states of a generic d with (dz, sqrt(s)) = (dz, r).
 
     G = dz sin(theta) + (U/4) sin(2 theta) - sqrt(s) cos(theta) = 0 says that the
     state of ``_pair`` is parallel to (dx, dy, dz + U kappa / 2).  The half-angle
-    substitution turns (1 + t^2)^2 G into a real quartic: about phi = 0,
+    substitution t = tan((theta - phi) / 2) turns (1 + t^2)^2 G into a real quartic:
+    about phi = 0,
         sqrt(s) t^4 + (2 dz - U) t^3 + (2 dz + U) t - sqrt(s),
     and about phi = -pi/2 where |dz| > sqrt(s),
         dz t^4 + (U - 2 sqrt(s)) t^3 - (U + 2 sqrt(s)) t - dz,
@@ -284,24 +397,47 @@ def _angles(dz: float, r: float, U: float) -> tuple[list[float], tuple[float, ..
     (1 + i t) / (1 - i t): 0 for a real t, infinity at t = -i.  A root gives a state,
     theta = phi + 2 atan(Re t) wrapped into (-pi, pi], where its margin is at most
     ``_ON_CIRCLE_TOL``: a real root, or the conjugate pair into which round-off splits
-    a double root at a fold.
+    a double root at a fold.  ``_key_angles`` is this on arrays.
     """
     h, turn = 0.5 * U, r < abs(dz)
     lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
     roots = solve_quartic([1.0, cubic / lead, 0.0, linear / lead, -1.0])
-    margins = (0.0, 0.0, 0.0, 0.0)
     if type(roots[0]) is complex:
         # t = a +- i b, b > 0: | |z| - 1 | = (|1 - i t| - |1 + i t|) / |1 -+ i t|, the second the larger
         a, b = roots[0].real, roots[0].imag
         near, far = math.hypot(1.0 - b, a), math.hypot(1.0 + b, a)
-        margins = ((far - near) / far, (far - near) / near if near else math.inf, 0.0, 0.0)
-        if margins[0] > _ON_CIRCLE_TOL:  # and so the second
-            roots = roots[2:]
-        else:  # a double root at a fold, split by round-off
-            roots = [a for m in margins[:2] if m <= _ON_CIRCLE_TOL] + roots[2:]
+        margins = ((far - near) / far, (far - near) / near if near else math.inf)
+        # the second is the larger: none kept, or a double root at a fold, split by round-off
+        roots = [a for m in margins if m <= _ON_CIRCLE_TOL] + roots[2:]
     if turn:  # phi = -pi/2; 2 atan(t) <= -pi/2 where t <= -1
-        return [2.0 * math.atan(t) - (0.5 * math.pi if t > -1.0 else -1.5 * math.pi) for t in roots], margins
-    return [2.0 * math.atan(t) for t in roots], margins
+        return [2.0 * math.atan(t) - (0.5 * math.pi if t > -1.0 else -1.5 * math.pi) for t in roots]
+    return [2.0 * math.atan(t) for t in roots]
+
+
+def _key_angles(dz, r, U: float):
+    """``_angles`` of the keys (dz[i], r[i]) on arrays, and the margins of their roots.
+
+    One ``solve_quartic`` call solves every key's quartic, and the margins and angles
+    are the scalar formulas' steps in their order, libm's through ``_libm``, so every
+    key's angles equal ``_angles``' to the bit.  Returns the angles of the kept roots,
+    by key and then root, and the (n, 4) margins, 0.0 for a real root.
+    """
+    h, turn = 0.5 * U, r < np.abs(dz)
+    lead = np.where(turn, 0.5 * dz, 0.5 * r)
+    cubic, linear = np.where(turn, h - r, dz - h), np.where(turn, -(h + r), dz + h)
+    roots = solve_quartic([1.0, cubic / lead, 0.0, linear / lead, -1.0])
+    margins = np.zeros((len(dz), 4))
+    i = np.flatnonzero(roots.imag[0])
+    a, b = roots.real[0, i], roots.imag[0, i]
+    near, far = _libm(math.hypot, 1.0 - b, a), _libm(math.hypot, 1.0 + b, a)
+    margins[i, 0] = (far - near) / far
+    margins[i, 1] = np.divide(far - near, near, out=np.full(len(i), math.inf), where=near != 0.0)
+    kept = margins <= _ON_CIRCLE_TOL
+    t = roots.real.T[kept]  # a conjugate pair's real part twice
+    theta = 2.0 * _libm(math.atan, t)
+    turned = turn[np.nonzero(kept)[0]]
+    theta[turned] -= np.where(t[turned] > -1.0, 0.5 * math.pi, -1.5 * math.pi)
+    return theta, margins
 
 
 def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
@@ -320,7 +456,7 @@ def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
     elif path == "contour":
         pairs = _contour_pairs(d, U)
     else:
-        pairs = [_pair(theta, d, U) for theta in _angles(d.dz, math.sqrt(d.planar_sq), U)[0]]
+        pairs = [_pair(theta, d, U) for theta in _angles(d.dz, math.sqrt(d.planar_sq), U)]
     pairs.sort(key=lambda p: (p.epsilon, p.kappa))
     return pairs
 
@@ -381,18 +517,21 @@ def _row_residual(D, Or, Oi, U, eps, pr, pi, qr, qi):
 def _max_residual(dx, dy, dz, U: float, spectra: Spectra) -> float:
     """The largest || H(state) state - epsilon state || in ``spectra`` of the vectors (dx, dy, dz).
 
-    ``math.hypot(abs(r1), abs(r2))`` of the two rows, as on Python scalars: abs is
-    libm's hypot, which ``np.hypot`` calls, and the few states within 1e-9 of
-    numpy's largest norm take ``math.hypot`` itself.
+    ``math.hypot(abs(r1), abs(r2))`` of the two rows, as on Python scalars.  ``np.hypot``,
+    which is not libm's hypot on every host, only picks the states within 1e-9 of the
+    largest norm; those take abs of their complex residuals and ``math.hypot``.
     """
     counts = np.diff(spectra.offsets)
     dx, dy, dz = (np.repeat(a, counts) for a in (dx, dy, dz))
     eps, p, q = spectra.epsilon, spectra.c1, spectra.c2
-    a1 = np.hypot(*_row_residual(dz, dx, -dy, U, eps, p.real, p.imag, q.real, q.imag))
-    a2 = np.hypot(*_row_residual(-dz, dx, dy, U, eps, q.real, q.imag, p.real, p.imag))
-    norm = np.hypot(a1, a2)
+    r1 = _row_residual(dz, dx, -dy, U, eps, p.real, p.imag, q.real, q.imag)
+    r2 = _row_residual(-dz, dx, dy, U, eps, q.real, q.imag, p.real, p.imag)
+    norm = np.hypot(np.hypot(*r1), np.hypot(*r2))
     near = norm >= norm.max(initial=0.0) * (1.0 - 1e-9)
-    return max(map(math.hypot, a1[near].tolist(), a2[near].tolist()), default=0.0)
+    parts = (a[near].tolist() for a in (*r1, *r2))
+    return max(
+        (math.hypot(abs(complex(a, b)), abs(complex(c, d))) for a, b, c, d in zip(*parts)), default=0.0
+    )
 
 
 @dataclass
@@ -485,8 +624,8 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     """The states of the generic-path rows ``rows`` of the vectors (dx, dy, dz), s = dx^2 + dy^2.
 
     A generic row's half-angle quartic, and so its energies and populations, depend
-    on d only through (dz, sqrt(s)): each distinct key is solved once, by the
-    scalar path's ``_angles``, its states are formed and sorted once, and only
+    on d only through (dz, sqrt(s)): the distinct keys are solved once each, in one
+    ``_key_angles`` call, their states are formed and sorted once, and only
     c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes each row's own phase, by the
     scalar path's formula (``_c1_parts``).  Returns the columns (row, epsilon,
     kappa, c1, c2, multiplicity), each row's states in (epsilon, kappa) order,
@@ -495,13 +634,11 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     key = np.empty(len(rows), dtype=complex)
     key.real, key.imag = dz[rows], np.sqrt(s[rows])
     keys, inverse = np.unique(key, return_inverse=True)
-    thetas, margins = list(zip(*map(_angles, keys.real.tolist(), keys.imag.tolist(), repeat(U)))) or [(), ()]
-    margins = np.fromiter(chain.from_iterable(margins), float, 4 * len(keys)).reshape(-1, 4)
+    theta, margins = _key_angles(keys.real, keys.imag, U)
     kept = margins <= _ON_CIRCLE_TOL
     per_key = kept.sum(axis=1)
     # the kept roots' states, formed and sorted by key, then by (epsilon, kappa), once per key
     key_of = np.nonzero(kept)[0]
-    theta = np.fromiter(chain.from_iterable(thetas), float, len(key_of))
     eps, kappa = _theta_energy(theta, keys.real[key_of], keys.imag[key_of], U, np)
     order = np.lexsort((kappa, eps, key_of))
     # each key's states in that order, laid in the slots of its kept roots; a
@@ -554,13 +691,15 @@ def _iii_column_points(u: float, U: float, grid) -> Iterator[tuple[float, float]
     turn dz = v^3 / 2 into cos(ky) = v^3 / 2 - a, and 4 s = (U^(2/3) - v^2)^3
     into the quartic 3c v^4 - 4a v^3 - 3c^2 v^2 + (U^2 + 4a^2 - 4 - 4 sin^2 kx),
     c = U^(2/3).  Its real roots with |v| <= U^(1/3) and |v^3 / 2 - a| <= 1
-    are the crossings, at ky = +-acos(v^3 / 2 - a), on the branch sign(v).
+    are the crossings, at ky = +-acos(v^3 / 2 - a), on the branch sign(v).  The
+    columns' quartics are solved together by ``_poly_roots``.
     """
     c, w = U ** (2.0 / 3.0), U ** (1.0 / 3.0)
-    for kx in grid:
-        a = u + math.cos(kx)
-        quartic = [3.0 * c, -4.0 * a, -3.0 * c * c, 0.0, U * U + 4.0 * (a * a - 1.0 - math.sin(kx) ** 2)]
-        for v in _real_roots(quartic, max(-w, np.cbrt(2.0 * a - 2.0)), min(w, np.cbrt(2.0 * a + 2.0))):
+    shifts = [u + math.cos(kx) for kx in grid]
+    quartics = [[3.0 * c, -4.0 * a, -3.0 * c * c, 0.0, U * U + 4.0 * (a * a - 1.0 - math.sin(kx) ** 2)]
+                for kx, a in zip(grid, shifts)]
+    for kx, a, roots in zip(grid, shifts, _poly_roots(quartics)):
+        for v in _window(roots, max(-w, np.cbrt(2.0 * a - 2.0)), min(w, np.cbrt(2.0 * a + 2.0))):
             ky = math.acos(max(-1.0, min(1.0, 0.5 * v**3 - a)))
             if min(ky, math.pi - ky) > _ROOT_TOL:
                 yield from ((kx, ky), (kx, 2.0 * math.pi - ky))

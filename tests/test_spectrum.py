@@ -13,10 +13,15 @@ from hypothesis import strategies as st
 
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
 from nlchern.spectrum import (
+    _ON_CIRCLE_TOL,
+    _QUARTIC_BOUND,
     _ROOT_TOL,
+    _angles,
     _iii_residual,
+    _key_angles,
     _max_residual,
     _path,
+    _poly_roots,
     _real_roots,
     _spectrum,
     DegeneracyKind,
@@ -209,6 +214,84 @@ def root_polynomials(draw):
 def test_real_roots_match_numpy_filter(case):
     coeffs, lo, hi = case
     assert list(map(float.hex, _real_roots(coeffs, lo, hi))) == list(map(float.hex, real_roots(coeffs, lo, hi)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(st.tuples(root_polynomials(), st.integers(0, 2)), min_size=1, max_size=8))
+# the fold-point quartic of the column kx = 0 at u = -1, U = 2, whose constant term is
+# 0.0: np.roots solves it as a quadratic and appends two roots 0.0
+@example([(([3.0 * 2.0 ** (2.0 / 3.0), 0.0, -3.0 * 2.0 ** (4.0 / 3.0), 0.0, 0.0], 0.0, 0.0), 0)])
+# no nonzero coefficient, and a constant: no root
+@example([(([0.0, 0.0], 0.0, 0.0), 1), (([2.0], 0.0, 0.0), 0)])
+def test_stacked_roots_are_np_roots_to_the_bit(cases):
+    # the column quartics of classify_degeneracies are solved in one stacked eigvals
+    # call: each polynomial, with up to two leading zeros put in front, gets np.roots'
+    # roots in np.roots' order, whatever its degree after its zeros are dropped
+    polys = [[0.0] * lead + coeffs for (coeffs, _, _), lead in cases]
+    got = _poly_roots(polys)
+    for p, roots in zip(polys, got):
+        bits = [(z.real.hex(), z.imag.hex()) for z in map(complex, roots)]
+        assert bits == [(z.real.hex(), z.imag.hex()) for z in map(complex, np.roots(p).tolist())], p
+
+
+# the quartic whose t^2 + r t - 1/q gave two positive roots before the solve checked its domain
+OUTSIDE_DOMAIN = (-1.2813e177, 2.9835e59)
+
+
+def solve_both_forms(B, D):
+    """``solve_quartic`` of [1, B, 0, D, -1] on floats and as a batch of one."""
+    return solve_quartic([1.0, B, 0.0, D, -1.0]), solve_quartic([1.0, np.array([B]), 0.0, np.array([D]), -1.0])
+
+
+def assert_outside_domain(B, D):
+    """``solve_quartic`` rejects [1, B, 0, D, -1] on floats, and in a batch with a generic quartic."""
+    with pytest.raises(ValueError, match="domain"):
+        solve_quartic([1.0, B, 0.0, D, -1.0])
+    with pytest.raises(ValueError, match="domain"):
+        solve_quartic([1.0, np.array([0.5, B]), 0.0, np.array([0.3, D]), -1.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.floats(-1e16, 1e16), st.one_of(st.floats(-1e16, 1e16), st.floats(-1e-3, 1e-3)), st.booleans())
+@example(4.0995989841790266e13, 0.0, True)  # B near D: p / 2 = (B q - D) / 2m cancels
+@example(1e16, 0.0, False)
+@example(2.0, -2.0, False)
+@example(-2.0, 2.0, False)
+def test_solve_quartic_is_as_accurate_as_lapack_up_to_the_bound(B, x, near):
+    # every quartic with max(|B|, |D|) <= 1e16 is in the domain, and each root lies
+    # within 1e-14 S max(1, |t|) of a root of LAPACK's, S = max(1, |B|, |D|): LAPACK's
+    # error measured up to 3.4e-15 S and the closed form's 3.8e-16 S (1,500 draws,
+    # log-uniform |B|, |D|, against 50-digit roots), largest where B is near D.  A root
+    # of multiplicity m, which LAPACK splits into a cluster, within (1e-14 S)^(1/m)
+    # max(1, |t|): at B = -+2, D = +-2 the quartic is (t -+ 1)(t +- 1)^3
+    D = B * (1.0 + x) if near else x
+    assume(abs(D) <= _QUARTIC_BOUND)
+    S = max(1.0, abs(B), abs(D))
+    lapack = lapack_half_angle_roots(B, D)
+    for t in solve_quartic([1.0, B, 0.0, D, -1.0]):
+        scale = max(1.0, abs(t))
+        m = sum(abs(t - z) <= 1e-4 * scale for z in lapack)
+        assert min(abs(t - z) for z in lapack) <= (1e-14 * S) ** (1.0 / max(m, 1)) * scale, (B, D, t, lapack)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.floats(1e16, 1e308), st.sampled_from([1.0, -1.0]), st.floats(-8.0, 8.0), st.floats(-2e-15, 2e-15))
+@example(-OUTSIDE_DOMAIN[0], -1.0, 0.0, 0.0)
+def test_solve_quartic_domain_beyond_the_bound(size, sign, near, rel):
+    # beyond max(|B|, |D|) = 1e16 the solve takes only quartics near the generic path's
+    # line |B + D| <= 4, up to 1e306, and solves each real root to a few ulps of the
+    # quartic's largest term; every other quartic raises ValueError, on both forms
+    B = sign * size
+    D = -B + near + rel * size
+    S = max(abs(B), abs(D))
+    if S <= 1e16 or (S <= 1e306 and abs(B + D) <= 4.0 + 1e-15 * S):
+        for roots in solve_both_forms(B, D):
+            real = [complex(t).real for t in np.ravel(roots) if complex(t).imag == 0.0]
+            assert len(real) >= 2 and all(quartic_defect(B, D, t) <= 4e-15 for t in real), (B, D, roots)
+    else:
+        assert_outside_domain(B, D)
+    for B, D in (OUTSIDE_DOMAIN, (1e200, 1e200), (2e16, -2e16 + 64.0), (math.inf, -math.inf)):
+        assert_outside_domain(B, D)
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +573,113 @@ def test_list_form_equals_batch_of_one(batch):
     assert spectra.pairs() == ref
     assert health.max_residual == scalar_max_residual(ds, U, ref)
     # the array core solves the quartic of each distinct (dz, sqrt(s)) of the generic
-    # rows once, through the traced name solve_quartic, and they are the quartics the
-    # scalar path solves
+    # rows once, in one call through the traced name solve_quartic that carries them
+    # all as arrays, and they are the quartics the scalar path solves
     keys = {(d.dz, math.sqrt(d.planar_sq)) for d in ds if _path(d, U) == "generic"}
     with mock.patch("nlchern.spectrum.solve_quartic", side_effect=solve_quartic) as solve:
         nonlinear_spectra(as_rows(ds), U)
-        core = [tuple(call.args[0]) for call in solve.call_args_list]
+        (call,) = solve.call_args_list
+        _, B, _, D, _ = call.args[0]
+        core = list(zip(B.tolist(), D.tolist()))
         solve.reset_mock()
         for d in ds:
             _spectrum(d, U)
-        scalar = {tuple(call.args[0]) for call in solve.call_args_list}
+        scalar = {(call.args[0][1], call.args[0][3]) for call in solve.call_args_list}
     assert len(core) == len(keys) and set(core) == scalar
+
+
+def scalar_margins(roots):
+    """The margins of the four scalar roots, as ``_angles`` takes them: 0.0 for a real root."""
+    if type(roots[0]) is not complex:
+        return [0.0] * 4
+    a, b = roots[0].real, roots[0].imag
+    near, far = math.hypot(1.0 - b, a), math.hypot(1.0 + b, a)
+    return [(far - near) / far, (far - near) / near if near else math.inf, 0.0, 0.0]
+
+
+def assert_array_form_is_scalar(dz, r, U):
+    """``_key_angles`` and the array ``solve_quartic`` of the keys (dz, r) equal, key by key and
+    bit for bit, the scalar ``_angles`` and ``solve_quartic`` and the scalar margins."""
+    dz, r = np.asarray(dz, dtype=float), np.asarray(r, dtype=float)
+    theta, margins = _key_angles(dz, r, U)
+    coeffs = [half_angle_coefficients(z, x, U) for z, x in zip(dz.tolist(), r.tolist())]
+    B, D = (np.array([c[j] for c in coeffs], dtype=float) for j in (0, 1))
+    roots = solve_quartic([1.0, B, 0.0, D, -1.0]).T
+    scalar = [solve_quartic([1.0, b, 0.0, d, -1.0]) for b, d in zip(B.tolist(), D.tolist())]
+    got = np.stack((roots.real, roots.imag), axis=-1)
+    want = np.array([[(complex(t).real, complex(t).imag) for t in row] for row in scalar]).reshape(got.shape)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # a root is complex on one form where it is on the other
+    assert (roots.imag != 0.0).tolist() == [[type(t) is complex for t in row] for row in scalar]
+    want = np.array([scalar_margins(row) for row in scalar]).reshape(margins.shape)
+    assert margins.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = np.array([t for z, x in zip(dz.tolist(), r.tolist()) for t in _angles(z, x, U)])
+    assert theta.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def fold_keys(U, r, sign):
+    """Keys (dz, r) across the fold point of the III locus at sqrt(s) = r: a geometric
+    ladder of offsets from it, and the two neighbouring dz between which the first
+    margin of the split double root passes ``_ON_CIRCLE_TOL``, found by bisection."""
+    dz0 = sign * 0.5 * (U ** (2.0 / 3.0) - (4.0 * r * r) ** (1.0 / 3.0)) ** 1.5
+
+    def margin(dz):
+        B, D, _ = half_angle_coefficients(dz, r, U)
+        return scalar_margins(solve_quartic([1.0, B, 0.0, D, -1.0]))[0]
+
+    ladder = [dz0 * (1.0 + s * 10.0**-k) for k in range(4, 16) for s in (1.0, -1.0)]
+    outer = max(ladder, key=margin)
+    lo, hi = dz0, outer
+    assert margin(lo) <= _ON_CIRCLE_TOL < margin(hi)
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid) <= _ON_CIRCLE_TOL else (lo, mid)
+    return [dz0, lo, hi, *ladder], [r] * (len(ladder) + 3)
+
+
+@st.composite
+def quartic_keys(draw):
+    """(dz, r, U): keys of generic d, anywhere, with |dz| and sqrt(s) near 1e-15 (|B|, |D|
+    up to about 6e15), and on and next to the fold locus, at U = 0, 1e-12 or random."""
+    U = draw(st.one_of(st.sampled_from([0.0, 1e-12, 2.7]), st.floats(0.0, 6.0)))
+    anywhere = st.tuples(st.floats(-5.0, 5.0), st.floats(1e-3, 1.5))
+    # |dz| and sqrt(s) near 1e-15: |B| and |D| near U / |d|, up to about 1e15 U
+    tiny = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1e-15, 1e-14), st.floats(0.2, 5.0)).map(
+        lambda a: (a[0] * a[1], a[1] * a[2])
+    )
+    fold = st.tuples(st.floats(0.05, 0.95), st.sampled_from([1.0, -1.0]), st.floats(-1e-6, 1e-6)).map(
+        lambda a: (a[1] * 0.5 * max(U ** (2.0 / 3.0) - (U * U * a[0] * a[0]) ** (1.0 / 3.0), 0.0) ** 1.5 * (1.0 + a[2]),
+                   0.5 * a[0] * U)
+    )
+    keys = draw(st.lists(st.one_of(anywhere, tiny, fold), min_size=1, max_size=40))
+    keys = [(z, x) for z, x in keys if x > 0.0 and z != 0.0]
+    return [z for z, _ in keys], [x for _, x in keys], U
+
+
+@PROPERTY
+@given(quartic_keys())
+def test_array_solve_is_the_scalar_solve_bit_for_bit(case):
+    assert_array_form_is_scalar(*case)
+
+
+@pytest.mark.parametrize("U, r", [(3.0, 0.5), (5.0, 0.3), (1.0, 0.45)])
+def test_array_solve_is_the_scalar_solve_at_the_fold_and_the_circle_tolerance(U, r):
+    # on the fold (III) locus two roots meet, p^2 = 4 q (|e| = sqrt(q)), and round-off
+    # splits them into a real or a conjugate pair; next to it the pair's margin passes
+    # _ON_CIRCLE_TOL between two neighbouring floats dz, one root kept and one not
+    for sign in (1.0, -1.0):
+        assert_array_form_is_scalar(*fold_keys(U, r, sign), U)
+
+
+def test_array_solve_is_the_scalar_solve_where_w_is_zero():
+    # w = 0 where h = 0: B = D (U = 0, w = -0.0) and B = -D; Cardano's a = 0 at B = 2, D = -2
+    B = np.array([0.0, 0.4, -2.5, 1e8, -3e15, 2.0, -2.0, 1.0, 0.5])
+    D = np.array([0.0, 0.4, -2.5, 1e8, -3e15, -2.0, 2.0, -1.0, -0.5])
+    roots = solve_quartic([1.0, B, 0.0, D, -1.0]).T
+    for row, b, d in zip(roots.tolist(), B.tolist(), D.tolist()):
+        want = [complex(t) for t in solve_quartic([1.0, b, 0.0, d, -1.0])]
+        assert [(t.real.hex(), t.imag.hex()) for t in row] == [(t.real.hex(), t.imag.hex()) for t in want]
+    assert roots[:5, :2].tolist() == [[1j, -1j]] * 5
 
 
 def test_empty_batch_has_one_offset_and_empty_columns():
@@ -891,7 +1070,7 @@ def test_band_surface_nodes_equal_physical_spectrum(u, U, n):
 
 def test_band_surface_solves_each_distinct_quartic_once(monkeypatch):
     # the README bands grid: its 6,552 generic nodes have 2,888 distinct
-    # (dz, sqrt(s)), each solved once
+    # (dz, sqrt(s)), each solved once, all in one call
     calls = []
 
     def spy(coeffs):
@@ -900,7 +1079,8 @@ def test_band_surface_solves_each_distinct_quartic_once(monkeypatch):
 
     monkeypatch.setattr("nlchern.spectrum.solve_quartic", spy)
     band_surface(ModelParams(u=3.0, U=5.0), 81)
-    assert len(calls) == 2888
+    (coeffs,) = calls
+    assert len(coeffs[1]) == len(coeffs[3]) == 2888
 
 
 def test_band_surface_invariants_on_every_node():
@@ -980,6 +1160,20 @@ def test_spectrum_health_residual_matches_eigenpair_residual():
     residual = _max_residual(*d.T, params.U, spectra)
     expect = max(eigenpair_residual(params, k, q) for k, pairs in zip(ks, spectra.pairs()) for q in pairs)
     assert residual == pytest.approx(expect, abs=1e-12)
+
+def test_health_residual_takes_libm_hypot_whatever_np_hypot_gives(monkeypatch):
+    # np.hypot only picks the states with the largest residual norms; their norms are
+    # math.hypot of abs of the complex residual rows, as in the scalar loop.  With np.hypot
+    # one ulp high on every input, health.max_residual is still the scalar loop's
+    rng = np.random.default_rng(17)
+    U = 2.5
+    ds = [BlochVector(*v) for v in rng.uniform(-3.0, 3.0, (200, 3)).tolist()]
+    ref = [_spectrum(d, U) for d in ds]
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda x, y: np.nextafter(hypot(x, y), np.inf))
+    health = SpectrumHealth()
+    nonlinear_spectra(as_rows(ds), U, health)
+    assert health.max_residual == scalar_max_residual(ds, U, ref) > 0.0
 
 
 def test_spectrum_health_linear_limit_has_no_discarded_roots():
