@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import DriveSpec, NumericalHealthError, evolve, step_schedule
 from .effective import gap_closing_search
 from .model import KPoint, ModelParams, Spinor, bloch_vector
-from .response import RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
+from .response import _BANDS, RegimeError, kx_columns, phase_diagram, pumped_charge, sweep_initial_states
 from .spectrum import (
     DegeneracyKind,
     Spectra,
@@ -90,7 +90,7 @@ _OPTIONS = {
     ),
     "T": dict(type=float, help="total evolution time (1/J); unset: 2 pi / max|F|, or 100 at F = 0"),
     "dt": dict(type=float, default=0.01, help="integration step (1/J), shrunk so that whole steps span the run exactly"),
-    "band": dict(choices=("ground", "excited"), default="ground", help="band branch"),
+    "band": dict(choices=tuple(_BANDS), default="ground", help="band branch"),
     "sample-every": dict(type=int, default=20, help="steps between trajectory samples"),
     "u-min": dict(type=float, default=-3.0, help="lowest u"),
     "u-max": dict(type=float, default=3.0, help="highest u"),
@@ -273,11 +273,8 @@ def cmd_degeneracies(args: argparse.Namespace) -> int:
 def cmd_gap(args: argparse.Namespace) -> int:
     if (args.u is None) == (args.U is None):
         raise ConfigError("gap search fixes exactly one of --u / --U and brackets the other")
-    bracket = _require(args, "bracket")
-    if args.U is None:
-        report = gap_closing_search(ModelParams(u=args.u, U=0.0), vary="U", bracket=bracket)
-    else:
-        report = gap_closing_search(ModelParams(u=0.0, U=args.U), vary="u", bracket=bracket)
+    vary, fixed = ("U", args.u) if args.U is None else ("u", args.U)
+    report = gap_closing_search(vary, fixed, _require(args, "bracket"))
     _write_json(_outdir(args) / "gap.json", report)
     return EXIT_OK
 

@@ -13,13 +13,15 @@ norm drift through one rule, ``check_norm_drift``.
 
 ``model._kerr_row`` is the one formula for H(psi) psi, written per row of
 the 2x2 problem.  ``rk4_step`` calls it twice per stage on Python complex
-scalars (``evolve``); the stepper built once per run by ``rk4_columns``
-calls it once per stage on a numpy state of many k points whose reversal
-pairs each entry with its partner component: a stacked (2, n) state, or
-the flat [p1, p2 reversed] vector of ``response.pumped_charge``.  Both
-fold the -i into the stage weights and take the drive coefficients at
-t + dt/2 and t + dt, reusing the t + dt value as the start of the next
-step.  The stepper owns its stage buffers, so a step allocates nothing.
+scalars (``evolve``); the stepper that ``rk4_columns(U, dt, like)``
+builds once per run calls it once per stage on a numpy state of many k
+points whose reversal pairs each entry with its partner component: a
+stacked (2, n) state, or the flat [p1, p2 reversed] vector of
+``response.pumped_charge``.  Both fold the -i into the stage weights and
+take the drive coefficients at t + dt/2 and t + dt, reusing the t + dt
+value as the start of the next step.  The stepper makes U and its weights
+the 0-d complex arrays of numpy's fast path and owns its stage buffers, so
+a step allocates nothing.
 
 Adiabaticity is diagnosed by projecting onto the instantaneous
 self-consistent eigenstates.  Those are mutually non-orthogonal once the
@@ -240,16 +242,16 @@ def _kerr_row_into(U, t1, t2):
     return row
 
 
-def rk4_columns(U, w, like):
-    """``rk4_step`` on complex states shaped like ``like``, as ``step(a, b, c, P, out)``.
+def rk4_columns(U, dt, like):
+    """``rk4_step`` of step dt on complex states shaped like ``like``, as ``step(a, b, c, P, out)``.
 
     P holds n k points with P[::-1] the partner of P: a stacked [p1, p2] of
     shape (2, n), one k point per column, or the flat vector [p1, p2
     reversed] of length 2 n.  The drive coefficients are laid out the same
     way, D = [dz, -dz] and O = [dx - i dy, dx + i dy], so one row formula
-    call gives both components.  Pass U and the weights ``w`` as 0-d
-    complex arrays: numpy takes its fast path only when every operand is a
-    complex array, and the loop is bound by that per-call cost.
+    call gives both components.  The stepper holds U and ``rk4_weights(dt)``
+    as 0-d complex arrays: numpy takes its fast path only when every operand
+    is a complex array, and the loop is bound by that per-call cost.
 
     Built once per run, the stepper owns its stage buffers and binds U, the
     weights and the ufuncs, so a step makes only its numpy calls.  ``step``
@@ -257,10 +259,10 @@ def rk4_columns(U, w, like):
     and returns it.
     """
     multiply, add = np.multiply, np.add
-    h, f, s = w
+    h, f, s = map(np.array, rk4_weights(dt))
     X, k1, k2, k3, k4, t1, t2 = (np.empty_like(like) for _ in range(7))
     Xr = X[::-1]
-    row = _kerr_row_into(U, t1, t2)
+    row = _kerr_row_into(np.array(complex(U)), t1, t2)
 
     def step(a, b, c, P, out):
         (Da, Oa), (Db, Ob), (Dc, Oc) = a, b, c

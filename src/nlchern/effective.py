@@ -102,19 +102,19 @@ def _fold_merger(vary: str, fixed: float) -> float:
     return value
 
 
-def gap_closing_search(params: ModelParams, vary: str, bracket: tuple[float, float]) -> GapClosingReport:
-    """The free parameter at the fold merger (4 -> 2 roots), in closed form.
+def gap_closing_search(vary: str, fixed: float, bracket: tuple[float, float]) -> GapClosingReport:
+    """The parameter ``vary`` at the fold merger (4 -> 2 roots), in closed form.
 
-    ``vary`` is "u" (U held at params.U) or "U" (u held at params.u).  The
-    bracket endpoints must lie on opposite sides of the transition, with
-    four fold points on one side and fewer on the other, and the merger
-    must lie between them.
+    ``vary`` is "u", with U held at ``fixed``, or "U", with u held at
+    ``fixed``.  The bracket endpoints must lie on opposite sides of the
+    transition, with four fold points on one side and fewer on the other,
+    and the merger must lie between them.
     """
     if vary not in ("u", "U"):
         raise ValueError('vary must be "u" or "U"')
 
     def make(value: float) -> ModelParams:
-        return ModelParams(u=value, U=params.U) if vary == "u" else ModelParams(u=params.u, U=value)
+        return ModelParams(u=value, U=fixed) if vary == "u" else ModelParams(u=fixed, U=value)
 
     lo, hi = float(bracket[0]), float(bracket[1])
     n_lo, roots_lo = count_iii_points(make(lo))
@@ -126,7 +126,6 @@ def gap_closing_search(params: ModelParams, vary: str, bracket: tuple[float, flo
         )
     if n_lo < 4:  # roots_before is the four-root side
         roots_lo, roots_hi = roots_hi, roots_lo
-    fixed = params.U if vary == "u" else params.u
     critical = _fold_merger(vary, fixed)
     if not min(lo, hi) <= critical <= max(lo, hi):
         raise BracketError(f"the fold merger {vary}={critical:.6g} lies outside the bracket [{lo}, {hi}]")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _blocks, _drive, check_energy_scale, check_norm_drift, rk4_columns, rk4_weights, step_schedule
+from .dynamics import _blocks, _drive, check_energy_scale, check_norm_drift, rk4_columns, step_schedule
 from .model import GaplessParameterError, KPoint, ModelParams, chern_number
 from .spectrum import physical_spectrum
 
@@ -141,9 +141,7 @@ def pumped_charge(params: ModelParams, band: str, F: float, n_kx: int, dt: float
     sin_kx = np.sin(kxs)
     cos_kx = np.cos(kxs)
 
-    U = np.array(complex(params.U))
-    w = tuple(map(np.array, rk4_weights(dt)))
-    step = rk4_columns(U, w, P)
+    step = rk4_columns(params.U, dt, P)
     # rows 2j .. 2j + 2 of D and O hold step j's drive at t, t + dt/2 and
     # t + dt; B holds a block's normalized start state in row 0 and step
     # j's RK4 output in row j + 1; S holds the columns' running spin sums in

@@ -43,7 +43,7 @@ dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
 cone/tube structures; ``classify_degeneracies`` finds them on each grid
 column as the roots of one quartic.
 
-The generic path's half-angle quartic has one root solve, ``solve_quartic``:
+The generic path's half-angle quartic has one root solve, ``solve_quartic(B, D)``:
 the resolvent cubic's root splits it into two real quadratics.  The scalar path
 calls it on Python floats for its one d (``_angles``); the array core calls it
 once, on arrays of B and D, for all its distinct (dz, sqrt(s)) (``_key_angles``).
@@ -257,8 +257,8 @@ def _path(d: BlochVector, U: float) -> str:
     return "generic"
 
 
-def solve_quartic(coeffs) -> list:
-    """The four roots of the half-angle quartic ``coeffs`` = [1, B, 0, D, -1], in closed form.
+def solve_quartic(B, D) -> list:
+    """The four roots of the half-angle quartic t^4 + B t^3 + D t - 1, in closed form.
 
     t^4 + B t^3 + D t - 1 = (t^2 + p t + q)(t^2 + r t - 1/q), where w = q - 1/q is a real
     root of the resolvent cubic w^3 + (4 + B D) w + (B^2 - D^2) = 0: the one of largest
@@ -283,9 +283,6 @@ def solve_quartic(coeffs) -> list:
     Elsewhere beyond 1e16 the solve cancels or underflows: B = -1.3e177, D = 3.0e59 gave
     two positive roots of t^2 + r t - 1/q.
     """
-    one, B, zero, D, minus_one = coeffs
-    if one != 1.0 or zero or minus_one != -1.0:
-        raise ValueError("expected a monic half-angle quartic [1, B, 0, D, -1]")
     if type(B) is np.ndarray:
         return _solve_quartics(B, D)
     S = max(1.0, abs(B), abs(D))
@@ -316,7 +313,7 @@ def solve_quartic(coeffs) -> list:
 
 
 def _in_domain(B: float, D: float, S: float) -> bool:
-    """Whether [1, B, 0, D, -1], S = max(1, |B|, |D|), lies in ``solve_quartic``'s domain."""
+    """Whether t^4 + B t^3 + D t - 1, S = max(1, |B|, |D|), lies in ``solve_quartic``'s domain."""
     return S <= _QUARTIC_BOUND or (S <= 1e306 and abs(B + D) <= 4.0 + 1e-15 * S)
 
 
@@ -327,7 +324,7 @@ def _libm(f, *xs) -> np.ndarray:
 
 
 def _solve_quartics(B, D) -> np.ndarray:
-    """``solve_quartic`` of the quartics [1, B[i], 0, D[i], -1], i < n, as a (4, n) complex array.
+    """``solve_quartic`` of t^4 + B[i] t^3 + D[i] t - 1, i < n, as a (4, n) complex array.
 
     Row j holds the j-th root of each quartic; a real root has imaginary part 0.0, and
     the conjugate pair of t^2 + p t + q a nonzero one.  Each step is the scalar solve's
@@ -401,7 +398,7 @@ def _angles(dz: float, r: float, U: float) -> list[float]:
     """
     h, turn = 0.5 * U, r < abs(dz)
     lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
-    roots = solve_quartic([1.0, cubic / lead, 0.0, linear / lead, -1.0])
+    roots = solve_quartic(cubic / lead, linear / lead)
     if type(roots[0]) is complex:
         # t = a +- i b, b > 0: | |z| - 1 | = (|1 - i t| - |1 + i t|) / |1 -+ i t|, the second the larger
         a, b = roots[0].real, roots[0].imag
@@ -425,7 +422,7 @@ def _key_angles(dz, r, U: float):
     h, turn = 0.5 * U, r < np.abs(dz)
     lead = np.where(turn, 0.5 * dz, 0.5 * r)
     cubic, linear = np.where(turn, h - r, dz - h), np.where(turn, -(h + r), dz + h)
-    roots = solve_quartic([1.0, cubic / lead, 0.0, linear / lead, -1.0])
+    roots = solve_quartic(cubic / lead, linear / lead)
     margins = np.zeros((len(dz), 4))
     i = np.flatnonzero(roots.imag[0])
     a, b = roots.real[0, i], roots.imag[0, i]
@@ -699,7 +696,7 @@ def _iii_column_points(u: float, U: float, grid) -> Iterator[tuple[float, float]
     quartics = [[3.0 * c, -4.0 * a, -3.0 * c * c, 0.0, U * U + 4.0 * (a * a - 1.0 - math.sin(kx) ** 2)]
                 for kx, a in zip(grid, shifts)]
     for kx, a, roots in zip(grid, shifts, _poly_roots(quartics)):
-        for v in _window(roots, max(-w, np.cbrt(2.0 * a - 2.0)), min(w, np.cbrt(2.0 * a + 2.0))):
+        for v in _window(roots, max(-w, math.cbrt(2.0 * a - 2.0)), min(w, math.cbrt(2.0 * a + 2.0))):
             ky = math.acos(max(-1.0, min(1.0, 0.5 * v**3 - a)))
             if min(ky, math.pi - ky) > _ROOT_TOL:
                 yield from ((kx, ky), (kx, 2.0 * math.pi - ky))

@@ -497,7 +497,7 @@ def complex_quartic_spectrum(d, U):
 # ---------------------------------------------------------------------------
 
 # The package's solve before the closed form, kept as a reference: the monic
-# half-angle quartic [1, B, 0, D, -1] of ``spectrum._angles``, solved as the
+# half-angle quartic t^4 + B t^3 + D t - 1 of ``spectrum._angles``, solved as the
 # eigenvalues of its companion by ``np.roots``, each root t mapped to
 # z = e^{i phi} (1 + i t) / (1 - i t), and the state's angle taken as phase(z).
 
@@ -801,7 +801,7 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
     the cycle closure, the spin ratios over each step's own norm^2 and the
     trapezoid rule are the package's.
     """
-    from nlchern.dynamics import rk4_columns, rk4_weights
+    from nlchern.dynamics import rk4_columns
     from nlchern.response import _DRIVE_BLOCK, _velocity, kx_columns, sweep_initial_states
 
     kxs = kx_columns(n_kx)
@@ -832,10 +832,8 @@ def pumped_charge_stacked(params, band, F, n_kx, dt):
         cross = (P[0].real * P[1].real + P[0].imag * P[1].imag) / norm
         return cross, (n1 - n2) / norm, norm
 
-    U = np.array(complex(params.U))
-    w = tuple(map(np.array, rk4_weights(dt)))
     half = 0.5 * dt
-    step = rk4_columns(U, w, P)
+    step = rk4_columns(params.U, dt, P)
     x0, z0, norm = spin(P)
     P = P / np.sqrt(norm)
     X, Z = x0.copy(), z0.copy()

@@ -117,8 +117,8 @@ def test_criterion_3_critical_strengths():
 
 def test_criterion_4_gap_closing():
     t0 = time.perf_counter()
-    rep_U = gap_closing_search(ModelParams(u=1.0, U=0.0), "U", (4.0, 4.4))
-    rep_u = gap_closing_search(ModelParams(u=0.0, U=4.0), "u", (1.0, 1.2))
+    rep_U = gap_closing_search("U", 1.0, (4.0, 4.4))
+    rep_u = gap_closing_search("u", 4.0, (1.0, 1.2))
     lo, hi = gap_closed_u_interval(4.0)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -42,9 +42,9 @@ def test_scalar_spectrum_solves_through_the_traced_name(monkeypatch):
     calls = []
     solve = spectrum.solve_quartic
 
-    def counted(coeffs):
-        calls.append(coeffs)
-        return solve(coeffs)
+    def counted(B, D):
+        calls.append((B, D))
+        return solve(B, D)
 
     monkeypatch.setattr(spectrum, "solve_quartic", counted)
     params = ModelParams(0.0, 2.5)

@@ -377,7 +377,7 @@ def test_rk4_step_columns_match_scalars():
 
     w = rk4_weights(dt)
     P = psi0.T.copy()
-    step = rk4_columns(np.array(complex(U)), tuple(map(np.array, w)), P)
+    step = rk4_columns(U, dt, P)
     for n in range(20):
         P = step(d_columns(n * dt), d_columns((n + 0.5) * dt), d_columns((n + 1) * dt), P, np.empty_like(P))
 
@@ -413,10 +413,9 @@ def test_rk4_step_columns_flat_layout_matches_stacked():
         D, O = d_stacked(t)
         return np.concatenate([D[0], D[1][::-1]]), np.concatenate([O[0], O[1][::-1]])
 
-    U_, w = np.array(complex(U)), tuple(map(np.array, rk4_weights(dt)))
     P = np.ascontiguousarray(psi0.T)
     flat = np.concatenate([psi0[:, 0], psi0[::-1, 1]])
-    step, step_flat = rk4_columns(U_, w, P), rk4_columns(U_, w, flat)
+    step, step_flat = rk4_columns(U, dt, P), rk4_columns(U, dt, flat)
     for n in range(20):
         t = (n * dt, (n + 0.5) * dt, (n + 1) * dt)
         P = step(*map(d_stacked, t), P, np.empty_like(P))
@@ -448,15 +447,14 @@ def test_rk4_step_columns_buffers_match_allocating_call(data, layout):
     # one stepper reused from one step to the next gives a fresh stepper's
     # step bit for bit on both layouts
     n = data.draw(st.integers(1, 6))
-    U = np.array(complex(data.draw(st.floats(-4.0, 4.0))))
-    w = tuple(map(np.array, rk4_weights(data.draw(st.floats(1e-4, 0.1)))))
+    U, dt = data.draw(st.floats(-4.0, 4.0)), data.draw(st.floats(1e-4, 0.1))
     shape = (2 * n,) if layout == "flat" else (2, n)
     entries = st.lists(_complex, min_size=2 * n, max_size=2 * n)
     P, *drive = (np.array(data.draw(entries)).reshape(shape) for _ in range(7))
     a, b, c = zip(drive[0::2], drive[1::2])
-    step, out = rk4_columns(U, w, P), np.empty_like(P)
+    step, out = rk4_columns(U, dt, P), np.empty_like(P)
     for _ in range(2):
-        expect = rk4_columns(U, w, P)(a, b, c, P, np.empty_like(P))
+        expect = rk4_columns(U, dt, P)(a, b, c, P, np.empty_like(P))
         assert step(a, b, c, P, out) is out
         assert np.isfinite(expect).all() and np.array_equal(out, expect)
         P = expect

@@ -69,7 +69,7 @@ def test_count_zero_roots():
 
 
 def test_count_merged_roots_at_criticality():
-    fine = gap_closing_search(ModelParams(u=0.0, U=4.0), "u", (1.0, 1.2))
+    fine = gap_closing_search("u", 4.0, (1.0, 1.2))
     n, roots = count_iii_points(ModelParams(u=fine.critical_value, U=4.0))
     assert n == 2
     assert roots[0] == pytest.approx(-roots[1], abs=1e-3)
@@ -130,7 +130,7 @@ def test_gap_closing_fix_u_matches_scan_bisection(u, four, fewer):
 
     assert n_folds(four) == 4 and n_folds(fewer) < 4
     U_g = fold_merger_bisection(n_folds, four, fewer)
-    report = gap_closing_search(ModelParams(u=u), "U", (U_g - 0.05, U_g + 0.05))
+    report = gap_closing_search("U", u, (U_g - 0.05, U_g + 0.05))
     assert report.critical_value == pytest.approx(U_g, abs=1e-6)
 
 
@@ -138,18 +138,18 @@ def test_gap_closing_bracket_must_contain_merger():
     # the counts straddle 4 (an outer fold point leaves the domain |p| <= U/sqrt(8)
     # at u = 2 - U^2/8 = 1.4644), but the merger is at u = 1.64675
     with pytest.raises(BracketError, match="outside the bracket"):
-        gap_closing_search(ModelParams(u=0.0, U=2.07), "u", (1.40, 1.55))
+        gap_closing_search("u", 2.07, (1.40, 1.55))
 
 
 def test_gap_closing_fix_U():
-    report = gap_closing_search(ModelParams(u=0.0, U=4.0), "u", (1.0, 1.2))
+    report = gap_closing_search("u", 4.0, (1.0, 1.2))
     assert report.critical_value == pytest.approx(1.066, abs=0.005)
     assert len(report.roots_before) == 4
     assert len(report.roots_after) < 4
 
 
 def test_gap_closing_fix_u():
-    report = gap_closing_search(ModelParams(u=1.0, U=0.0), "U", (4.0, 4.4))
+    report = gap_closing_search("U", 1.0, (4.0, 4.4))
     assert 4.1993 <= report.critical_value <= 4.1997
 
 
@@ -167,7 +167,7 @@ def test_gap_closing_monotone_merge():
 
 def test_gap_closing_invalid_bracket():
     with pytest.raises(BracketError):
-        gap_closing_search(ModelParams(u=0.0, U=4.0), "u", (1.2, 1.4))
+        gap_closing_search("u", 4.0, (1.2, 1.4))
 
 
 def test_gap_closed_interval():
@@ -188,7 +188,7 @@ def test_gap_closed_interval_upper_end_exact():
 def test_gap_closed_interval_closed_form_matches_bisection(U, bracket, expect):
     lo, hi = gap_closed_u_interval(U)
     assert lo == pytest.approx(expect, abs=1e-4)
-    search = gap_closing_search(ModelParams(u=0.0, U=U), "u", bracket)
+    search = gap_closing_search("u", U, bracket)
     assert lo == pytest.approx(search.critical_value, abs=1e-4)
     assert hi == 2.0
 
