@@ -24,7 +24,8 @@ vectors at one U, each by one of three paths:
                     is max(sqrt(s), |dz|), never zero, at any U down to 0.
                     Made monic it is t^4 + B t^3 + D t - 1, solved in closed
                     form by ``solve_quartic``, each distinct (dz, sqrt(s)) once.
-                    Each real root t gives theta = phi + 2 atan(t).
+                    Each real root t gives theta = phi + 2 atan(t); a conjugate
+                    pair gives two states at a fold and none elsewhere.
 
 ``nonlinear_spectra`` is the array core: it returns the states of all its
 vectors as flat numpy arrays with an offset per vector (``Spectra``), and
@@ -79,13 +80,13 @@ from .model import (
 # on the dz = 0 contour leaves a few 1e-16.
 _ROUNDOFF_REL = 1e-15
 
-# A root t of the generic-path quartic, mapped to z = e^{i phi} (1 + i t) /
-# (1 - i t), is a real angle when | |z| - 1 | is at most this.  A real t
-# maps to the unit circle, and round-off can turn a double root in t (a fold
-# or a critical strength) into a conjugate pair ~1e-8 off the real axis,
-# which maps ~1e-8 off the circle; a state built from a root 1e-6 off the
-# circle has a residual of order 1e-12.
-_ON_CIRCLE_TOL = 1e-6
+# The conjugate pair t = a +- i b of the generic-path quartic's first factor is
+# kept, as the double root a twice, when its ``_fold_margin`` is at most this.
+# On a fold the pair is a double root, which round-off splits by ~1e-8 into a
+# real or a conjugate pair, so the bound stands well above 1e-8; and G'(theta)
+# = 0 there, so an angle 1e-6 off the double root leaves a residual of order
+# (1e-6)^2 = 1e-12.
+_FOLD_TOL = 1e-6
 
 # A root of a real polynomial is real when |Im| is at most this, and roots
 # closer than this are one tangential root: np.roots splits a double root
@@ -375,6 +376,18 @@ def _solve_quartics(B, D) -> np.ndarray:
     return roots
 
 
+def _fold_margin(a, b):
+    """|Im theta| to first order of both roots t = a +- i b, theta = phi + 2 atan(t), on floats
+    or arrays: by + * / only, which round correctly, so both spectrum paths get its bits."""
+    return 2.0 * b / (1.0 + a * a)
+
+
+def _kept(margin) -> np.ndarray:
+    """Which of each key's four roots give states, from the keys' ``_fold_margin`` array: the
+    pair of t^2 + p t + q both or neither, the real pair of t^2 + r t - 1/q always."""
+    return (margin <= _FOLD_TOL)[:, None] | np.array([False, False, True, True])
+
+
 def _angles(dz: float, r: float, U: float) -> list[float]:
     """The theta of the states of a generic d with (dz, sqrt(s)) = (dz, r).
 
@@ -390,51 +403,44 @@ def _angles(dz: float, r: float, U: float) -> list[float]:
     real roots are the real theta (theta = phi + pi is never one: G(pi) = sqrt(s) and
     G(pi/2) = dz).  Near the polar momenta and the dz = 0 contour they stay apart, where
     the roots of f crowd into double roots at U/2 or U, and at U = 0 the quartic is
-    (t^2 + 1) times the quadratic of U = 0.  A root's margin is | |z| - 1 |, z = e^{i phi}
-    (1 + i t) / (1 - i t): 0 for a real t, infinity at t = -i.  A root gives a state,
-    theta = phi + 2 atan(Re t) wrapped into (-pi, pi], where its margin is at most
-    ``_ON_CIRCLE_TOL``: a real root, or the conjugate pair into which round-off splits
-    a double root at a fold.  ``_key_angles`` is this on arrays.
+    (t^2 + 1) times the quadratic of U = 0.  Each real root gives a state, theta = phi +
+    2 atan(t) wrapped into (-pi, pi].  So does a conjugate pair t = a +- i b of the first
+    factor t^2 + p t + q, as the double root a twice, where its ``_fold_margin`` 2 b / (1 +
+    a^2) is at most ``_FOLD_TOL``: the double root at a fold, split by round-off.  Otherwise
+    neither root of the pair does (at U = 0, t = +-i with margin 2), so a generic d has
+    two or four states.  ``_key_angles`` is this on arrays.
     """
     h, turn = 0.5 * U, r < abs(dz)
     lead, cubic, linear = (0.5 * dz, h - r, -(h + r)) if turn else (0.5 * r, dz - h, dz + h)
     roots = solve_quartic(cubic / lead, linear / lead)
-    if type(roots[0]) is complex:
-        # t = a +- i b, b > 0: | |z| - 1 | = (|1 - i t| - |1 + i t|) / |1 -+ i t|, the second the larger
+    if type(roots[0]) is complex:  # t = a +- i b, b > 0: kept or dropped as one
         a, b = roots[0].real, roots[0].imag
-        near, far = math.hypot(1.0 - b, a), math.hypot(1.0 + b, a)
-        margins = ((far - near) / far, (far - near) / near if near else math.inf)
-        # the second is the larger: none kept, or a double root at a fold, split by round-off
-        roots = [a for m in margins if m <= _ON_CIRCLE_TOL] + roots[2:]
+        roots = ([a, a] if _fold_margin(a, b) <= _FOLD_TOL else []) + roots[2:]
     if turn:  # phi = -pi/2; 2 atan(t) <= -pi/2 where t <= -1
         return [2.0 * math.atan(t) - (0.5 * math.pi if t > -1.0 else -1.5 * math.pi) for t in roots]
     return [2.0 * math.atan(t) for t in roots]
 
 
 def _key_angles(dz, r, U: float):
-    """``_angles`` of the keys (dz[i], r[i]) on arrays, and the margins of their roots.
+    """``_angles`` of the keys (dz[i], r[i]) on arrays, and the ``_fold_margin`` of each key.
 
     One ``solve_quartic`` call solves every key's quartic, and the margins and angles
-    are the scalar formulas' steps in their order, libm's through ``_libm``, so every
-    key's angles equal ``_angles``' to the bit.  Returns the angles of the kept roots,
-    by key and then root, and the (n, 4) margins, 0.0 for a real root.
+    are the scalar formulas' steps in their order, libm's atan through ``_libm``, so
+    every key's angles equal ``_angles``' to the bit.  Returns the angles of the kept
+    roots (``_kept``), by key and then root, and the margin of each key's first pair,
+    0.0 where it is real.
     """
     h, turn = 0.5 * U, r < np.abs(dz)
     lead = np.where(turn, 0.5 * dz, 0.5 * r)
     cubic, linear = np.where(turn, h - r, dz - h), np.where(turn, -(h + r), dz + h)
     roots = solve_quartic(cubic / lead, linear / lead)
-    margins = np.zeros((len(dz), 4))
-    i = np.flatnonzero(roots.imag[0])
-    a, b = roots.real[0, i], roots.imag[0, i]
-    near, far = _libm(math.hypot, 1.0 - b, a), _libm(math.hypot, 1.0 + b, a)
-    margins[i, 0] = (far - near) / far
-    margins[i, 1] = np.divide(far - near, near, out=np.full(len(i), math.inf), where=near != 0.0)
-    kept = margins <= _ON_CIRCLE_TOL
+    margin = _fold_margin(roots.real[0], roots.imag[0])
+    kept = _kept(margin)
     t = roots.real.T[kept]  # a conjugate pair's real part twice
     theta = 2.0 * _libm(math.atan, t)
     turned = turn[np.nonzero(kept)[0]]
     theta[turned] -= np.where(t[turned] > -1.0, 0.5 * math.pi, -1.5 * math.pi)
-    return theta, margins
+    return theta, margin
 
 
 def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
@@ -536,12 +542,13 @@ class SpectrumHealth:
     """Numerical health of the spectra ``nonlinear_spectra`` solved, summed over calls.
 
     ``paths`` counts the Bloch vectors taken by each path.  Each generic vector
-    has four roots t of its half-angle quartic, each mapped to z = e^{i phi}
-    (1 + i t) / (1 - i t).  A root is kept as a state when its margin | |z| - 1 |
-    is at most ``_ON_CIRCLE_TOL`` and discarded otherwise.  A real root's margin
-    is 0; at U = 0 two roots of every generic vector are t = +-i, z = 0 and
-    infinity, discarded with margins 1 and infinity.  The largest kept and the
-    smallest discarded margin are None while there is no such root.
+    has four roots t of its half-angle quartic.  A real root's margin is 0, and
+    both roots of a conjugate pair t = a +- i b have the margin 2 b / (1 + a^2)
+    (``_fold_margin``), their first-order |Im theta|; the pair is kept as two
+    states when it is at most ``_FOLD_TOL`` and both roots are discarded
+    otherwise.  At U = 0 two roots of every generic vector are t = +-i,
+    discarded with margin 2.  The largest kept and the smallest discarded
+    margin are None while there is no such root.
     ``max_residual`` is the largest || H(state) state - epsilon state || of any pair.
     """
 
@@ -551,19 +558,17 @@ class SpectrumHealth:
     min_discarded_root_margin: float | None = None
     max_residual: float = 0.0
 
-    def _record_roots(self, paths: dict[str, int], margins: np.ndarray, inverse: np.ndarray) -> None:
-        """Add path counts, and the margins (one row per distinct quartic) of the roots of
-        the generic vectors, vector j solving quartic ``inverse[j]``."""
+    def _record_roots(self, paths: dict[str, int], margin: np.ndarray, inverse: np.ndarray) -> None:
+        """Add path counts, and the first pair's margin of each distinct quartic of the
+        generic vectors, vector j solving quartic ``inverse[j]``."""
         for path, count in paths.items():
             self.paths[path] += count
-        kept, discarded = margins <= _ON_CIRCLE_TOL, margins > _ON_CIRCLE_TOL
-        self.roots_discarded += int(discarded[inverse].sum())
-        if kept.any():
-            self.max_kept_root_margin = max(self.max_kept_root_margin or 0.0, float(margins[kept].max()))
-        if discarded.any():
-            self.min_discarded_root_margin = min(
-                self.min_discarded_root_margin or math.inf, float(margins[discarded].min())
-            )
+        kept = margin <= _FOLD_TOL
+        self.roots_discarded += 2 * int(np.count_nonzero(~kept[inverse]))
+        if margin.size:  # every quartic keeps the real pair of its second factor, of margin 0
+            self.max_kept_root_margin = max(self.max_kept_root_margin or 0.0, float(margin[kept].max(initial=0.0)))
+        if not kept.all():
+            self.min_discarded_root_margin = min(self.min_discarded_root_margin or math.inf, float(margin[~kept].min()))
 
 
 def nonlinear_spectra(d, U: float, health: SpectrumHealth | None = None) -> Spectra:
@@ -599,7 +604,7 @@ def _assemble(dx, dy, dz, U: float, health: SpectrumHealth | None) -> Spectra:
         polar = s <= zero * zero
     generic = ~(polar | (np.abs(dz) <= zero))
     rows = np.flatnonzero(generic)
-    columns, margins, inverse = _generic_states(dx, dy, dz, s, rows, U)
+    columns, margin, inverse = _generic_states(dx, dy, dz, s, rows, U)
     edge = np.flatnonzero(~generic)
     edge_states = [
         (i, p.epsilon, p.kappa, p.state.c1, p.state.c2, p.multiplicity)
@@ -613,7 +618,7 @@ def _assemble(dx, dy, dz, U: float, health: SpectrumHealth | None) -> Spectra:
     if health is not None:
         n_polar = int(polar.sum())
         paths = {"polar": n_polar, "contour": len(dx) - n_polar - len(rows), "generic": len(rows)}
-        health._record_roots(paths, margins, inverse)
+        health._record_roots(paths, margin, inverse)
     return Spectra(offsets, *(a[in_rows] for a in columns))
 
 
@@ -626,13 +631,14 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     c1 = (dx - i dy) / sqrt(s) cos(theta/2) takes each row's own phase, by the
     scalar path's formula (``_c1_parts``).  Returns the columns (row, epsilon,
     kappa, c1, c2, multiplicity), each row's states in (epsilon, kappa) order,
-    with the root margins of each key and the key of each row.
+    with the ``_fold_margin`` of each key, whose first pair gives two states or
+    none, and the key of each row.
     """
     key = np.empty(len(rows), dtype=complex)
     key.real, key.imag = dz[rows], np.sqrt(s[rows])
     keys, inverse = np.unique(key, return_inverse=True)
-    theta, margins = _key_angles(keys.real, keys.imag, U)
-    kept = margins <= _ON_CIRCLE_TOL
+    theta, margin = _key_angles(keys.real, keys.imag, U)
+    kept = _kept(margin)
     per_key = kept.sum(axis=1)
     # the kept roots' states, formed and sorted by key, then by (epsilon, kappa), once per key
     key_of = np.nonzero(kept)[0]
@@ -647,7 +653,7 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
     c1 = np.empty(len(src), dtype=complex)
     c1.real, c1.imag = _c1_parts(dx[tag], dy[tag], np.sqrt(s[tag]), np.cos(half))
     columns = (tag, eps[src], kappa[src], c1, np.sin(half).astype(complex), np.ones(len(src), dtype=np.intp))
-    return columns, margins, inverse
+    return columns, margin, inverse
 
 
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:

@@ -440,6 +440,9 @@ def iii_points_scan(u, U, n):
 # quadratic of U = 0.  Its companion has entries of size |d| / U, so its states
 # lose accuracy as U falls: residuals reach 5.9e-8 at U = 1e-12.
 
+# a root z is a real angle where | |z| - 1 | is at most this, root by root
+_CIRCLE_TOL = 1e-6
+
 # rows 1 .. n-1 of an n x n companion matrix, the shifted identity of np.roots
 _SHIFT = {n: np.eye(n - 1, n, dtype=complex) for n in (2, 4)}
 
@@ -464,8 +467,11 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 def _circle_spectrum(d, U, circle_roots):
     """The physical states of one d, sorted by (epsilon, kappa), on Python scalars: the
     generic path keeps a root z of ``circle_roots(dz, sqrt(s), U)`` as the state of angle
-    phase(z) where | |z| - 1 | is at most the package's ``_ON_CIRCLE_TOL``."""
-    from nlchern.spectrum import _ON_CIRCLE_TOL, _contour_pairs, _pair, _path, _polar_pairs
+    phase(z) where | |z| - 1 | is at most ``_CIRCLE_TOL``, root by root.  The package
+    instead keeps or drops the two roots of a fold's pair as one unit, by their common
+    first-order |Im theta| (``spectrum._fold_margin``), so the two can differ only where
+    a pair's two per-root margins straddle 1e-6."""
+    from nlchern.spectrum import _contour_pairs, _pair, _path, _polar_pairs
 
     path = _path(d, U)
     if path == "polar":
@@ -474,7 +480,7 @@ def _circle_spectrum(d, U, circle_roots):
         pairs = _contour_pairs(d, U)
     else:
         zs = circle_roots(d.dz, math.sqrt(d.planar_sq), U)
-        pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL]
+        pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _CIRCLE_TOL]
     if not pairs:
         raise AssertionError("no physical root survived")
     pairs.sort(key=lambda p: (p.epsilon, p.kappa))

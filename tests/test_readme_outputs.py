@@ -42,9 +42,9 @@ def close(rel: float):
 
 
 # Each pin's one policy; every pin not named here is compared exactly.  Those
-# are counts, where margins of 0 (kept) against 0.031 and 0.012
-# (discarded), bands and dynamics, leave no root whose fate round-off
-# could change, and fold points lie at least 0.38 apart; the step T / steps,
+# are counts, where fold-pair margins 2b / (1 + a^2) of 0 (kept) against
+# 0.032 and 0.012 (discarded), bands and dynamics, leave no pair whose fate
+# round-off could change, and fold points lie at least 0.38 apart; the step T / steps,
 # pure IEEE arithmetic; and the trajectory's last t, k, norm and energy: from
 # the polar start k = (0, 0) they depend on libm, the drive and RK4, not on LAPACK.
 POLICY = {

