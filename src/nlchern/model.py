@@ -55,16 +55,20 @@ def _reduce_angle(x: float) -> float:
     return r
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KPoint:
-    """Quasimomentum in the restricted Brillouin zone, components in [0, 2*pi)."""
+    """Quasimomentum in the restricted Brillouin zone, components in [0, 2*pi).
+
+    Its one ``__init__`` stores each component reduced by ``_reduce_angle``, once;
+    eq, hash and repr are the dataclass's, on the reduced fields.
+    """
 
     kx: float
     ky: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "kx", _reduce_angle(self.kx))
-        object.__setattr__(self, "ky", _reduce_angle(self.ky))
+    def __init__(self, kx: float, ky: float) -> None:
+        object.__setattr__(self, "kx", _reduce_angle(kx))
+        object.__setattr__(self, "ky", _reduce_angle(ky))
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,9 +35,9 @@ states and the polar and contour rows' states (from ``_spectrum``) are
 concatenated, and one stable sort of the tags puts them in row order, each
 row's states still in their (epsilon, kappa) order.  ``NonlinearEigenpair``
 objects are built only at the API edge: ``physical_spectrum`` solves one k
-on Python scalars (``_spectrum``), faster for one vector, and
-``Spectra.pairs`` turns rows into pair lists; every row of the array core
-equals ``_spectrum`` to the bit.
+on the three floats of its d (``_spectrum(dx, dy, dz, U)``, which builds no
+``BlochVector``), faster for one vector, and ``Spectra.pairs`` turns rows
+into pair lists; every row of the array core equals ``_spectrum`` to the bit.
 
 The III-type degeneracies, eps = U/2 + (4 U s)^(1/3) / 2 on the locus
 dz = +-{U^(2/3) - (4 s)^(1/3)}^(3/2) / 2, mark the fold edges of the
@@ -62,6 +62,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -92,6 +93,9 @@ _FOLD_TOL = 1e-6
 # closer than this are one tangential root: np.roots splits a double root
 # into two ~1e-8 apart, real or conjugate.  So are III points in k.
 _ROOT_TOL = 1e-6
+
+# the order of a vector's states
+_BY_ENERGY = attrgetter("epsilon", "kappa")
 
 # ``solve_quartic`` takes any half-angle quartic with max(|B|, |D|) up to this, beyond it
 # only those near the generic path's |B + D| <= 4 (``_in_domain``)
@@ -174,17 +178,16 @@ class DegeneratePoint:
     critical_U: float | None = None
 
 
-def _pair(theta: float, d: BlochVector, U: float) -> NonlinearEigenpair:
-    """The state with Bloch vector (sin(theta) (dx, dy) / sqrt(s), cos(theta)).
+def _pair(theta: float, dx: float, dy: float, dz: float, r: float, U: float) -> NonlinearEigenpair:
+    """The state with Bloch vector (sin(theta) (dx, dy) / r, cos(theta)), r = sqrt(s).
 
     That is (e^{-i phi} cos(theta/2), sin(theta/2)) with e^{i phi} = (dx + i dy)
     / sqrt(s), the phase convention of the eigenvector ((dx - i dy), lam - h).
     At a real root theta of G (``_angles``) it is stationary with kappa =
     cos(theta) and eps = U/2 + sqrt(s) sin(theta) + h kappa, h = dz + U kappa / 2.
     """
-    r = math.sqrt(d.planar_sq)
-    eps, kappa = _theta_energy(theta, d.dz, r, U, math)
-    c1 = complex(*_c1_parts(d.dx, d.dy, r, math.cos(0.5 * theta)))
+    eps, kappa = _theta_energy(theta, dz, r, U, math)
+    c1 = complex(*_c1_parts(dx, dy, r, math.cos(0.5 * theta)))
     return NonlinearEigenpair(eps, kappa, Spinor(c1, complex(math.sin(0.5 * theta))))
 
 
@@ -217,12 +220,13 @@ def _c1_parts(dx, dy, r, cos_half):
     return _cmul(*_cdiv(dx, -dy, r), cos_half, 0.0)
 
 
+# the polarized states of the polar path, kappa = +-1; Spinor is frozen, so every call shares them
+_UP, _DOWN = Spinor(1.0 + 0.0j, 0.0j), Spinor(0.0j, 1.0 + 0.0j)
+
+
 def _polar_pairs(dz: float, U: float) -> list[NonlinearEigenpair]:
     """dx = dy = 0, where f = (eps - U/2)^2 [(eps - U)^2 - dz^2]."""
-    pairs = [
-        NonlinearEigenpair(U + dz, 1.0, Spinor(1.0 + 0.0j, 0.0j)),
-        NonlinearEigenpair(U - dz, -1.0, Spinor(0.0j, 1.0 + 0.0j)),
-    ]
+    pairs = [NonlinearEigenpair(U + dz, 1.0, _UP), NonlinearEigenpair(U - dz, -1.0, _DOWN)]
     if U > 2.0 * abs(dz):
         # population-split pair at eps = U/2; its free relative phase is
         # fixed to zero.  At U = 2|dz| it is the polarized state at U - |dz|
@@ -233,27 +237,27 @@ def _polar_pairs(dz: float, U: float) -> list[NonlinearEigenpair]:
     return pairs
 
 
-def _contour_pairs(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
-    """dz = 0, where f = (eps - U)^2 [(eps - U/2)^2 - s].
+def _contour_pairs(dx: float, dy: float, dz: float, r: float, U: float) -> list[NonlinearEigenpair]:
+    """dz = 0, where f = (eps - U)^2 [(eps - U/2)^2 - s], r = sqrt(s).
 
     kappa = 0 (theta = +-pi/2) gives eps = U/2 +- sqrt(s).  For U > 2 sqrt(s)
     the pair sin theta = 2 sqrt(s) / U, kappa = +-sqrt(U^2 - 4 s) / U gives
     eps = U; at U = 2 sqrt(s) it is the kappa = 0 state and is not emitted twice.
     """
-    r = math.sqrt(d.planar_sq)
     thetas = [-0.5 * math.pi, 0.5 * math.pi]
     if U > 2.0 * r:
         kappa_u = math.sqrt((U - 2.0 * r) * (U + 2.0 * r))
         thetas += [math.atan2(2.0 * r, kappa_u), math.atan2(2.0 * r, -kappa_u)]
-    return [_pair(theta, d, U) for theta in thetas]
+    return [_pair(theta, dx, dy, dz, r, U) for theta in thetas]
 
 
-def _path(d: BlochVector, U: float) -> str:
-    """"polar" (dx = dy = 0), "contour" (dz = 0) or "generic", each to round-off."""
-    zero = _ROUNDOFF_REL * max(1.0, U, d.magnitude)
-    if d.planar_sq <= zero * zero:
+def _path(dz: float, s: float, U: float) -> str:
+    """"polar" (dx = dy = 0), "contour" (dz = 0) or "generic", each to round-off, of the d with
+    dz and s = dx^2 + dy^2."""
+    zero = _ROUNDOFF_REL * max(1.0, U, math.sqrt(s + dz * dz))
+    if s <= zero * zero:
         return "polar"
-    if abs(d.dz) <= zero:
+    if abs(dz) <= zero:
         return "contour"
     return "generic"
 
@@ -443,24 +447,27 @@ def _key_angles(dz, r, U: float):
     return theta, margin
 
 
-def _spectrum(d: BlochVector, U: float) -> list[NonlinearEigenpair]:
-    """The physical states of one d, sorted by (epsilon, kappa), on Python scalars.
+def _spectrum(dx: float, dy: float, dz: float, U: float) -> list[NonlinearEigenpair]:
+    """The physical states of the d = (dx, dy, dz), sorted by (epsilon, kappa), on Python floats.
 
     The path of ``physical_spectrum``, and of ``nonlinear_spectra``'s polar and
     contour rows: for one d it is faster than the array core, which holds each of
-    its rows equal to this.  A generic d's half-angle quartic is solved by
-    ``solve_quartic``, once per call; the polar and contour paths solve none.
-    Every path gives at least two states: a generic d has the two real roots of
-    the quartic's factor t^2 + r t - 1/q.
+    its rows equal to this.  s = dx^2 + dy^2 and the path (``_path``) are taken
+    once, and sqrt(s) once for the contour and generic paths.  A generic d's
+    half-angle quartic is solved by ``solve_quartic``, once per call; the polar
+    and contour paths solve none.  Every path gives at least two states: a
+    generic d has the two real roots of the quartic's factor t^2 + r t - 1/q.
     """
-    path = _path(d, U)
+    s = dx * dx + dy * dy
+    path = _path(dz, s, U)
     if path == "polar":
-        pairs = _polar_pairs(d.dz, U)
+        pairs = _polar_pairs(dz, U)
     elif path == "contour":
-        pairs = _contour_pairs(d, U)
+        pairs = _contour_pairs(dx, dy, dz, math.sqrt(s), U)
     else:
-        pairs = [_pair(theta, d, U) for theta in _angles(d.dz, math.sqrt(d.planar_sq), U)]
-    pairs.sort(key=lambda p: (p.epsilon, p.kappa))
+        r = math.sqrt(s)
+        pairs = [_pair(theta, dx, dy, dz, r, U) for theta in _angles(dz, r, U)]
+    pairs.sort(key=_BY_ENERGY)
     return pairs
 
 
@@ -609,7 +616,7 @@ def _assemble(dx, dy, dz, U: float, health: SpectrumHealth | None) -> Spectra:
     edge_states = [
         (i, p.epsilon, p.kappa, p.state.c1, p.state.c2, p.multiplicity)
         for i, x, y, z in zip(*(a.tolist() for a in (edge, dx[edge], dy[edge], dz[edge])))
-        for p in _spectrum(BlochVector(x, y, z), U)
+        for p in _spectrum(x, y, z, U)
     ]
     edge_columns = list(zip(*edge_states)) or [()] * len(columns)
     tag, *columns = (np.concatenate((a, np.array(b, dtype=a.dtype))) for a, b in zip(columns, edge_columns))
@@ -658,10 +665,11 @@ def _generic_states(dx, dy, dz, s, rows, U: float):
 
 def physical_spectrum(params: ModelParams, k: KPoint) -> list[NonlinearEigenpair]:
     """Physical self-consistent eigenpairs at k, sorted by (epsilon, kappa); ValueError where
-    u or U is so large that an energy overflows float64, as in ``nonlinear_spectra``."""
-    d = bloch_vector(params, k)
-    _check_energies(params.U, abs(d.dz) + 1.5)  # sqrt(s) <= sqrt(2): |dx|, |dy| <= 1
-    return _spectrum(d, params.U)
+    u or U is so large that an energy overflows float64, as in ``nonlinear_spectra``.  d is
+    taken as ``bloch_vector`` takes it (``model._bloch_parts``), as three floats."""
+    dx, dy, dz = _bloch_parts(params.u, k.kx, k.ky, math)
+    _check_energies(params.U, abs(dz) + 1.5)  # sqrt(s) <= sqrt(2): |dx|, |dy| <= 1
+    return _spectrum(dx, dy, dz, params.U)
 
 
 def branch_count(pairs: list[NonlinearEigenpair]) -> int:

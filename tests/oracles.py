@@ -473,14 +473,15 @@ def _circle_spectrum(d, U, circle_roots):
     a pair's two per-root margins straddle 1e-6."""
     from nlchern.spectrum import _contour_pairs, _pair, _path, _polar_pairs
 
-    path = _path(d, U)
+    path = _path(d.dz, d.planar_sq, U)
     if path == "polar":
         pairs = _polar_pairs(d.dz, U)
     elif path == "contour":
-        pairs = _contour_pairs(d, U)
+        pairs = _contour_pairs(d.dx, d.dy, d.dz, math.sqrt(d.planar_sq), U)
     else:
-        zs = circle_roots(d.dz, math.sqrt(d.planar_sq), U)
-        pairs = [_pair(cmath.phase(z), d, U) for z in zs if abs(abs(z) - 1.0) <= _CIRCLE_TOL]
+        r = math.sqrt(d.planar_sq)
+        zs = circle_roots(d.dz, r, U)
+        pairs = [_pair(cmath.phase(z), d.dx, d.dy, d.dz, r, U) for z in zs if abs(abs(z) - 1.0) <= _CIRCLE_TOL]
     if not pairs:
         raise AssertionError("no physical root survived")
     pairs.sort(key=lambda p: (p.epsilon, p.kappa))
@@ -571,7 +572,7 @@ def _degenerate_kind_and_eps(params, d):
     from nlchern.spectrum import DegeneracyKind, _iii_residual, _path, iii_epsilon
 
     U = params.U
-    path = _path(d, U)
+    path = _path(d.dz, d.planar_sq, U)
     if path == "polar":
         return DegeneracyKind.I, 0.5 * U
     if path == "contour":

@@ -51,6 +51,7 @@ def test_scalar_spectrum_solves_through_the_traced_name(monkeypatch):
     for k, path, n in ((KPoint(1.0, 2.0), "generic", 1), (KPoint(0.0, math.pi), "polar", 0),
                        (KPoint(0.5 * math.pi, 0.5 * math.pi), "contour", 0)):
         calls.clear()
-        assert spectrum._path(bloch_vector(params, k), params.U) == path
+        d = bloch_vector(params, k)
+        assert spectrum._path(d.dz, d.planar_sq, params.U) == path
         spectrum.physical_spectrum(params, k)
         assert len(calls) == n, path

@@ -95,7 +95,8 @@ def test_elementwise_formulas_equal_scalar_references_bit_for_bit():
     rng = np.random.default_rng(19)
     p = ModelParams(u=1.0, U=4.0)
     ks = [KPoint(2.9, 3.1), KPoint(0.0, 0.0), KPoint(math.pi, math.pi / 2)]
-    assert [_path(bloch_vector(p, k), p.U) for k in ks] == ["generic", "polar", "contour"]
+    ds = [bloch_vector(p, k) for k in ks]
+    assert [_path(d.dz, d.planar_sq, p.U) for d in ds] == ["generic", "polar", "contour"]
     states = [Spinor(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))).normalized() for _ in range(30)]
     parts = (0.0, -0.0, 0.6, -0.8)
     states += [Spinor(complex(a, b), complex(c, e)) for a, b, c, e in itertools.product(parts, repeat=4)]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +49,42 @@ def test_kpoint_reduction_idempotent():
     assert (k2.kx, k2.ky) == (k.kx, k.ky)
     with pytest.raises(ValueError):
         KPoint(math.inf, 0.0)
+
+
+@pytest.mark.parametrize("x, want", [
+    (-0.0, 0.0), (TWO_PI, 0.0), (-1e-300, 0.0), (7.0, 7.0 - TWO_PI), (-1.0, TWO_PI - 1.0), (0.5, 0.5),
+])
+def test_kpoint_reduces_each_component_into_the_zone(x, want):
+    # -0.0 and 2 pi give +0.0; x % 2 pi rounds up to 2 pi at -1e-300, which is 0.0 too
+    for k in (KPoint(x, 0.5), KPoint(0.5, x), KPoint(kx=x, ky=x)):
+        assert 0.0 <= k.kx < TWO_PI and 0.0 <= k.ky < TWO_PI
+    k = KPoint(x, x)
+    assert (k.kx.hex(), k.ky.hex()) == (want.hex(), want.hex())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_kpoint_rejects_a_nonfinite_component(bad):
+    for args in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(ValueError, match=r"^quasimomentum components must be finite$"):
+            KPoint(*args)
+
+
+def test_kpoint_keeps_the_dataclass_contract():
+    # fields, eq, hash and repr on the reduced components; frozen, slotted, picklable,
+    # and dataclasses.replace reduces the component it replaces
+    fields = [(f.name, f.type, f.init, f.repr, f.compare, f.hash) for f in dataclasses.fields(KPoint)]
+    assert fields == [("kx", "float", True, True, True, None), ("ky", "float", True, True, True, None)]
+    k = KPoint(7.0, -1.0)
+    assert k == KPoint(7.0 - TWO_PI, TWO_PI - 1.0) and k != KPoint(0.5, 0.5)
+    assert hash(k) == hash(KPoint(7.0 - TWO_PI, TWO_PI - 1.0)) == hash((7.0 - TWO_PI, TWO_PI - 1.0))
+    assert repr(KPoint(0.5, 1.5)) == "KPoint(kx=0.5, ky=1.5)"
+    assert not hasattr(k, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.kx = 1.0
+    moved = dataclasses.replace(k, kx=7.0)
+    assert (moved.kx, moved.ky) == (7.0 - TWO_PI, k.ky)
+    back = pickle.loads(pickle.dumps(k))
+    assert back == k and repr(back) == repr(k)
 
 
 def test_params_validation():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nlchern.model import BlochVector, KPoint, ModelParams, bloch_vector
+from nlchern import spectrum
+from nlchern.model import BlochVector, KPoint, ModelParams, Spinor, bloch_vector
 from nlchern.spectrum import (
     _FOLD_TOL,
     _QUARTIC_BOUND,
@@ -122,7 +123,7 @@ def test_edge_points_match_lapack_solve(workloads):
     for seed in (1, 2, 3):
         for _, u, U, kx, ky in workloads.edge_points(seed):
             d = bloch_vector(ModelParams(u=u, U=U), KPoint(kx, ky))
-            got, want = _spectrum(d, U), lapack_half_angle_spectrum(d, U)
+            got, want = _spectrum(d.dx, d.dy, d.dz, U), lapack_half_angle_spectrum(d, U)
             assert [p.multiplicity for p in got] == [p.multiplicity for p in want], (u, U, kx, ky)
             scale = max(1.0, U, d.magnitude)
             for p, q in zip(got, want):
@@ -561,13 +562,13 @@ def test_list_form_equals_batch_of_one(batch):
     health = SpectrumHealth()
     spectra = nonlinear_spectra(as_rows(ds), U, health)
     # every row of the array core is the scalar path of physical_spectrum, and so is its residual
-    ref = [_spectrum(d, U) for d in ds]
+    ref = [_spectrum(d.dx, d.dy, d.dz, U) for d in ds]
     assert spectra.pairs() == ref
     assert health.max_residual == scalar_max_residual(ds, U, ref)
     # the array core solves the quartic of each distinct (dz, sqrt(s)) of the generic
     # rows once, in one call through the traced name solve_quartic that carries them
     # all as arrays, and they are the quartics the scalar path solves
-    keys = {(d.dz, math.sqrt(d.planar_sq)) for d in ds if _path(d, U) == "generic"}
+    keys = {(d.dz, math.sqrt(d.planar_sq)) for d in ds if _path(d.dz, d.planar_sq, U) == "generic"}
     with mock.patch("nlchern.spectrum.solve_quartic", side_effect=solve_quartic) as solve:
         nonlinear_spectra(as_rows(ds), U)
         (call,) = solve.call_args_list
@@ -575,7 +576,7 @@ def test_list_form_equals_batch_of_one(batch):
         core = list(zip(B.tolist(), D.tolist()))
         solve.reset_mock()
         for d in ds:
-            _spectrum(d, U)
+            _spectrum(d.dx, d.dy, d.dz, U)
         scalar = {call.args for call in solve.call_args_list}
     assert len(core) == len(keys) and set(core) == scalar
 
@@ -673,9 +674,9 @@ def test_generic_keys_give_two_or_four_states_on_both_paths(case):
     dz, r, U = case
     assert {len(_angles(z, x, U)) for z, x in zip(dz, r)} <= {2, 4}
     ds = [BlochVector(x, 0.0, z) for z, x in zip(dz, r)]
-    generic = [d for d in ds if _path(d, U) == "generic"]
+    generic = [d for d in ds if _path(d.dz, d.planar_sq, U) == "generic"]
     assert set(nonlinear_spectra(as_rows(generic), U).branch_counts().tolist()) <= {2, 4}
-    assert {branch_count(_spectrum(d, U)) for d in generic} <= {2, 4}
+    assert {branch_count(_spectrum(d.dx, d.dy, d.dz, U)) for d in generic} <= {2, 4}
 
 
 @pytest.mark.parametrize("u, U, kx, ky, count", [
@@ -688,10 +689,77 @@ def test_fold_pair_is_kept_or_dropped_as_one_on_both_paths(u, U, kx, ky, count):
     # k), and a rule root by root kept one of them, three states
     params, k = ModelParams(u=u, U=U), KPoint(kx, ky)
     d = bloch_vector(params, k)
-    assert _path(d, U) == "generic"
+    assert _path(d.dz, d.planar_sq, U) == "generic"
     pairs = physical_spectrum(params, k)
     assert branch_count(pairs) == count
     assert nonlinear_spectra(as_rows([d]), U).pairs() == [pairs]
+
+
+def state_bits(pairs):
+    """Each state's (epsilon, kappa, c1, c2) parts as uint64, which tells -0.0 from 0.0, and
+    its multiplicity."""
+    parts = [(p.epsilon, p.kappa, p.state.c1.real, p.state.c1.imag, p.state.c2.real, p.state.c2.imag)
+             for p in pairs]
+    return np.array(parts, dtype=float).reshape(-1, 6).view(np.uint64).tolist(), [p.multiplicity for p in pairs]
+
+
+def edge_momenta():
+    """Seeded (u, U, kx, ky) where the scalar path decides its polar and contour branches
+    and its fold rule: the polar momenta at U = 2|dz| exactly, one float either side and
+    1e-6 relative either side; momenta 1e-16 to 1e-8 off the polar ones at that U; k
+    with dz = 0 exactly at U = 2 sqrt(s) exactly, one float either side and 1e-6 relative
+    either side; and generic k at and next to the fold edges (III points) of three (u, U)."""
+    rng = np.random.default_rng(23)
+    points = []
+    for kx, ky in ((0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)):
+        for u in rng.uniform(-3.0, 3.0, 4).tolist():
+            uc = 2.0 * abs(bloch_vector(ModelParams(u=u), KPoint(kx, ky)).dz)
+            near = (uc, math.nextafter(uc, 0.0), math.nextafter(uc, math.inf), uc * (1.0 - 1e-6), uc * (1.0 + 1e-6))
+            points += [(u, U, kx, ky) for U in near]
+            for dk in (1e-16, 1e-12, 1e-8):
+                points += [(u, uc, kx + dk, ky), (u, uc, kx, ky - dk), (u, uc, kx - dk, ky + dk)]
+    exact = 0
+    while exact < 12:
+        kx, ky = rng.uniform(0.0, TWO_PI, 2).tolist()
+        u = -math.cos(kx) - math.cos(ky)
+        d = bloch_vector(ModelParams(u=u), KPoint(kx, ky))
+        if abs(u) < 2.0 and d.dz == 0.0:
+            exact += 1
+            uc = 2.0 * math.sqrt(d.planar_sq)
+            near = (uc, math.nextafter(uc, 0.0), math.nextafter(uc, math.inf), uc * (1.0 - 1e-6), uc * (1.0 + 1e-6))
+            points += [(u, U, kx, ky) for U in near]
+    for u, U in ((1.2, 3.0), (3.0, 5.0), (-0.5, 2.5)):
+        for p in classify_degeneracies(ModelParams(u=u, U=U), 24):
+            if p.kind is DegeneracyKind.III:
+                points += [(u, U, p.k.kx + dk, p.k.ky) for dk in (0.0, 1e-9, -1e-9, 1e-7, -1e-7)]
+    return points
+
+
+def test_scalar_path_equals_array_core_bit_for_bit_on_the_edge_sets():
+    # physical_spectrum against nonlinear_spectra of the same d, every part of every
+    # state as uint64, on the sets where the scalar path picks its branch; the sets
+    # must reach each of the three paths with two states and with four
+    counts = set()
+    for u, U, kx, ky in edge_momenta():
+        params, k = ModelParams(u=u, U=U), KPoint(kx, ky)
+        d = bloch_vector(params, k)
+        got = physical_spectrum(params, k)
+        (want,) = nonlinear_spectra([(d.dx, d.dy, d.dz)], U).pairs()
+        assert state_bits(got) == state_bits(want), (u, U, kx, ky)
+        counts.add((_path(d.dz, d.planar_sq, U), branch_count(got)))
+    assert counts >= {(path, n) for path in ("polar", "contour", "generic") for n in (2, 4)}
+
+
+def test_polar_states_share_the_polarized_spinors():
+    # kappa = +-1 at a polar momentum: the shared frozen spinors, equal to fresh ones
+    pairs = physical_spectrum(ModelParams(u=3.0, U=5.0), KPoint(math.pi, math.pi))
+    polarized = {p.kappa: p.state for p in pairs if abs(p.kappa) == 1.0}
+    assert polarized[1.0] is spectrum._UP and polarized[-1.0] is spectrum._DOWN
+    fresh = Spinor(1.0 + 0.0j, 0.0j), Spinor(0.0j, 1.0 + 0.0j)
+    assert (spectrum._UP, spectrum._DOWN) == fresh and hash(spectrum._UP) == hash(fresh[0])
+    assert [repr(s) for s in (spectrum._UP, spectrum._DOWN)] == [repr(s) for s in fresh]  # -0.0 parts too
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum._UP.c1 = 0.0j
 
 
 def test_array_solve_is_the_scalar_solve_where_w_is_zero():
@@ -722,7 +790,7 @@ def test_batch_without_generic_rows_equals_scalar_path():
           BlochVector(1.5, -2.0, 0.0), BlochVector(0.0, 0.0, 0.4)]
     health = SpectrumHealth()
     spectra = nonlinear_spectra(as_rows(ds), U, health)
-    assert spectra.pairs() == [_spectrum(d, U) for d in ds]
+    assert spectra.pairs() == [_spectrum(d.dx, d.dy, d.dz, U) for d in ds]
     assert spectra.offsets.tolist() == [0, 4, 7, 9, 11, 14]
     assert health.paths == {"polar": 3, "contour": 2, "generic": 0} and health.roots_discarded == 0
 
@@ -733,8 +801,8 @@ def test_path_rule_at_huge_kerr_strength_is_silent():
     # _path compares that inf silently, as the array core must
     U = 1e308
     ds = [BlochVector(0.0, 0.0, 0.5), BlochVector(0.3, 0.4, 0.0), BlochVector(0.3, 0.4, 0.5)]
-    assert [_path(d, U) for d in ds] == ["polar"] * 3
-    assert nonlinear_spectra(as_rows(ds), U).pairs() == [_spectrum(d, U) for d in ds]
+    assert [_path(d.dz, d.planar_sq, U) for d in ds] == ["polar"] * 3
+    assert nonlinear_spectra(as_rows(ds), U).pairs() == [_spectrum(d.dx, d.dy, d.dz, U) for d in ds]
 
 
 @pytest.mark.parametrize("u, U, overflows", [
@@ -830,7 +898,7 @@ def test_half_angle_quartic_matches_complex_quartic(case):
     # (tests/oracles.py): the same states, each close in energy and population,
     # and a residual at round-off, where the complex quartic's grows as U falls
     d, U = case
-    new, old = _spectrum(d, U), complex_quartic_spectrum(d, U)
+    new, old = _spectrum(d.dx, d.dy, d.dz, U), complex_quartic_spectrum(d, U)
     scale = max(1.0, U, d.magnitude)
     assert [p.multiplicity for p in new] == [p.multiplicity for p in old], (new, old)
     for p, q in zip(new, old):
@@ -1159,9 +1227,8 @@ def test_spectrum_health_counts_and_margins():
     assert sum(health.paths.values()) == n * n
     assert health.paths["polar"] == 9 and health.paths["contour"] > 0
     # four theta-roots per generic node, one state from each root kept
-    generic = [
-        node for node in nodes if _path(bloch_vector(params, KPoint(node.kx, node.ky)), params.U) == "generic"
-    ]
+    ds = [bloch_vector(params, KPoint(node.kx, node.ky)) for node in nodes]
+    generic = [node for node, d in zip(nodes, ds) if _path(d.dz, d.planar_sq, params.U) == "generic"]
     kept = sum(len(node.pairs) for node in generic)
     assert health.paths["generic"] == len(generic)
     assert health.roots_discarded == 4 * len(generic) - kept
@@ -1189,7 +1256,7 @@ def test_health_residual_takes_libm_hypot_whatever_np_hypot_gives(monkeypatch):
     rng = np.random.default_rng(17)
     U = 2.5
     ds = [BlochVector(*v) for v in rng.uniform(-3.0, 3.0, (200, 3)).tolist()]
-    ref = [_spectrum(d, U) for d in ds]
+    ref = [_spectrum(d.dx, d.dy, d.dz, U) for d in ds]
     hypot = np.hypot
     monkeypatch.setattr(np, "hypot", lambda x, y: np.nextafter(hypot(x, y), np.inf))
     health = SpectrumHealth()
